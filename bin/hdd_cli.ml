@@ -89,34 +89,52 @@ let read_lines path =
   in
   go []
 
-(* --- built-in workloads --- *)
+(* --- built-in workloads, protocols and stress profiles --- *)
 
-let workload_of_name name =
-  match name with
-  | "inventory" -> Workload.inventory ()
-  | "tree" -> Workload.tree ()
-  | "chain3" -> Workload.chain ~depth:3 ()
-  | "chain5" -> Workload.chain ~depth:5 ()
-  | _ -> (
-    match Scanf.sscanf_opt name "random:%d" Fun.id with
-    | Some seed -> Workload.random_hierarchy ~seed ()
-    | None ->
-      failwith
-        ("unknown workload: " ^ name
-       ^ " (try inventory, tree, chain3, chain5, random:<seed>)"))
+let workload =
+  let parse = function
+    | "inventory" -> Ok (Workload.inventory ())
+    | "tree" -> Ok (Workload.tree ())
+    | "chain3" -> Ok (Workload.chain ~depth:3 ())
+    | "chain5" -> Ok (Workload.chain ~depth:5 ())
+    | name -> (
+      match Scanf.sscanf_opt name "random:%d" Fun.id with
+      | Some seed -> Ok (Workload.random_hierarchy ~seed ())
+      | None ->
+        Error
+          (`Msg
+            ("unknown workload '" ^ name
+           ^ "' (try inventory, tree, chain3, chain5, random:<seed>)")))
+  in
+  Arg.conv (parse, fun ppf wl -> Format.pp_print_string ppf wl.Workload.wl_name)
 
-let spec_of_name = function
-  | "HDD" | "hdd" -> Harness.Hdd
-  | "2PL" | "2pl" -> Harness.S2pl
-  | "2PL-noRL" | "2pl-norl" -> Harness.S2plNoRl
-  | "TSO" | "tso" -> Harness.Tso
-  | "TSO-noRTS" | "tso-norts" -> Harness.TsoNoRts
-  | "MVTO" | "mvto" -> Harness.Mvto
-  | "MV2PL" | "mv2pl" -> Harness.Mv2pl
-  | "SDD-1" | "sdd1" -> Harness.Sdd1
-  | "PRUDENT" | "prudent" -> Harness.Prudent
-  | "NoCC" | "nocc" -> Harness.Nocc
-  | name -> failwith ("unknown protocol: " ^ name)
+let protocol =
+  (* an enum prints a value by its last name, so the canonical one goes
+     second *)
+  Arg.enum
+    [ ("hdd", Harness.Hdd); ("HDD", Harness.Hdd);
+      ("2pl", Harness.S2pl); ("2PL", Harness.S2pl);
+      ("2pl-norl", Harness.S2plNoRl); ("2PL-noRL", Harness.S2plNoRl);
+      ("tso", Harness.Tso); ("TSO", Harness.Tso);
+      ("tso-norts", Harness.TsoNoRts); ("TSO-noRTS", Harness.TsoNoRts);
+      ("mvto", Harness.Mvto); ("MVTO", Harness.Mvto);
+      ("mv2pl", Harness.Mv2pl); ("MV2PL", Harness.Mv2pl);
+      ("sdd1", Harness.Sdd1); ("SDD-1", Harness.Sdd1);
+      ("prudent", Harness.Prudent); ("PRUDENT", Harness.Prudent);
+      ("nocc", Harness.Nocc); ("NoCC", Harness.Nocc) ]
+
+let profile =
+  let module D = Hdd_runtime.Differential in
+  Arg.(value
+       & opt
+           (enum
+              [ ("mixed", D.Mixed); ("abort-heavy", D.Abort_heavy);
+                ("adhoc-read", D.Adhoc_read) ])
+           D.Mixed
+       & info [ "profile" ] ~docv:"PROFILE"
+           ~doc:"Workload mix of the generated script: $(b,mixed), \
+                 $(b,abort-heavy) (~40% aborts), or $(b,adhoc-read) (~50% \
+                 read-only transactions over arbitrary segments).")
 
 (* --- commands --- *)
 
@@ -234,11 +252,10 @@ let decompose_cmd =
 
 let dot_cmd =
   let workload =
-    Arg.(value & pos 0 string "inventory" & info [] ~docv:"WORKLOAD"
-           ~doc:"Built-in workload whose DHG to print.")
+    Arg.(value & pos 0 workload (Workload.inventory ()) & info []
+           ~docv:"WORKLOAD" ~doc:"Built-in workload whose DHG to print.")
   in
-  let run name =
-    let wl = workload_of_name name in
+  let run wl =
     print_string (Partition.to_dot wl.Workload.partition)
   in
   Cmd.v (Cmd.info "dot" ~doc:"Emit a workload's data hierarchy graph as DOT")
@@ -246,8 +263,10 @@ let dot_cmd =
 
 let sim_args =
   let workload =
-    Arg.(value & opt string "inventory" & info [ "w"; "workload" ]
-           ~docv:"NAME" ~doc:"Workload (inventory, tree, chain3, chain5).")
+    Arg.(value & opt workload (Workload.inventory ())
+         & info [ "w"; "workload" ] ~docv:"NAME"
+             ~doc:"Workload (inventory, tree, chain3, chain5, \
+                   random:<seed>).")
   in
   let commits =
     Arg.(value & opt int 2000 & info [ "n"; "commits" ] ~docv:"N"
@@ -296,16 +315,14 @@ let print_results results =
 let simulate_cmd =
   let workload, commits, mpl, seed = sim_args in
   let protocol =
-    Arg.(value & opt string "HDD" & info [ "p"; "protocol" ] ~docv:"P"
-           ~doc:"Protocol (HDD, 2PL, TSO, MVTO, MV2PL, SDD-1, NoCC).")
+    Arg.(value & opt protocol Harness.Hdd & info [ "p"; "protocol" ]
+           ~docv:"P" ~doc:"Protocol (HDD, 2PL, TSO, MVTO, MV2PL, SDD-1, NoCC).")
   in
   let certify =
     Arg.(value & flag & info [ "certify" ]
            ~doc:"Log the schedule and certify serializability.")
   in
-  let run wname commits mpl seed pname certify =
-    let wl = workload_of_name wname in
-    let spec = spec_of_name pname in
+  let run wl commits mpl seed spec certify =
     let config = config_of ~commits ~mpl ~seed in
     if certify then begin
       let r, serializable = Harness.certified_run ~config spec wl in
@@ -320,8 +337,7 @@ let simulate_cmd =
 
 let compare_cmd =
   let workload, commits, mpl, seed = sim_args in
-  let run wname commits mpl seed =
-    let wl = workload_of_name wname in
+  let run wl commits mpl seed =
     let config = config_of ~commits ~mpl ~seed in
     print_results (Harness.compare_protocols ~config wl)
   in
@@ -375,8 +391,9 @@ let torture_cmd =
            ~doc:"Seed of the first cycle.")
   in
   let workload =
-    Arg.(value & opt string "inventory" & info [ "w"; "workload" ]
-           ~docv:"NAME" ~doc:"Workload whose partition to torture.")
+    Arg.(value & opt workload (Workload.inventory ())
+         & info [ "w"; "workload" ] ~docv:"NAME"
+             ~doc:"Workload whose partition to torture.")
   in
   let path =
     Arg.(value & opt string "" & info [ "log" ] ~docv:"FILE"
@@ -388,8 +405,7 @@ let torture_cmd =
            ~doc:"Attach the runtime invariant monitors to every phase and \
                  count what they catch as violations.")
   in
-  let run seeds first_seed wname path monitors =
-    let wl = workload_of_name wname in
+  let run seeds first_seed wl path monitors =
     let path =
       if path <> "" then path
       else
@@ -506,447 +522,169 @@ let explore_cmd =
              certify every interleaving under each system")
     Term.(const run $ scenario $ system $ exhaustive $ max_schedules $ shrink)
 
+(* --- bench suites --- *)
+
+type bench_opts = {
+  quick : bool;
+  workers : int list option;
+  publish_every : int option;
+}
+
+(* A suite of [hdd_cli bench]: [run] yields its JSON report, a printer
+   for it and its intrinsic gate failures; [baseline], for the suites
+   gated against a committed report, the fraction a tracked metric may
+   fall below it and the module's [tracked]. *)
+type suite = {
+  run :
+    bench_opts ->
+    Hdd_benchkit.Jsonlite.t * (Format.formatter -> unit) * string list;
+  baseline :
+    (float * (Hdd_benchkit.Jsonlite.t -> (string * float) list)) option;
+}
+
+let bench_suites =
+  let module Macro = Hdd_benchkit.Macro in
+  let module Pb = Hdd_runtime.Parbench in
+  let module Dbench = Hdd_storage.Dbench in
+  let module Sb = Hdd_shard.Shardbench in
+  let module Ab = Hdd_adapt.Adaptbench in
+  let module Wb = Hdd_workload.Wbench in
+  let suite ?baseline run = { run; baseline } in
+  let report to_json pp gates r = (to_json r, (fun ppf -> pp ppf r), gates r) in
+  let json = report Fun.id in
+  let ungated _ = [] in
+  let len o ~quick ~full = if o.quick then quick else full in
+  [ ( "hot_paths",
+      suite ~baseline:(0.20, Macro.tracked) (fun o ->
+          json Macro.pp ungated (Macro.run ~quick:o.quick ())) );
+    ( "obs_overhead",
+      suite (fun o ->
+          json Macro.pp_obs Macro.obs_gates
+            (Macro.obs_overhead ~quick:o.quick ())) );
+    ( "parallel",
+      suite ~baseline:(0.50, Pb.tracked) (fun o ->
+          report Pb.to_json Pb.pp Pb.gates
+            (Pb.run ?workers_list:o.workers ?publish_every:o.publish_every
+               ~ksweep:(len o ~quick:[ 1; 16 ] ~full:[ 1; 4; 16; 64 ])
+               ~seconds:(len o ~quick:0.2 ~full:1.0) ())) );
+    ( "durable",
+      suite ~baseline:(0.25, Dbench.tracked) (fun o ->
+          json Dbench.pp Dbench.gates (Dbench.run ~quick:o.quick ())) );
+    ( "shard",
+      suite ~baseline:(0.20, Sb.tracked) (fun o ->
+          report Sb.to_json Sb.pp Sb.gates
+            (Sb.run ~seconds:(len o ~quick:0.25 ~full:1.0)
+               ?publish_every:o.publish_every ())) );
+    ( "adapt",
+      suite ~baseline:(0.20, Ab.tracked) (fun o ->
+          report Ab.to_json Ab.pp Ab.gates
+            (Ab.run ~seconds:(len o ~quick:0.25 ~full:1.0)
+               ~rotate_every_s:(len o ~quick:0.05 ~full:0.125) ())) );
+    ( "hybrid",
+      suite ~baseline:(0.20, Wb.tracked) (fun o ->
+          report Wb.to_json Wb.pp Wb.gates (Wb.run ~quick:o.quick ())) );
+    ( "micro",
+      suite (fun o -> json Micro.pp ungated (Micro.run ~quick:o.quick ())) )
+  ]
+
 let bench_cmd =
   let module J = Hdd_benchkit.Jsonlite in
-  let module Macro = Hdd_benchkit.Macro in
+  let suite =
+    let named = List.map (fun (n, s) -> (n, (n, s))) bench_suites in
+    Arg.(required & pos 0 (some (enum named)) None & info [] ~docv:"SUITE"
+           ~doc:("The suite to run: " ^ doc_alts_enum named ^ "."))
+  in
   let quick =
     Arg.(value & flag & info [ "quick" ]
-           ~doc:"Shrink fixtures and the closed loop (~10x) for per-push \
-                 CI.")
+           ~doc:"Shorter runs and smaller fixtures for per-push CI.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "out" ]
            ~docv:"FILE"
            ~doc:"Where to write the JSON report (default \
-                 BENCH_hot_paths.json, or BENCH_parallel.json with \
-                 $(b,--parallel)).")
-  in
-  let parallel =
-    Arg.(value & flag & info [ "parallel" ]
-           ~doc:"Run the multicore runtime scaling benchmark instead: \
-                 closed-loop workers at 1, 2, 4 (and all-cores) domains \
-                 on a chain hierarchy, reporting throughput, Protocol A \
-                 read rate, commit-latency quantiles and wall lag \
-                 (BENCH_parallel.json).")
-  in
-  let durable =
-    Arg.(value & flag & info [ "durable" ]
-           ~doc:"Run the durable-engine benchmark instead: group-commit \
-                 throughput, fsyncs/commit and ack latency over the \
-                 max_batch x max_delay knob grid, plus recovery time \
-                 against history length and checkpoint interval \
-                 (BENCH_durable.json).  Structural gates (fsync \
-                 reduction, recovery flatness) always apply; \
-                 $(b,--baseline) additionally gates throughput.")
-  in
-  let adapt =
-    Arg.(value & flag & info [ "adapt" ]
-           ~doc:"Run the live-repartition benchmark instead: the same \
-                 chain workload measured steady, with the coordinator \
-                 applying whole-map ownership rotations behind park \
-                 barriers (live), and with a stop-the-world teardown and \
-                 rebuild at every would-be barrier (BENCH_adapt.json).  \
-                 Structural gates always apply (the live run \
-                 repartitioned, every mode committed, live retention at \
-                 or above the floor); $(b,--baseline) additionally gates \
-                 live throughput retention against the committed report.")
-  in
-  let shard =
-    Arg.(value & flag & info [ "shard" ]
-           ~doc:"Run the cross-shard read benchmark instead: one domain \
-                 per shard over the loopback hub, every transaction \
-                 reading a segment another shard owns — HDD's \
-                 publication-composed thresholds against an in-tree \
-                 2PC-read (lock/read/unlock) baseline \
-                 (BENCH_shard.json).  Structural gates always apply \
-                 (both sides commit, speedup > 1); $(b,--baseline) \
-                 additionally gates the speedup.")
-  in
-  let hybrid =
-    Arg.(value & flag & info [ "hybrid" ]
-           ~doc:"Run the hybrid-CC workload benchmark instead: the \
-                 TPC-C-shaped suite at low and high contention, closed \
-                 loop, across pure HDD, the adaptive hybrid and MV2PL, \
-                 plus an open-loop million-user SLO section \
-                 (BENCH_hybrid.json).  Structural gates always apply \
-                 (every cell committed, the hybrid escalated at the \
-                 high-contention point, hybrid/HDD throughput at or \
-                 above 0.9x low and 1.3x high, SLO quantiles finite and \
-                 ordered); $(b,--baseline) additionally gates the \
-                 high-contention ratio.")
+                 BENCH_$(i,SUITE).json).")
   in
   let baseline =
+    let budget (name, s) =
+      Option.map (fun (b, _) -> Printf.sprintf "%s %.0f%%" name (100. *. b))
+        s.baseline
+    in
     Arg.(value & opt (some file) None & info [ "baseline" ] ~docv:"FILE"
-           ~doc:"Committed baseline report to gate against.")
-  in
-  let max_regression =
-    Arg.(value & opt float 0.20 & info [ "max-regression" ] ~docv:"FRAC"
-           ~doc:"Fail when a gated throughput metric falls this fraction \
-                 below the baseline.")
+           ~doc:("A committed report of the same suite: fail when a \
+                  tracked metric falls below it by more than the suite's \
+                  budget ("
+                ^ String.concat ", " (List.filter_map budget bench_suites)
+                ^ ")."))
   in
   let workers =
     Arg.(value & opt (some (list int)) None & info [ "workers" ]
            ~docv:"W,W,..."
-           ~doc:"With $(b,--parallel): the worker-domain counts to \
-                 measure (default 1,2,4,8, extended with all-cores when \
-                 that exceeds 8).  The nightly 16-domain job passes \
-                 1,2,4,8,16.")
+           ~doc:"For $(b,parallel): the worker-domain counts to measure \
+                 (default 1,2,4,8, extended with all-cores when that \
+                 exceeds 8).")
   in
   let publish_every =
     Arg.(value & opt (some int) None & info [ "publish-every" ] ~docv:"K"
-           ~doc:"Publication batch: publish activity once per K finished \
-                 transactions.  With $(b,--parallel) it sets the batch \
-                 of the scaling points (the K-sweep still runs); with \
-                 $(b,--shard) it sets the batched HDD side compared \
-                 against per-commit publication.")
+           ~doc:"For $(b,parallel) and $(b,shard): publish activity once \
+                 per K finished transactions.  It sets the batch of the \
+                 parallel scaling points (the K-sweep still runs) and of \
+                 the batched shard side compared against per-commit \
+                 publication.")
   in
-  let obs_gate =
-    Arg.(value & opt (some float) None & info [ "obs-gate" ] ~docv:"FRAC"
-           ~doc:"Instead of the full report, measure the closed-loop \
-                 throughput cost of the always-on observability profile \
-                 (metrics registry wired, trace hooks compiled in but the \
-                 ring disabled) versus no trace attached at all, and fail \
-                 when the fraction lost exceeds FRAC (the nightly gate \
-                 uses 0.03).  The cost of tracing fully on (enabled ring \
-                 + metrics bridge) is measured and reported alongside, \
-                 ungated — that is the diagnostic mode, not the always-on \
-                 one.")
-  in
-  let num report keys =
-    match Option.bind (J.path keys report) J.number with
-    | Some f -> f
-    | None -> nan
-  in
-  let run quick out baseline max_regression obs_gate parallel durable adapt
-      shard workers publish_every hybrid =
-    if hybrid then begin
-      let module Wb = Hdd_workload.Wbench in
-      let out = Option.value out ~default:"BENCH_hybrid.json" in
-      let r = Wb.run ~quick () in
-      J.to_file out (Wb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Wb.pp r;
-      (match Wb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "HYBRID GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "ratio_high" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Wb.w_ratio_high in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf "REGRESSION ratio_high: %.2f -> %.2f (-%.0f%%)\n"
-            was now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no hybrid regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if adapt then begin
-      let module Ab = Hdd_adapt.Adaptbench in
-      let out = Option.value out ~default:"BENCH_adapt.json" in
-      let seconds = if quick then 0.25 else 1.0 in
-      let rotate_every_s = if quick then 0.05 else 0.125 in
-      let r = Ab.run ~seconds ~rotate_every_s () in
-      J.to_file out (Ab.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Ab.pp r;
-      (match Ab.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "ADAPT GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "retention_live" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Ab.a_retention_live in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf
-            "REGRESSION retention_live: %.2f -> %.2f (-%.0f%%)\n" was now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no adapt regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if shard then begin
-      let module Sb = Hdd_shard.Shardbench in
-      let out = Option.value out ~default:"BENCH_shard.json" in
-      let seconds = if quick then 0.25 else 1.0 in
-      let r = Sb.run ~seconds ?publish_every () in
-      J.to_file out (Sb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Sb.pp r;
-      (match Sb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "SHARD GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "speedup" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Sb.r_speedup in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf "REGRESSION speedup: %.2fx -> %.2fx (-%.0f%%)\n" was
-            now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no shard regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if durable then begin
-      let module Dbench = Hdd_storage.Dbench in
-      let out = Option.value out ~default:"BENCH_durable.json" in
-      let report = Dbench.run ~quick () in
+  let run (name, s) quick out baseline workers publish_every =
+    let misuse =
+      [ (workers <> None && name <> "parallel",
+         "--workers applies to the parallel suite only");
+        (publish_every <> None && name <> "parallel" && name <> "shard",
+         "--publish-every applies to the parallel and shard suites only");
+        (baseline <> None && Option.is_none s.baseline,
+         "the " ^ name ^ " suite tracks no metrics against a baseline") ]
+    in
+    match List.find_opt fst misuse with
+    | Some (_, msg) -> `Error (true, msg)
+    | None ->
+      let report, pp, problems = s.run { quick; workers; publish_every } in
+      let out = Option.value out ~default:("BENCH_" ^ name ^ ".json") in
       J.to_file out report;
       Printf.printf "wrote %s\n" out;
-      let num keys = num report keys in
-      Printf.printf
-        "group commit: fsync reduction at batch=8: %.1fx; recovery tail \
-         flatness: %.2f\n"
-        (num [ "group_commit"; "fsync_reduction_at_8" ])
-        (num [ "recovery"; "recovery_tail_flatness" ]);
-      (match J.path [ "group_commit"; "grid" ] report with
-      | Some (J.List cells) ->
-        List.iter
-          (fun c ->
-            let n keys =
-              match Option.bind (J.path keys c) J.number with
-              | Some f -> f
-              | None -> nan
-            in
-            Printf.printf
-              "  batch=%2.0f delay=%2.0f: %8.0f txns/sec, %.3f \
-               fsyncs/commit, ack p50 %.0fus p99 %.0fus\n"
-              (n [ "max_batch" ]) (n [ "max_delay" ])
-              (n [ "txns_per_sec" ])
-              (n [ "fsyncs_per_commit" ])
-              (n [ "ack_p50_us" ]) (n [ "ack_p99_us" ]))
-          cells
-      | _ -> ());
-      (match Dbench.gates report with
-      | [] -> ()
-      | problems ->
-        List.iter (fun p -> Printf.printf "DURABLE GATE FAILED: %s\n" p) problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let cell_throughput doc b d =
-          match J.path [ "group_commit"; "grid" ] doc with
-          | Some (J.List cells) ->
-            List.find_map
-              (fun c ->
-                let n keys = Option.bind (J.path keys c) J.number in
-                match (n [ "max_batch" ], n [ "max_delay" ]) with
-                | Some b', Some d'
-                  when int_of_float b' = b && int_of_float d' = d ->
-                  n [ "txns_per_sec" ]
-                | _ -> None)
-              cells
-          | _ -> None
-        in
-        let regressions =
-          List.filter_map
-            (fun (b, d) ->
-              match
-                (cell_throughput base b d, cell_throughput report b d)
-              with
-              | Some was, Some now
-                when now < was *. (1. -. max_regression) ->
-                Some (Printf.sprintf "batch=%d delay=%d" b d, was, now)
-              | _ -> None)
-            [ (0, 0); (8, 16); (32, 64) ]
-        in
-        (match regressions with
-        | [] ->
-          Printf.printf "no durable regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-        | rs ->
+      Format.printf "%t@?" pp;
+      List.iter
+        (Printf.printf "%s GATE FAILED: %s\n" (String.uppercase_ascii name))
+        problems;
+      let regressions =
+        match (baseline, s.baseline) with
+        | Some path, Some (budget, tracked) ->
+          let rs =
+            Hdd_benchkit.Baseline.regressions ~tracked ~budget
+              ~baseline:(J.of_file path) report
+          in
           List.iter
             (fun (metric, was, now) ->
-              Printf.printf "REGRESSION %s: %.0f -> %.0f txns/sec (-%.0f%%)\n"
-                metric was now
+              Printf.printf "REGRESSION %s: %g -> %g (-%.0f%%)\n" metric was
+                now
                 (100. *. (1. -. (now /. was))))
             rs;
-          exit 1)
-    end
-    else if parallel then begin
-      let module Pb = Hdd_runtime.Parbench in
-      let out = Option.value out ~default:"BENCH_parallel.json" in
-      let seconds = if quick then 0.2 else 1.0 in
-      let ksweep = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
-      let r =
-        Pb.run ?workers_list:workers ?publish_every ~ksweep ~seconds ()
+          if rs = [] then
+            Printf.printf "no %s regression beyond %.0f%% against %s\n" name
+              (100. *. budget) path;
+          rs
+        | _ -> []
       in
-      J.to_file out (Pb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Pb.pp r;
-      (match Pb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "PARALLEL GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let fail = ref false in
-        let gate name was now =
-          if was > 0. && now < was *. (1. -. max_regression) then begin
-            Printf.printf "REGRESSION %s: %.0f -> %.0f (-%.0f%%)\n" name
-              was now
-              (100. *. (1. -. (now /. was)));
-            fail := true
-          end
-        in
-        (* per-worker-count A-read rates, matched by workers *)
-        let base_rate w =
-          match J.path [ "points" ] base with
-          | Some (J.List pts) ->
-            List.find_map
-              (fun p ->
-                match
-                  (Option.bind (J.path [ "workers" ] p) J.number,
-                   Option.bind (J.path [ "reads_a_per_s" ] p) J.number)
-                with
-                | Some bw, Some rate when int_of_float bw = w -> Some rate
-                | _ -> None)
-              pts
-          | _ -> None
-        in
-        List.iter
-          (fun pt ->
-            match base_rate pt.Pb.b_workers with
-            | Some was ->
-              gate
-                (Printf.sprintf "reads_a_per_s at %d workers"
-                   pt.Pb.b_workers)
-                was pt.Pb.b_reads_a_per_s
-            | None -> ())
-          r.Pb.r_points;
-        (match
-           ( Option.bind
-               (J.path [ "cross_read_scaling_1_to_8" ] base)
-               J.number,
-             r.Pb.r_scaling_1_to_8 )
-         with
-        | Some was, Some now ->
-          if was > 0. && now < was *. (1. -. max_regression) then begin
-            Printf.printf
-              "REGRESSION cross_read_scaling_1_to_8: %.2fx -> %.2fx\n" was
-              now;
-            fail := true
-          end
-        | _ -> ());
-        if !fail then exit 1
-        else
-          Printf.printf "no parallel regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else
-    let out = Option.value out ~default:"BENCH_hot_paths.json" in
-    match obs_gate with
-    | Some limit ->
-      let r = Macro.obs_overhead ~quick () in
-      J.to_file out r;
-      let v keys = num r keys in
-      let overhead = v [ "disabled_overhead_frac" ] in
-      Printf.printf
-        "observability off: %.0f txns/sec, compiled-in disabled: %.0f \
-         txns/sec (overhead %.2f%%, limit %.2f%%), fully on: %.0f \
-         txns/sec (overhead %.2f%%, ungated)\n"
-        (v [ "off_txns_per_sec" ])
-        (v [ "disabled_txns_per_sec" ])
-        (100. *. overhead) (100. *. limit)
-        (v [ "on_txns_per_sec" ])
-        (100. *. v [ "overhead_frac" ]);
-      if overhead > limit then begin
-        Printf.printf "OBSERVABILITY OVERHEAD GATE FAILED\n";
-        exit 1
-      end
-    | None ->
-    let report = Macro.run ~quick () in
-    J.to_file out report;
-    Printf.printf "wrote %s\n" out;
-    Printf.printf "cross-class read: %.0f -> %.0f ops/sec (%.1fx)\n"
-      (num report [ "hot_paths"; "cross_class_read"; "before_ops_per_sec" ])
-      (num report [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ])
-      (num report [ "hot_paths"; "cross_class_read"; "speedup" ]);
-    List.iter
-      (fun path ->
-        Printf.printf "%-26s %.1fx\n"
-          (String.concat "." path)
-          (num report (path @ [ "speedup" ])))
-      [ [ "hot_paths"; "registry_i_old" ];
-        [ "hot_paths"; "partition_critical_path" ];
-        [ "hot_paths"; "activity_links" ];
-        [ "hot_paths"; "chain_lookup" ] ];
-    Printf.printf "macro: %.0f ops/sec, %.0f txns/sec (A p99 %.1fus, B \
-                   p99 %.1fus, C p99 %.1fus)\n"
-      (num report [ "macro"; "ops_per_sec" ])
-      (num report [ "macro"; "txns_per_sec" ])
-      (num report [ "macro"; "protocol_A"; "p99_us" ])
-      (num report [ "macro"; "protocol_B"; "p99_us" ])
-      (num report [ "macro"; "protocol_C"; "p99_us" ]);
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      let base = J.of_file path in
-      match Macro.regressions ~baseline:base ~current:report ~max_regression with
-      | [] ->
-        Printf.printf "no regression beyond %.0f%% against %s\n"
-          (100. *. max_regression) path
-      | rs ->
-        List.iter
-          (fun (metric, b, c) ->
-            Printf.printf "REGRESSION %s: %.0f -> %.0f (-%.0f%%)\n" metric b
-              c
-              (100. *. (1. -. (c /. b))))
-          rs;
-        exit 1)
+      if problems <> [] || regressions <> [] then exit 1;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run the hot-path macro-benchmark, write BENCH_hot_paths.json, \
-             and optionally gate against a committed baseline")
+       ~doc:"Run one bench suite: print it, write its JSON report, check \
+             its intrinsic gates and, with $(b,--baseline), compare it \
+             with a committed report"
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"on a failed gate or a regression."
+         :: Cmd.Exit.defaults))
     Term.(
-      const run $ quick $ out $ baseline $ max_regression $ obs_gate
-      $ parallel $ durable $ adapt $ shard $ workers $ publish_every
-      $ hybrid)
+      ret
+        (const run $ suite $ quick $ out $ baseline $ workers
+       $ publish_every))
 
 let trace_cmd =
   let module Obs_export = Hdd_benchkit.Obs_export in
@@ -955,7 +693,8 @@ let trace_cmd =
   let module Monitor = Hdd_obs.Monitor in
   let workload, commits, mpl, seed = sim_args in
   let protocol =
-    Arg.(value & opt string "HDD" & info [ "p"; "protocol" ] ~docv:"P"
+    Arg.(value & opt protocol Harness.Hdd & info [ "p"; "protocol" ]
+           ~docv:"P"
            ~doc:"Protocol to trace (only HDD emits events; baselines \
                  produce an empty trace).")
   in
@@ -969,9 +708,7 @@ let trace_cmd =
            ~doc:"Trace ring capacity; the oldest records beyond it are \
                  dropped.")
   in
-  let run wname commits mpl seed pname out capacity =
-    let wl = workload_of_name wname in
-    let spec = spec_of_name pname in
+  let run wl commits mpl seed spec out capacity =
     let config = config_of ~commits ~mpl ~seed in
     let result, trace, metrics, monitor =
       Harness.traced_run ~config ~capacity spec wl
@@ -1022,18 +759,6 @@ let shard_cmd =
   let txns =
     Arg.(value & opt int 40 & info [ "txns" ] ~docv:"N"
            ~doc:"Transactions in the generated script.")
-  in
-  let profile =
-    Arg.(value
-         & opt
-             (enum
-                [ ("mixed", D.Mixed); ("abort-heavy", D.Abort_heavy);
-                  ("adhoc-read", D.Adhoc_read) ])
-             D.Mixed
-         & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Workload mix: $(b,mixed), $(b,abort-heavy) (~40% \
-                   aborts), or $(b,adhoc-read) (~50% read-only \
-                   transactions over arbitrary segments).")
   in
   let processes =
     Arg.(value & flag & info [ "processes" ]
@@ -1100,16 +825,6 @@ let adapt_cmd =
     Arg.(value & opt int 3 & info [ "repartitions" ] ~docv:"N"
            ~doc:"Live whole-map ownership rotations injected while the \
                  run is in flight, each behind a park barrier.")
-  in
-  let profile =
-    Arg.(value
-         & opt
-             (enum
-                [ ("mixed", D.Mixed); ("abort-heavy", D.Abort_heavy);
-                  ("adhoc-read", D.Adhoc_read) ])
-             D.Mixed
-         & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Workload mix of the generated script.")
   in
   let scenario =
     Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
@@ -1210,16 +925,6 @@ let hybrid_cmd =
            ~doc:"Live CC mode flips injected while the run is in \
                  flight, each behind a park barrier; the last flip \
                  returns every class to plain mode.")
-  in
-  let profile =
-    Arg.(value
-         & opt
-             (enum
-                [ ("mixed", D.Mixed); ("abort-heavy", D.Abort_heavy);
-                  ("adhoc-read", D.Adhoc_read) ])
-             D.Mixed
-         & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Workload mix of the generated script.")
   in
   let run seed seeds workers txns escalations profile =
     let failed = ref 0 in

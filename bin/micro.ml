@@ -1,44 +1,19 @@
-(* The benchmark harness.
+(* Bechamel microbenchmarks behind [hdd_cli bench micro]: one test per
+   experiment-relevant hot path or ablation (DESIGN.md §6) — the
+   activity-link composition and wall vector (E6/E9), the per-protocol
+   read path behind the E10 comparison, version-chain lookups at two
+   chain lengths (storage ablation), the certifier, the simulator's
+   event queue, and the storage write and recovery paths.  The fixtures
+   are shared with the hot-path suite via {!Hdd_benchkit.Fixtures}. *)
 
-   Two halves, matching the deliverables in DESIGN.md:
-
-   1. the experiment harness — regenerates every table/figure of the
-      paper (E1..E13) and prints them with their claim checks;
-   2. Bechamel microbenchmarks — one [Test.make] per experiment-relevant
-      hot path / ablation (DESIGN.md §6): the activity-link composition
-      and wall vector (E6/E9), the per-protocol read path behind the E10
-      comparison, version-chain lookups at two chain lengths (storage
-      ablation), the certifier, and the simulator's event queue.
-
-   Run with [--quick] to skip the microbenchmarks, or pass experiment ids
-   (e.g. [E3 E10]) to restrict part 1. *)
-
-module Experiment = Hdd_experiments.Experiment
 module Scheduler = Hdd_core.Scheduler
 module Activity = Hdd_core.Activity
-module Timewall = Hdd_core.Timewall
-module Certifier = Hdd_core.Certifier
-module Partition = Hdd_core.Partition
-module Spec = Hdd_core.Spec
 module B = Hdd_baselines
 module Chain = Hdd_mvstore.Chain
-module Store = Hdd_mvstore.Store
 module EQ = Hdd_sim.Event_queue
-module T = Hdd_txn
-
-(* --- fixtures for the microbenchmarks ---
-
-   All shared with the [hdd_cli bench] macro-benchmark via
-   {!Hdd_benchkit.Fixtures}; the steady-state knobs (finished/active
-   transactions per class, chain depth) live there. *)
-
 module BK = Hdd_benchkit.Fixtures
-
-let chain_partition depth = BK.chain_partition depth
-let populated_ctx depth = BK.populated_ctx ~depth ()
-let branch_partition branches = BK.branch_partition branches
-let mv_chain n = BK.list_chain ~versions:n ()
-let mv_achain n = BK.array_chain ~versions:n ()
+module J = Hdd_benchkit.Jsonlite
+module T = Hdd_txn
 
 let big_log steps =
   let log = T.Sched_log.create () in
@@ -51,29 +26,29 @@ let big_log steps =
   done;
   log
 
-let hdd_fixture () =
-  let partition = chain_partition 3 in
-  let clock = T.Time.Clock.create () in
-  let store = Store.create ~segments:3 ~init:(fun _ -> 0) in
-  let s = Scheduler.create ~partition ~clock ~store () in
-  let t = Scheduler.begin_update s ~class_id:0 in
-  (s, t)
+let temp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
-let bechamel_tests () =
+let tests () =
   let open Bechamel in
-  let ctx5, now5 = populated_ctx 5 in
-  let ctx3, now3 = populated_ctx 3 in
+  let ctx5, now5 = BK.populated_ctx ~depth:5 () in
+  let ctx3, now3 = BK.populated_ctx ~depth:3 () in
   let branch_ctx =
-    let p = branch_partition 3 in
+    let p = BK.branch_partition 3 in
     let registry = T.Registry.create ~classes:4 () in
     Activity.make_ctx p registry
   in
-  let chain10 = mv_chain 10 in
-  let chain200 = mv_chain 200 in
-  let achain10 = mv_achain 10 in
-  let achain200 = mv_achain 200 in
+  let chain10 = BK.list_chain ~versions:10 () in
+  let chain200 = BK.list_chain ~versions:200 () in
+  let achain10 = BK.array_chain ~versions:10 () in
+  let achain200 = BK.array_chain ~versions:200 () in
   let log1k = big_log 1000 in
-  let hdd_s, hdd_t = hdd_fixture () in
+  let hdd_s =
+    Scheduler.create ~partition:(BK.chain_partition 3)
+      ~clock:(T.Time.Clock.create ())
+      ~store:(Hdd_mvstore.Store.create ~segments:3 ~init:(fun _ -> 0))
+      ()
+  in
+  let hdd_t = Scheduler.begin_update hdd_s ~class_id:0 in
   let g_top = T.Granule.make ~segment:2 ~key:0 in
   let g_own = T.Granule.make ~segment:0 ~key:0 in
   let s2pl =
@@ -96,7 +71,7 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            Activity.a_fn ctx5 ~from_class:0 ~to_class:4 (now5 / 2)));
     Test.make ~name:"E9/wall: E-vector on a 3-branch tree"
-      (Staged.stage (fun () -> Timewall.compute branch_ctx ~m:100));
+      (Staged.stage (fun () -> Hdd_core.Timewall.compute branch_ctx ~m:100));
     Test.make ~name:"mvstore: snapshot read, 10-version chain"
       (Staged.stage (fun () -> Chain.committed_before chain10 ~ts:15));
     Test.make ~name:"mvstore: snapshot read, 200-version chain"
@@ -118,9 +93,8 @@ let bechamel_tests () =
     Test.make ~name:"E10/read: MVTO (version + registration)"
       (Staged.stage (fun () -> B.Mvto.read mvto mvto_t g_own));
     Test.make ~name:"certifier: MVSG over a 1000-step log"
-      (Staged.stage (fun () -> Certifier.serializable log1k));
-    Test.make
-      ~name:"sim: event queue push+pop"
+      (Staged.stage (fun () -> Hdd_core.Certifier.serializable log1k));
+    Test.make ~name:"sim: event queue push+pop"
       (let q = EQ.create () in
        Staged.stage (fun () ->
            EQ.push q ~time:1.0 0;
@@ -130,14 +104,11 @@ let bechamel_tests () =
        Staged.stage (fun () ->
            Hdd_sim.Retry.backoff Hdd_sim.Retry.default rng ~attempt:5));
     Test.make ~name:"storage: fault-sink append (armed, no fault)"
-      (let path =
-         Filename.concat (Filename.get_temp_dir_name ()) "hdd_bench_sink.log"
-       in
-       let sink =
+      (let sink =
          Hdd_storage.Fault.apply
            (Hdd_storage.Fault.plan
               [ Hdd_storage.Fault.Bit_flip { byte = max_int; bit = 0 } ])
-           (Hdd_storage.Fault.file_sink ~path ())
+           (Hdd_storage.Fault.file_sink ~path:(temp "hdd_bench_sink.log") ())
        in
        let frame =
          Hdd_storage.Codec.encode
@@ -145,10 +116,7 @@ let bechamel_tests () =
        in
        Staged.stage (fun () -> sink.Hdd_storage.Fault.append frame));
     Test.make ~name:"storage: WAL append (buffered)"
-      (let path =
-         Filename.concat (Filename.get_temp_dir_name ()) "hdd_bench.log"
-       in
-       let wal = Hdd_storage.Wal.create ~path () in
+      (let wal = Hdd_storage.Wal.create ~path:(temp "hdd_bench.log") () in
        let record =
          Hdd_storage.Codec.Write
            { txn = 1; granule = T.Granule.make ~segment:0 ~key:0; ts = 1;
@@ -156,10 +124,8 @@ let bechamel_tests () =
        in
        Staged.stage (fun () -> Hdd_storage.Wal.append wal record));
     Test.make ~name:"storage: recovery replay, 3k-record log"
-      (let path =
-         Filename.concat (Filename.get_temp_dir_name ()) "hdd_bench_rec.log"
-       in
-       (if Sys.file_exists path then Sys.remove path);
+      (let path = temp "hdd_bench_rec.log" in
+       if Sys.file_exists path then Sys.remove path;
        let wal = Hdd_storage.Wal.create ~path () in
        for i = 1 to 1000 do
          Hdd_storage.Wal.append wal
@@ -172,64 +138,57 @@ let bechamel_tests () =
            (Hdd_storage.Codec.Commit { txn = i; at = i })
        done;
        Hdd_storage.Wal.close wal;
-       Staged.stage (fun () ->
-           Hdd_storage.Durable.recover ~path ~segments:1 ~init:(fun _ -> 0))) ]
+       (* the annotation keeps a partial application from timing in place
+          of the replay *)
+       Staged.stage (fun () : Hdd_storage.Durable.recovered ->
+           Hdd_storage.Durable.recover ~path ~segments:1 ~init:(fun _ -> 0)
+             ())) ]
 
-let run_bechamel () =
+(* [quick] shortens each test's time quota from 0.25 s to 0.05 s. *)
+let run ~quick () =
   let open Bechamel in
   let instance = Toolkit.Instance.monotonic_clock in
+  let quota = if quick then 0.05 else 0.25 in
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:(Some 500) ()
   in
-  let tests = bechamel_tests () in
-  let table =
-    Hdd_util.Table.create ~title:"Microbenchmarks (monotonic clock)"
-      ~columns:[ "benchmark"; "ns/run"; "r^2" ]
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
+  let row test =
+    Hashtbl.fold
+      (fun name raw rows ->
+        let estimate = Analyze.one ols instance raw in
+        let ns =
+          match Analyze.OLS.estimates estimate with Some [ e ] -> e | _ -> nan
+        in
+        let r2 = Option.value (Analyze.OLS.r_square estimate) ~default:nan in
+        J.Obj
+          [ ("name", J.Str name); ("ns_per_run", J.Num ns);
+            ("r_square", J.Num r2) ]
+        :: rows)
+      (Benchmark.all cfg [ instance ] test)
+      []
+  in
+  let rows = List.concat_map row (tests ()) in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-      in
-      Hashtbl.iter
-        (fun name raw ->
-          let estimate = Analyze.one ols instance raw in
-          let ns =
-            match Analyze.OLS.estimates estimate with
-            | Some [ e ] -> Printf.sprintf "%.1f" e
-            | _ -> "-"
-          in
-          let r2 =
-            match Analyze.OLS.r_square estimate with
-            | Some r -> Printf.sprintf "%.4f" r
-            | None -> "-"
-          in
-          Hdd_util.Table.add_row table [ name; ns; r2 ])
-        results)
-    tests;
-  Hdd_util.Table.print table
+    (fun f -> try Sys.remove (temp f) with Sys_error _ -> ())
+    [ "hdd_bench_sink.log"; "hdd_bench.log"; "hdd_bench_rec.log" ];
+  J.with_schema
+    [ ("clock", J.Str "monotonic");
+      ("quota_s", J.Num quota);
+      ("tests", J.List rows) ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let ids = List.filter (fun a -> a <> "--quick") args in
-  let outcomes =
-    match ids with
-    | [] -> Experiment.run_all ()
-    | ids -> List.map Experiment.run ids
-  in
-  List.iter Experiment.print outcomes;
-  let failed = List.filter (fun o -> not (Experiment.passed o)) outcomes in
-  Printf.printf "\n%d/%d experiments passed all claim checks\n"
-    (List.length outcomes - List.length failed)
-    (List.length outcomes);
-  List.iter
-    (fun (o : Experiment.outcome) ->
-      Printf.printf "  FAILED: %s\n" o.Experiment.id)
-    failed;
-  if not quick then begin
-    print_newline ();
-    run_bechamel ()
-  end;
-  if failed <> [] then exit 1
+let pp ppf report =
+  Format.fprintf ppf "%-46s %12s %7s@." "microbenchmark (monotonic clock)"
+    "ns/run" "r^2";
+  match J.member "tests" report with
+  | Some (J.List tests) ->
+    List.iter
+      (fun t ->
+        Format.fprintf ppf "%-46s %12.1f %7.4f@."
+          (match J.member "name" t with Some (J.Str s) -> s | _ -> "?")
+          (J.num_at [ "ns_per_run" ] t)
+          (J.num_at [ "r_square" ] t))
+      tests
+  | _ -> ()

@@ -91,6 +91,8 @@ let gates r =
       retention_floor;
   List.rev !problems
 
+let tracked = Hdd_benchkit.Baseline.metrics [ [ "retention_live" ] ]
+
 let to_json r =
   J.with_schema
     [ ("benchmark", J.Str "adaptive_repartition");
@@ -131,5 +133,6 @@ let pp ppf r =
   Format.fprintf ppf "  %-16s %12.0f %12d %14s@." "stop-the-world"
     r.a_stw_txn_per_s r.a_stw_committed
     (Printf.sprintf "%d restarts" r.a_stw_restarts);
-  Format.fprintf ppf "  retention: live %.2f, stop-the-world %.2f (floor %.2f)"
+  Format.fprintf ppf
+    "  retention: live %.2f, stop-the-world %.2f (floor %.2f)@."
     r.a_retention_live r.a_retention_stw retention_floor

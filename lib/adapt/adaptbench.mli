@@ -1,4 +1,4 @@
-(** The live-repartition benchmark ([hdd_cli bench --adapt]).
+(** The live-repartition benchmark ([hdd_cli bench adapt]).
 
     Measures what a decomposition repair costs while the multicore
     engine is serving traffic, three ways on the same chain hierarchy,
@@ -58,4 +58,8 @@ val gates : result -> string list
     work in every mode, and [retention_live >= retention_floor]. *)
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
+
+val tracked : Hdd_benchkit.Jsonlite.t -> (string * float) list
+(** Gated against a baseline: [retention_live]. *)
+
 val pp : Format.formatter -> result -> unit

@@ -28,11 +28,11 @@ let branch_partition branches =
                    ~writes:[ i ]
                    ~reads:[ i; branches ])))
 
-let populated_registry ?(finished = 40) ?(active = 2) ~classes () =
-  let registry = Registry.create ~classes () in
+let populated_ctx ?(finished = 40) ~depth () =
+  let registry = Registry.create ~classes:depth () in
   let clock = Time.Clock.create () in
-  let per_class = finished + active in
-  for cls = 0 to classes - 1 do
+  let per_class = finished + 2 in
+  for cls = 0 to depth - 1 do
     for k = 0 to per_class - 1 do
       let txn =
         Txn.make
@@ -44,14 +44,7 @@ let populated_registry ?(finished = 40) ?(active = 2) ~classes () =
       if k < finished then Txn.commit txn ~at:(Time.Clock.tick clock)
     done
   done;
-  (registry, clock)
-
-let populated_ctx ?finished ?active ~depth () =
-  let partition = chain_partition depth in
-  let registry, clock =
-    populated_registry ?finished ?active ~classes:depth ()
-  in
-  (Activity.make_ctx partition registry, Time.Clock.now clock)
+  (Activity.make_ctx (chain_partition depth) registry, Time.Clock.now clock)
 
 let list_chain ?(stride = 2) ~versions () =
   let c = Chain.create ~initial:0 in

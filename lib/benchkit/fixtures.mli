@@ -1,8 +1,6 @@
-(** Shared benchmark fixtures, parameterized where the old copies in
-    [bench/main.ml] hard-coded their steady state (40 finished + 2 active
-    transactions per class).  Both the Bechamel microbenchmarks and the
-    [hdd_cli bench] macro-benchmark build their worlds from here, so the
-    two suites cannot drift apart again. *)
+(** Shared benchmark fixtures.  The [micro] and [hot_paths] suites of
+    [hdd_cli bench] build their worlds from here, so the two cannot
+    drift apart. *)
 
 val chain_partition : int -> Hdd_core.Partition.t
 (** A depth-[n] linear hierarchy: class [i] writes segment [i] and reads
@@ -12,22 +10,13 @@ val chain_partition : int -> Hdd_core.Partition.t
 val branch_partition : int -> Hdd_core.Partition.t
 (** [n] independent branches over one shared base segment. *)
 
-val populated_registry :
-  ?finished:int -> ?active:int -> classes:int -> unit -> Registry.t * Time.Clock.clock
-(** A registry in steady state: per class, [finished] committed
-    transactions (default 40) and [active] still-running ones (default
-    2).  [finished] is the knob that scales registry depth for the
-    scan-vs-index comparisons. *)
-
 val populated_ctx :
-  ?finished:int ->
-  ?active:int ->
-  depth:int ->
-  unit ->
-  Hdd_core.Activity.ctx * Time.t
-(** {!populated_registry} over a {!chain_partition}, wrapped in an
-    activity context; also returns the clock's current time as a
-    representative query point. *)
+  ?finished:int -> depth:int -> unit -> Hdd_core.Activity.ctx * Time.t
+(** A registry in steady state over a {!chain_partition}, wrapped in an
+    activity context: per class, [finished] committed transactions
+    (default 40, the knob that scales registry depth for the
+    scan-vs-index comparisons) and two still-running ones.  Also returns
+    the clock's current time as a representative query point. *)
 
 val list_chain : ?stride:int -> versions:int -> unit -> int Hdd_mvstore.Chain.t
 (** A committed list-backed version chain (the pre-PR representation).

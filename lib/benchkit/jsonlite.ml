@@ -253,3 +253,6 @@ let rec path keys v =
   | k :: rest -> ( match member k v with Some v -> path rest v | None -> None)
 
 let number = function Num f -> Some f | _ -> None
+
+let num_at keys v =
+  match Option.bind (path keys v) number with Some f -> f | None -> nan

@@ -48,3 +48,6 @@ val path : string list -> t -> t option
 (** Nested {!member}. *)
 
 val number : t -> float option
+
+val num_at : string list -> t -> float
+(** The number at a {!path}; [nan] when it is missing or not a number. *)

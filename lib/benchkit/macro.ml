@@ -312,13 +312,7 @@ let run ?(quick = false) () =
 (* --- the observability-overhead gate --- *)
 
 let obs_overhead ?(quick = false) ?(runs = 3) () =
-  let tps ?trace () =
-    match
-      Option.bind (J.path [ "txns_per_sec" ] (macro ?trace ~quick ())) J.number
-    with
-    | Some v -> v
-    | None -> 0.
-  in
+  let tps ?trace () = J.num_at [ "txns_per_sec" ] (macro ?trace ~quick ()) in
   (* best-of-N per side, the rounds interleaved off/disabled/on so a
      machine-load swing degrades every side alike instead of whichever
      block it lands on: the gate measures systematic emission cost, not
@@ -347,22 +341,55 @@ let obs_overhead ?(quick = false) ?(runs = 3) () =
       ("disabled_overhead_frac", J.Num (frac disabled));
       ("overhead_frac", J.Num (frac on)) ]
 
-(* --- the regression gate --- *)
+let obs_limit = 0.03
 
-let gated_metrics =
-  [ [ "macro"; "ops_per_sec" ];
-    [ "macro"; "txns_per_sec" ];
-    [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ] ]
+let obs_gates report =
+  let frac = J.num_at [ "disabled_overhead_frac" ] report in
+  if frac > obs_limit then
+    [ Printf.sprintf
+        "disabled_overhead_frac = %.2f%%: the always-on profile may cost \
+         at most %.0f%% of closed-loop throughput"
+        (100. *. frac) (100. *. obs_limit) ]
+  else []
 
-let regressions ~baseline ~current ~max_regression =
-  List.filter_map
-    (fun keys ->
-      match
-        ( Option.bind (J.path keys baseline) J.number,
-          Option.bind (J.path keys current) J.number )
-      with
-      | Some base, Some cur
-        when cur < base *. (1. -. max_regression) ->
-        Some (String.concat "." keys, base, cur)
-      | _ -> None)
-    gated_metrics
+let pp_obs ppf report =
+  let v keys = J.num_at keys report in
+  Format.fprintf ppf
+    "observability off: %.0f txns/sec, compiled-in disabled: %.0f \
+     txns/sec (overhead %.2f%%, limit %.2f%%), fully on: %.0f txns/sec \
+     (overhead %.2f%%, ungated)@."
+    (v [ "off_txns_per_sec" ])
+    (v [ "disabled_txns_per_sec" ])
+    (100. *. v [ "disabled_overhead_frac" ])
+    (100. *. obs_limit)
+    (v [ "on_txns_per_sec" ])
+    (100. *. v [ "overhead_frac" ])
+
+(* --- reporting --- *)
+
+let tracked =
+  Baseline.metrics
+    [ [ "macro"; "ops_per_sec" ];
+      [ "macro"; "txns_per_sec" ];
+      [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ] ]
+
+let pp ppf report =
+  let v keys = J.num_at keys report in
+  Format.fprintf ppf "cross-class read: %.0f -> %.0f ops/sec (%.1fx)@."
+    (v [ "hot_paths"; "cross_class_read"; "before_ops_per_sec" ])
+    (v [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ])
+    (v [ "hot_paths"; "cross_class_read"; "speedup" ]);
+  List.iter
+    (fun path ->
+      Format.fprintf ppf "%-26s %.1fx@." ("hot_paths." ^ path)
+        (v [ "hot_paths"; path; "speedup" ]))
+    [ "registry_i_old"; "partition_critical_path"; "activity_links";
+      "chain_lookup" ];
+  Format.fprintf ppf
+    "macro: %.0f ops/sec, %.0f txns/sec (A p99 %.1fus, B p99 %.1fus, C \
+     p99 %.1fus)@."
+    (v [ "macro"; "ops_per_sec" ])
+    (v [ "macro"; "txns_per_sec" ])
+    (v [ "macro"; "protocol_A"; "p99_us" ])
+    (v [ "macro"; "protocol_B"; "p99_us" ])
+    (v [ "macro"; "protocol_C"; "p99_us" ])

@@ -1,4 +1,5 @@
-(** The hot-path macro-benchmark behind [hdd_cli bench].
+(** The hot-path macro-benchmark behind [hdd_cli bench hot_paths], and
+    the observability-overhead gate behind [hdd_cli bench obs_overhead].
 
     Two halves, one JSON report ([BENCH_hot_paths.json]):
 
@@ -18,14 +19,9 @@
       chain-length / registry-size telemetry — the steady state the
       wall-driven GC is supposed to keep bounded. *)
 
-val ns_per_op : (unit -> 'a) -> float
-(** Adaptive timing loop: at least 20 ms of work per measurement. *)
-
-val legacy_a_fn :
-  Hdd_core.Activity.ctx -> from_class:int -> to_class:int -> Time.t -> Time.t
-(** The pre-PR activity-link composition: per-call DFS over the
-    reduction, registry scans at every step.  Oracle-checked against
-    {!Hdd_core.Activity.a_fn} before every timed run. *)
+val percentile : float array -> int -> float
+(** [percentile sorted p]: the nearest-rank [p]th percentile of an
+    ascending array, [0.] when it is empty. *)
 
 val run : ?quick:bool -> unit -> Jsonlite.t
 (** The full report.  [quick] shrinks the fixtures and the closed loop
@@ -45,12 +41,20 @@ val obs_overhead : ?quick:bool -> ?runs:int -> unit -> Jsonlite.t
     published ungated (it is the diagnostic mode, and on transactions
     this cheap it costs ~8%). *)
 
-val regressions :
-  baseline:Jsonlite.t ->
-  current:Jsonlite.t ->
-  max_regression:float ->
-  (string * float * float) list
-(** Gated throughput metrics whose current value fell more than
-    [max_regression] (a fraction) below the baseline:
-    [(metric, baseline, current)].  Metrics missing on either side are
-    skipped — the gate never fails on schema drift alone. *)
+val tracked : Jsonlite.t -> (string * float) list
+(** Gated against a baseline: [macro.ops_per_sec],
+    [macro.txns_per_sec] and
+    [hot_paths.cross_class_read.after_ops_per_sec]. *)
+
+val pp : Format.formatter -> Jsonlite.t -> unit
+(** The headline figures of a {!run} report. *)
+
+val obs_limit : float
+(** 0.03: the always-on profile may cost at most 3% of closed-loop
+    throughput. *)
+
+val obs_gates : Jsonlite.t -> string list
+(** Empty when an {!obs_overhead} report's [disabled_overhead_frac] is
+    at most {!obs_limit}. *)
+
+val pp_obs : Format.formatter -> Jsonlite.t -> unit

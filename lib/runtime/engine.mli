@@ -176,12 +176,12 @@ val run_timed :
   unit ->
   timed
 (** Untraced closed-loop run: each worker generates and executes its own
-    transactions until the deadline.  Used by [hdd_cli bench --parallel]
+    transactions until the deadline.  Used by [hdd_cli bench parallel]
     for the scaling curves.  [publish_every] defaults to 8.
 
     [rotate_every_s] > 0 makes the coordinator apply a live whole-map
     ownership rotation ({!rotated_map}) behind a park barrier every
-    that many seconds — the [bench --adapt] live-repartition load.
+    that many seconds — the [bench adapt] live-repartition load.
     0 (the default) disables it.
 
     [control] is the closed-loop placement controller

@@ -195,6 +195,20 @@ let to_json r =
       ("cross_read_scaling_1_to_8", opt_num r.r_scaling_1_to_8);
       ("cross_read_scaling_1_to_16", opt_num r.r_scaling_1_to_16) ]
 
+let tracked report =
+  let metrics = Hdd_benchkit.Baseline.metrics in
+  (match J.member "points" report with
+  | Some (J.List points) ->
+    List.concat_map
+      (fun p ->
+        let w = J.num_at [ "workers" ] p in
+        List.map
+          (fun (m, v) -> (Printf.sprintf "%s at %.0f workers" m w, v))
+          (metrics [ [ "reads_a_per_s" ] ] p))
+      points
+  | _ -> [])
+  @ metrics [ [ "cross_read_scaling_1_to_8" ] ] report
+
 let pp ppf r =
   Format.fprintf ppf
     "parallel runtime, chain-%d, %.2fs/point, K=%d (seed %d)@." r.r_depth

@@ -1,5 +1,5 @@
 (** Scaling benchmark for the parallel runtime ([hdd_cli bench
-    --parallel]).
+    parallel]).
 
     Runs the untraced closed-loop engine ({!Engine.run_timed}) on a
     chain hierarchy at increasing worker-domain counts and reports, per
@@ -78,5 +78,9 @@ val gates : result -> string list
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
 (** Schema-versioned report ({!Hdd_benchkit.Jsonlite.with_schema}). *)
+
+val tracked : Hdd_benchkit.Jsonlite.t -> (string * float) list
+(** Gated against a baseline: each point's [reads_a_per_s], by worker
+    count, and [cross_read_scaling_1_to_8]. *)
 
 val pp : Format.formatter -> result -> unit

@@ -182,6 +182,8 @@ let to_json r =
        match r.r_batch_delta_p50_us with None -> J.Null | Some d -> J.Num d)
     ]
 
+let tracked = Hdd_benchkit.Baseline.metrics [ [ "speedup" ] ]
+
 let gates r =
   let problems = ref [] in
   if r.r_hdd.s_txns = 0 then

@@ -53,6 +53,10 @@ val run :
     call from a process that intends to fork afterwards. *)
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
+
+val tracked : Hdd_benchkit.Jsonlite.t -> (string * float) list
+(** Gated against a baseline: [speedup]. *)
+
 val gates : result -> string list
 (** Structural failures ([] when sound): any side idle (including the
     batched one), or HDD not ahead of the baseline. *)

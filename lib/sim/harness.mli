@@ -1,4 +1,4 @@
-(** Convenience layer used by the benchmark executable, the CLI and the
+(** Convenience layer used by the experiments, the CLI and the
     integration tests: build fresh controllers for a workload and run a
     protocol comparison over it. *)
 

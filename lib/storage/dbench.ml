@@ -6,10 +6,6 @@ module Outcome = Hdd_core.Outcome
    every class busy. *)
 let partition () = Hdd_benchkit.Fixtures.chain_partition 3
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(Int.min (n - 1) (p * n / 100))
-
 let us s = s *. 1e6
 
 (* One closed-loop committer: [txns] single-write update transactions,
@@ -101,8 +97,8 @@ let commit_cell ~dir ~txns ~knob =
     txns_per_sec = float_of_int txns /. elapsed;
     fsyncs;
     fsyncs_per_commit = float_of_int fsyncs /. float_of_int txns;
-    p50_us = us (percentile lat 50);
-    p99_us = us (percentile lat 99) }
+    p50_us = us (Hdd_benchkit.Macro.percentile lat 50);
+    p99_us = us (Hdd_benchkit.Macro.percentile lat 99) }
 
 let knob_grid =
   [ None;
@@ -256,11 +252,7 @@ let run ?(quick = false) ?(dir = Filename.get_temp_dir_name ()) () =
    machine speed — the per-push CI check.  Magnitude regressions are the
    nightly baseline's job. *)
 let gates report =
-  let num keys =
-    match Option.bind (J.path keys report) J.number with
-    | Some f -> f
-    | None -> nan
-  in
+  let num keys = J.num_at keys report in
   let problems = ref [] in
   let check cond msg = if not cond then problems := msg :: !problems in
   let reduction = num [ "group_commit"; "fsync_reduction_at_8" ] in
@@ -278,3 +270,38 @@ let gates report =
         with history length (should track the tail)"
        flatness);
   List.rev !problems
+
+let grid report =
+  match J.path [ "group_commit"; "grid" ] report with
+  | Some (J.List cells) -> cells
+  | _ -> []
+
+let tracked report =
+  List.concat_map
+    (fun c ->
+      let b = J.num_at [ "max_batch" ] c and d = J.num_at [ "max_delay" ] c in
+      if List.mem (b, d) [ (0., 0.); (8., 16.); (32., 64.) ] then
+        List.map
+          (fun (m, v) ->
+            (Printf.sprintf "%s at batch=%.0f delay=%.0f" m b d, v))
+          (Hdd_benchkit.Baseline.metrics [ [ "txns_per_sec" ] ] c)
+      else [])
+    (grid report)
+
+let pp ppf report =
+  let num keys = J.num_at keys report in
+  Format.fprintf ppf
+    "group commit: fsync reduction at batch=8: %.1fx; recovery tail \
+     flatness: %.2f@."
+    (num [ "group_commit"; "fsync_reduction_at_8" ])
+    (num [ "recovery"; "recovery_tail_flatness" ]);
+  List.iter
+    (fun c ->
+      let n keys = J.num_at keys c in
+      Format.fprintf ppf
+        "  batch=%2.0f delay=%2.0f: %8.0f txns/sec, %.3f fsyncs/commit, ack \
+         p50 %.0fus p99 %.0fus@."
+        (n [ "max_batch" ]) (n [ "max_delay" ]) (n [ "txns_per_sec" ])
+        (n [ "fsyncs_per_commit" ])
+        (n [ "ack_p50_us" ]) (n [ "ack_p99_us" ]))
+    (grid report)

@@ -1,4 +1,4 @@
-(** The durable-engine benchmark behind [hdd_cli bench --durable] and
+(** The durable-engine benchmark behind [hdd_cli bench durable] and
     [BENCH_durable.json].
 
     Two families of measurements, both against the real file sink (every
@@ -29,3 +29,9 @@ val run : ?quick:bool -> ?dir:string -> unit -> Hdd_benchkit.Jsonlite.t
 
 val gates : Hdd_benchkit.Jsonlite.t -> string list
 (** Structural-gate failures in a {!run} report; empty means healthy. *)
+
+val tracked : Hdd_benchkit.Jsonlite.t -> (string * float) list
+(** Gated against a baseline: [txns_per_sec] of the sync-per-commit
+    cell and of the (8, 16) and (32, 64) batch windows. *)
+
+val pp : Format.formatter -> Hdd_benchkit.Jsonlite.t -> unit

@@ -6,7 +6,7 @@ module Hybrid = Hdd_hybrid.Hybrid_sched
 module Policy = Hdd_hybrid.Policy
 module J = Hdd_benchkit.Jsonlite
 
-(* The hybrid-CC benchmark behind [hdd_cli bench --hybrid]: the TPC-C
+(* The hybrid-CC benchmark behind [hdd_cli bench hybrid]: the TPC-C
    shaped open/closed workload suite over {low, high} contention ×
    {hdd, hybrid, mv2pl}, all in virtual time (deterministic per seed,
    so the throughput-ratio gates run in CI on any machine).
@@ -211,6 +211,8 @@ let slo_json (contention, s) =
       ("p50", J.Num s.Openloop.s_p50);
       ("p99", J.Num s.Openloop.s_p99);
       ("p999", J.Num s.Openloop.s_p999) ]
+
+let tracked = Hdd_benchkit.Baseline.metrics [ [ "ratio_high" ] ]
 
 let to_json r =
   J.with_schema

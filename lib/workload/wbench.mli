@@ -1,4 +1,4 @@
-(** The hybrid-CC workload benchmark ([hdd_cli bench --hybrid],
+(** The hybrid-CC workload benchmark ([hdd_cli bench hybrid],
     DESIGN.md §18): the {!Tpcc} suite at {low, high} contention, closed
     loop, across pure HDD, the adaptive {!Hdd_hybrid.Hybrid_sched} and
     the MV2PL baseline, plus an open-loop million-user SLO section per
@@ -47,4 +47,8 @@ val gates : result -> string list
     are finite and ordered. *)
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
+
+val tracked : Hdd_benchkit.Jsonlite.t -> (string * float) list
+(** Gated against a baseline: [ratio_high]. *)
+
 val pp : Format.formatter -> result -> unit

@@ -1,7 +1,8 @@
 (* Benchkit's serialisers: the Jsonlite emitter/parser pair (round-trip
    stability over escapes, big and negative ints, float edge cases,
    deeply nested values) and the Chrome trace-event exporter producing
-   JSON the parser itself accepts. *)
+   JSON the parser itself accepts; and the one baseline comparator, over
+   every bench module's [tracked] and its committed baseline. *)
 
 module J = Hdd_benchkit.Jsonlite
 module Obs_export = Hdd_benchkit.Obs_export
@@ -139,6 +140,74 @@ let test_metrics_json_parses () =
   | Some (J.Num 1.) -> ()
   | _ -> Alcotest.fail "histogram count missing"
 
+(* --- the baseline comparator --- *)
+
+module Baseline = Hdd_benchkit.Baseline
+
+let committed name = J.of_file (Filename.concat "../bench" name)
+
+let test_tracked_baselines () =
+  let names tracked file = List.map fst (tracked (committed file)) in
+  let check_names what expected got =
+    Alcotest.(check (list string)) what expected got
+  in
+  check_names "hot_paths"
+    [ "macro.ops_per_sec"; "macro.txns_per_sec";
+      "hot_paths.cross_class_read.after_ops_per_sec" ]
+    (names Hdd_benchkit.Macro.tracked "BENCH_baseline.json");
+  check_names "parallel"
+    [ "reads_a_per_s at 1 workers"; "reads_a_per_s at 2 workers";
+      "reads_a_per_s at 4 workers"; "reads_a_per_s at 8 workers";
+      "cross_read_scaling_1_to_8" ]
+    (names Hdd_runtime.Parbench.tracked "BENCH_parallel_baseline.json");
+  check_names "durable"
+    [ "txns_per_sec at batch=0 delay=0"; "txns_per_sec at batch=8 delay=16";
+      "txns_per_sec at batch=32 delay=64" ]
+    (names Hdd_storage.Dbench.tracked "BENCH_durable_baseline.json");
+  check_names "shard" [ "speedup" ]
+    (names Hdd_shard.Shardbench.tracked "BENCH_shard_baseline.json");
+  check_names "adapt" [ "retention_live" ]
+    (names Hdd_adapt.Adaptbench.tracked "BENCH_adapt_baseline.json");
+  check_names "hybrid" [ "ratio_high" ]
+    (names Hdd_workload.Wbench.tracked "BENCH_hybrid_baseline.json")
+
+(* [doc] with the number at [keys] multiplied by [k] *)
+let rec scale keys k doc =
+  match (keys, doc) with
+  | [], J.Num x -> J.Num (x *. k)
+  | key :: rest, J.Obj kvs ->
+    J.Obj
+      (List.map
+         (fun (key', v) -> (key', if key' = key then scale rest k v else v))
+         kvs)
+  | _ -> doc
+
+let test_budget () =
+  let base = committed "BENCH_baseline.json" in
+  let report = scale [ "macro"; "txns_per_sec" ] 0.7 base in
+  let regressions budget =
+    List.map
+      (fun (metric, _, _) -> metric)
+      (Baseline.regressions ~tracked:Hdd_benchkit.Macro.tracked ~budget
+         ~baseline:base report)
+  in
+  Alcotest.(check (list string))
+    "30% below regresses at 0.20" [ "macro.txns_per_sec" ] (regressions 0.20);
+  Alcotest.(check (list string)) "and passes at 0.50" [] (regressions 0.50)
+
+let test_skips () =
+  let tracked = Hdd_shard.Shardbench.tracked in
+  let speedup v = J.Obj [ ("speedup", v) ] in
+  List.iter
+    (fun (what, baseline, report) ->
+      checkb what true
+        (Baseline.regressions ~tracked ~budget:0.2 ~baseline report = []))
+    [ ("missing in the report", speedup (J.Num 3.), J.Obj []);
+      ("missing in the baseline", J.Obj [], speedup (J.Num 0.1));
+      ("null in the baseline", speedup J.Null, speedup (J.Num 0.1));
+      ("zero baseline", speedup (J.Num 0.), speedup (J.Num (-1.)));
+      ("negative baseline", speedup (J.Num (-1.)), speedup (J.Num (-5.))) ]
+
 let suite =
   [ Alcotest.test_case "jsonlite: string escapes round-trip" `Quick
       test_string_escapes;
@@ -151,4 +220,10 @@ let suite =
     Alcotest.test_case "obs_export: chrome trace parses back" `Quick
       test_chrome_trace_parses;
     Alcotest.test_case "obs_export: metrics snapshot parses back" `Quick
-      test_metrics_json_parses ]
+      test_metrics_json_parses;
+    Alcotest.test_case "baseline: tracked metrics of each committed report"
+      `Quick test_tracked_baselines;
+    Alcotest.test_case "baseline: a 30% drop against two budgets" `Quick
+      test_budget;
+    Alcotest.test_case "baseline: missing and non-positive metrics skip"
+      `Quick test_skips ]
