@@ -43,11 +43,17 @@ let analyse (partition : Partition.t) =
       let cls =
         match ty.Spec.writes with [ w ] -> w | _ -> assert false
       in
+      (* a class may read any higher segment on its critical path, not
+         only the ones its declared type lists: HDD routing and the
+         workload generators both rely on {!Partition.may_read} *)
       List.iter
         (fun s ->
-          if not (List.mem cls accessors.(s)) then
-            accessors.(s) <- cls :: accessors.(s))
-        (Spec.access_set ty);
+          if
+            (List.mem s (Spec.access_set ty)
+            || Partition.may_read partition ~class_id:cls ~segment:s)
+            && not (List.mem cls accessors.(s))
+          then accessors.(s) <- cls :: accessors.(s))
+        (List.init n Fun.id);
       List.iter
         (fun s ->
           if not (List.mem cls writers.(s)) then

@@ -214,20 +214,19 @@ let adhoc_barrier t (txn : Txn.t) =
     (fun (a : Txn.t) -> a.Txn.id <> txn.Txn.id && Txn.active_at a txn.Txn.init)
     t.adhoc_history
 
-(* Drop window records no live transaction's timestamp can fall into. *)
-let prune_adhoc_history t =
-  match t.adhoc_history with
-  | [] -> ()
-  | _ ->
-    t.adhoc_history <-
-      List.filter
-        (fun (a : Txn.t) ->
-          Txn.is_active a
-          || Hashtbl.fold
-               (fun _ (st : _ txn_state) acc ->
-                 acc || Txn.active_at a st.txn.Txn.init)
-               t.states false)
-        t.adhoc_history
+(* The ad-hoc retention hole (§7.1.1): a class's I_old can sit below an
+   ad-hoc transaction [a] long after [a]'s window closed — a straggler
+   that began before [a] keeps it there.  A later classed transaction
+   [t] composing through that class reads at a threshold at or below
+   I(a), so it misses [a]'s writes while MVTO orders [a] before [t];
+   if [t] then writes what [a] read, the two form a cycle.  Such a read
+   is rejected, and [t] restarts.  With no ad-hoc transaction retained
+   the check walks an empty list (and allocates nothing). *)
+let rec adhoc_hides (txn : Txn.t) threshold = function
+  | [] -> false
+  | (a : Txn.t) :: older ->
+    (a.Txn.init < txn.Txn.init && threshold <= a.Txn.init)
+    || adhoc_hides txn threshold older
 
 (* Threshold of a read of [segment] by a transaction hosted in a
    fictitious class just below [bottom]: compose I_old starting at
@@ -366,7 +365,10 @@ let read t txn g =
               Activity.a_fn t.ctx ~from_class:i ~to_class:segment
                 txn.Txn.init)
         in
-        snapshot_read t txn ~proto:Trace.A g threshold
+        if adhoc_hides txn threshold t.adhoc_history then
+          reject t txn ~stage:Trace.Barrier ~segment
+            "threshold at or below a retained ad-hoc timestamp"
+        else snapshot_read t txn ~proto:Trace.A g threshold
       end
       else
         reject t txn ~stage:Trace.Routing ~segment
@@ -526,6 +528,25 @@ let collect_with t vec =
   dropped
 
 let collect_garbage t = collect_with t (gc_watermark_vector t)
+
+(* Drop ad-hoc records no live transaction's timestamp can fall into and
+   no current or future read threshold can reach: once the watermark has
+   passed I(a), {!adhoc_hides} can no longer fire for [a]. *)
+let prune_adhoc_history t =
+  match t.adhoc_history with
+  | [] -> ()
+  | _ ->
+    let watermark = gc_watermark t in
+    t.adhoc_history <-
+      List.filter
+        (fun (a : Txn.t) ->
+          Txn.is_active a
+          || watermark <= a.Txn.init
+          || Hashtbl.fold
+               (fun _ (st : _ txn_state) acc ->
+                 acc || Txn.active_at a st.txn.Txn.init)
+               t.states false)
+        t.adhoc_history
 
 let maybe_release_wall t =
   prune_adhoc_history t;

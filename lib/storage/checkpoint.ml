@@ -1,4 +1,5 @@
 module J = Hdd_benchkit.Jsonlite
+module B = Hdd_util.Binc
 
 type meta = {
   seq : int;
@@ -15,7 +16,7 @@ let data_path ~log ~seq = Printf.sprintf "%s.ckpt.%d" log seq
 
 let keep_checkpoints = 2
 
-(* --- JSON shapes --- *)
+(* --- manifest: JSON --- *)
 
 let num = J.num_of_int
 let ints l = J.List (List.map num l)
@@ -72,90 +73,59 @@ let read_manifest ~log =
 let manifest_json entries =
   J.with_schema [ ("entries", J.List (List.map meta_json entries)) ]
 
-(* --- data file --- *)
+(* --- data file: one Binc frame --- *)
 
-let versions_json versions =
-  J.List
-    (List.map
-       (fun ((g : Granule.t), vs) ->
-         J.List
-           [ num g.Granule.segment; num g.Granule.key;
-             J.List (List.map (fun (ts, v) -> J.List [ num ts; num v ]) vs) ])
-       versions)
-
-let pending_json pending =
-  J.List
-    (List.map
-       (fun (txn, class_id, init, writes) ->
-         J.List
-           [ num txn; num class_id; num init;
-             J.List
-               (List.map
-                  (fun ((g : Granule.t), ts, v) ->
-                    J.List
-                      [ num g.Granule.segment; num g.Granule.key; num ts;
-                        num v ])
-                  writes) ])
-       pending)
-
-let data_json ~seq ~log_offset ~wall ~last_time ~committed ~aborted ~versions
+let data_frame ~seq ~log_offset ~last_time ~committed ~aborted ~versions
     ~pending =
-  J.with_schema
-    [ ("seq", num seq);
-      ("log_offset", num log_offset);
-      ("wall", ints (Array.to_list wall));
-      ("last_time", num last_time);
-      ("committed", num committed);
-      ("aborted", num aborted);
-      ("versions", versions_json versions);
-      ("pending", pending_json pending) ]
+  let b = B.writer () in
+  let ints = List.iter (B.w_int b) in
+  ints [ seq; log_offset; last_time; committed; aborted ];
+  B.w_list b
+    (fun _ ((g : Granule.t), vs) ->
+      ints [ g.segment; g.key ];
+      B.w_list b (fun _ (ts, v) -> ints [ ts; v ]) vs)
+    versions;
+  B.w_list b
+    (fun _ (txn, class_id, init, writes) ->
+      ints [ txn; class_id; init ];
+      B.w_list b
+        (fun _ ((g : Granule.t), ts, v) -> ints [ g.segment; g.key; ts; v ])
+        writes)
+    pending;
+  B.frame b
 
-let pair_of = function
-  | J.List [ a; b ] -> (
-    match (int_of a, int_of b) with Some a, Some b -> Some (a, b) | _ -> None)
-  | _ -> None
-
-let versions_of_json = function
-  | J.List l ->
-    let entry = function
-      | J.List [ s; k; J.List vs ] -> (
-        match (int_of s, int_of k) with
-        | Some segment, Some key ->
-          let pairs = List.filter_map pair_of vs in
-          if List.length pairs = List.length vs then
-            Some (Granule.make ~segment ~key, pairs)
-          else None
-        | _ -> None)
-      | _ -> None
-    in
-    let entries = List.filter_map entry l in
-    if List.length entries = List.length l then Some entries else None
-  | _ -> None
-
-let pending_of_json = function
-  | J.List l ->
-    let write = function
-      | J.List [ s; k; ts; v ] -> (
-        match (int_of s, int_of k, int_of ts, int_of v) with
-        | Some segment, Some key, Some ts, Some v ->
-          Some (Granule.make ~segment ~key, ts, v)
-        | _ -> None)
-      | _ -> None
-    in
-    let entry = function
-      | J.List [ txn; class_id; init; J.List ws ] -> (
-        match (int_of txn, int_of class_id, int_of init) with
-        | Some txn, Some class_id, Some init ->
-          let writes = List.filter_map write ws in
-          if List.length writes = List.length ws then
-            Some (txn, class_id, init, writes)
-          else None
-        | _ -> None)
-      | _ -> None
-    in
-    let entries = List.filter_map entry l in
-    if List.length entries = List.length l then Some entries else None
-  | _ -> None
+(* Fields in write order: OCaml evaluates tuple components in no fixed
+   order, so every read is its own [let]. *)
+let r_data r =
+  let int () = B.r_int r in
+  let granule () =
+    let segment = int () in
+    Granule.make ~segment ~key:(int ())
+  in
+  let seq = int () in
+  let log_offset = int () in
+  let last_time = int () in
+  let committed = int () in
+  let aborted = int () in
+  let versions =
+    B.r_list r (fun _ ->
+        let g = granule () in
+        (g, B.r_list r (fun _ -> let ts = int () in (ts, int ()))))
+  in
+  let pending =
+    B.r_list r (fun _ ->
+        let txn = int () in
+        let class_id = int () in
+        let init = int () in
+        let writes =
+          B.r_list r (fun _ ->
+              let g = granule () in
+              let ts = int () in
+              (g, ts, int ()))
+        in
+        (txn, class_id, init, writes))
+  in
+  (seq, log_offset, (last_time, committed, aborted, versions, pending))
 
 (* --- atomic file discipline: temp + checksum + rename --- *)
 
@@ -191,12 +161,11 @@ let prune ~log entries =
 
 let write ?faults ~log ~seq ~log_offset ~wall ~last_time ~committed ~aborted
     ~versions ~pending () =
-  let json =
-    data_json ~seq ~log_offset ~wall ~last_time ~committed ~aborted ~versions
+  let payload =
+    data_frame ~seq ~log_offset ~last_time ~committed ~aborted ~versions
       ~pending
   in
-  let payload = Bytes.of_string (J.to_string json) in
-  let crc = Codec.crc32 payload in
+  let crc = B.crc32_sub payload 0 (Bytes.length payload) in
   let path = data_path ~log ~seq in
   write_atomic ?faults ~point_write:(Fault.Checkpoint_write seq)
     ~point_rename:(Fault.Checkpoint_rename seq) ~path payload;
@@ -220,30 +189,19 @@ let load_data ~log m =
     let ic = In_channel.open_bin path in
     let payload = Bytes.of_string (In_channel.input_all ic) in
     In_channel.close ic;
-    if Bytes.length payload <> m.bytes || Codec.crc32 payload <> m.crc then
-      None
+    if
+      Bytes.length payload <> m.bytes
+      || B.crc32_sub payload 0 m.bytes <> m.crc
+    then None
     else
-      match J.of_string (Bytes.to_string payload) with
-      | exception J.Parse_error _ -> None
-      | j -> (
-        match
-          ( int_field "seq" j,
-            int_field "log_offset" j,
-            int_array_field "wall" j,
-            int_field "last_time" j,
-            int_field "committed" j,
-            int_field "aborted" j,
-            Option.bind (J.member "versions" j) versions_of_json,
-            Option.bind (J.member "pending" j) pending_of_json )
-        with
-        | Some seq, Some log_offset, Some wall, Some last_time,
-          Some committed, Some aborted, Some versions, Some pending
-          when seq = m.seq && log_offset = m.log_offset ->
-          Some (wall, last_time, committed, aborted, versions, pending)
-        | _ -> None)
+      match B.decode payload ~pos:0 ~f:r_data with
+      | Ok ((seq, log_offset, data), next)
+        when next = m.bytes && seq = m.seq && log_offset = m.log_offset ->
+        Some data
+      | Ok _ | Error _ -> None
 
 let restore ?trace ~segments ~init
-    (_wall, last_time, committed, aborted, versions, pending) =
+    (last_time, committed, aborted, versions, pending) =
   let replay = Replay.create ?trace ~segments ~init () in
   List.iter
     (fun (g, vs) ->

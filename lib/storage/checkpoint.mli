@@ -14,16 +14,20 @@
     equality and not an approximation — the checkpoint-equivalence
     invariant the torture harness checks.
 
-    {b File discipline.}  The data file ([<log>.ckpt.<seq>], JSON) is
-    written to a temp file, checksummed (CRC-32, the {!Codec}
-    polynomial), and renamed into place; then the manifest
-    ([<log>.manifest], JSON, newest entry first) is rewritten the same
-    way.  A crash between the two leaves the old manifest pointing at
-    old checkpoints — never at a half-written file.  {!best} verifies
-    length and checksum and falls back entry by entry (and finally to
-    full replay) on any damage.  All four steps cross {!Fault.point}s
-    ([Checkpoint_write]/[Checkpoint_rename]/[Manifest_write]/
-    [Manifest_rename]) so torture scripts can kill or corrupt each. *)
+    {b File discipline.}  The data file ([<log>.ckpt.<seq>]) is one
+    {!Hdd_util.Binc} frame — varints and count-prefixed lists, guarded
+    by the frame's own length and CRC-32 — written to a temp file,
+    checksummed whole ({!Hdd_util.Binc.crc32_sub}, the tree's only CRC),
+    and renamed into place; then the manifest ([<log>.manifest], JSON,
+    newest entry first) is rewritten the same way.  A crash between the
+    two leaves the old manifest pointing at old checkpoints — never at a
+    half-written file.  {!best} verifies length and checksum, then
+    decodes the frame, and falls back entry by entry (and finally to
+    full replay) on any damage — a data file in any other format, such
+    as the JSON of earlier versions, included.  All four steps cross
+    {!Fault.point}s ([Checkpoint_write]/[Checkpoint_rename]/
+    [Manifest_write]/[Manifest_rename]) so torture scripts can kill or
+    corrupt each. *)
 
 type meta = {
   seq : int;  (** strictly increasing per log *)

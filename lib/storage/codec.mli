@@ -1,7 +1,8 @@
 (** Binary encoding of write-ahead-log records.
 
     Fixed little-endian framing: a 4-byte payload length, a 4-byte CRC-32
-    of the payload, then the payload.  Torn tails (a crash mid-append)
+    of the payload ({!Hdd_util.Binc.crc32_sub}), then the payload: a
+    1-byte tag and 8-byte signed fields.  Torn tails (a crash mid-append)
     decode as [`Truncated]; flipped bits as [`Corrupt]; both stop
     recovery at the last intact prefix, which is exactly the contract
     {!Wal} needs. *)
@@ -20,12 +21,8 @@ type record =
 val equal_record : record -> record -> bool
 val pp_record : Format.formatter -> record -> unit
 
-val crc32 : Bytes.t -> int
-(** Standard CRC-32 (polynomial 0xEDB88320), returned as a non-negative
-    int. *)
-
 val encode : record -> Bytes.t
-(** Full frame: header plus payload. *)
+(** Full frame: header plus payload, built in one buffer of exact size. *)
 
 val decode : Bytes.t -> pos:int -> (record * int, [ `Truncated | `Corrupt ]) result
 (** [decode buf ~pos] reads one frame starting at [pos]; on success

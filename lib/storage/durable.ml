@@ -226,7 +226,7 @@ let acked t = function
 
 let ack_offset t = function
   | Readonly -> None
-  | Logged off -> Some off
+  | Logged off -> (match t.faults with Some _ -> Some off | None -> None)
   | Group k -> (
     match t.group with Some g -> Group_commit.ack_offset g k | None -> None)
 
@@ -267,8 +267,15 @@ let close t =
 let in_flight t = t.in_flight
 
 let checkpoint t =
-  (* every logged commit below the cut offset must be in the file *)
-  (match t.group with Some g -> Group_commit.flush g | None -> Wal.flush t.wal);
+  (* every logged commit below the cut offset must be in the file — and
+     no commit whose frame is still queued behind a failed append may be
+     in the cut: it would persist a commit the log does not hold *)
+  (match t.group with
+  | Some g ->
+    Group_commit.flush g;
+    if Group_commit.queued g > 0 then
+      raise (Fault.Io_error "checkpoint refused: commit frames still queued")
+  | None -> Wal.flush t.wal);
   let log = Wal.path t.wal in
   let log_offset = log_offset t in
   let seq = t.next_ckpt_seq in

@@ -161,8 +161,9 @@ val acked : t -> ticket -> bool
 
 val ack_offset : t -> ticket -> int option
 (** Log offset just after the ticket's commit frame — the durability
-    horizon a recovery must reach to contain it.  [None] until acked
-    (or for read-only tickets / untracked offsets). *)
+    horizon a recovery must reach to contain it.  [None] until acked,
+    for read-only tickets, and without a fault plan (offsets are
+    tracked only there). *)
 
 val abort : t -> Txn.t -> unit
 val flush : t -> unit
@@ -189,8 +190,10 @@ val checkpoint : t -> Checkpoint.meta
     flight.  After it returns, recovery replays only the tail past the
     recorded offset.
     @raise Fault.Io_error when a scripted transient fault hits a
-    checkpoint point — the checkpoint simply didn't happen; the handle
-    stays usable. *)
+    checkpoint point, or when the drain leaves commit frames queued
+    behind a failed append (the cut would hold commits the log does
+    not) — the checkpoint simply didn't happen; the handle stays
+    usable. *)
 
 val log_offset : t -> int
 (** Current end of the log in bytes (appended, not necessarily fsynced).

@@ -30,7 +30,7 @@ type t = {
   mutable fsyncs : int;  (** fsyncs that succeeded *)
   mutable sync_failures : int;
   mutable synced_offset : int;  (** log offset covered by the last fsync *)
-  ack_offsets : (ticket, int) Hashtbl.t;
+  ack_offsets : (ticket, int) Hashtbl.t option;  (** only with [offset_of] *)
   (* metric refs, resolved once *)
   m_fsyncs : Metrics.counter option;
   m_retries : Metrics.counter option;
@@ -40,14 +40,15 @@ type t = {
 }
 
 let create ?faults ?(retry = Retry.default) ?(rng = Prng.create 0x6702)
-    ?metrics ?trace ?(offset_of = fun () -> 0) ~config wal =
+    ?metrics ?trace ?offset_of ~config wal =
   if config.max_batch < 1 then invalid_arg "Group_commit: max_batch must be >= 1";
   if config.max_delay < 0 then invalid_arg "Group_commit: max_delay must be >= 0";
   let m f = Option.map f metrics in
   { wal; config; faults; retry; rng; rmon = Retry.monitor retry; trace;
-    offset_of; buf = []; unsynced = []; submitted = 0; acked_upto = 0;
-    age = 0; batches = 0; sync_rounds = 0; fsyncs = 0; sync_failures = 0;
-    synced_offset = 0; ack_offsets = Hashtbl.create 64;
+    offset_of = Option.value offset_of ~default:(fun () -> 0); buf = [];
+    unsynced = []; submitted = 0; acked_upto = 0; age = 0; batches = 0;
+    sync_rounds = 0; fsyncs = 0; sync_failures = 0; synced_offset = 0;
+    ack_offsets = Option.map (fun _ -> Hashtbl.create 64) offset_of;
     m_fsyncs = m (fun t -> Metrics.counter t "durable.fsyncs");
     m_retries = m (fun t -> Metrics.counter t "durable.fsync_retries");
     m_giveups = m (fun t -> Metrics.counter t "durable.fsync_giveups");
@@ -59,8 +60,12 @@ let cross t pt = match t.faults with Some p -> Fault.cross p pt | None -> ()
 let count f = function Some c -> f c | None -> ()
 
 let acked t k = k > 0 && k <= t.acked_upto
-let ack_offset t k = Hashtbl.find_opt t.ack_offsets k
+let ack_offset t k =
+  match t.ack_offsets with
+  | Some h when acked t k -> Hashtbl.find_opt h k
+  | _ -> None
 let unacked t = t.submitted - t.acked_upto
+let queued t = List.length t.buf
 let fsyncs t = t.fsyncs
 let batches t = t.batches
 let sync_failures t = t.sync_failures
@@ -68,8 +73,11 @@ let synced_offset t = t.synced_offset
 let livelocked t = Retry.livelocked t.rmon
 
 (* Append the buffered commit frames (oldest first), each crossing its
-   Batch_append point.  A transient append error leaves the failed entry
-   and everything younger buffered for the next round. *)
+   Batch_append point.  A transient append error stops the batch: the
+   failed entry and everything younger stay buffered for the next round.
+   Appending a younger frame past the hole would let the next fsync ack
+   it, and acks are a watermark ([acked_upto]) — the older, unlogged
+   ticket would be acked with it. *)
 let append_buffered t =
   match t.buf with
   | [] -> ()
@@ -82,20 +90,25 @@ let append_buffered t =
     let entries = List.rev buf in
     let n = List.length entries in
     count (fun h -> Metrics.observe h (float_of_int n)) t.m_batch_hist;
-    List.iteri
-      (fun frame e ->
+    let rec go frame = function
+      | [] -> t.buf <- []
+      | e :: younger -> (
         match
           cross t (Fault.Batch_append { batch; frame });
           Wal.append t.wal e.record
         with
         | () ->
-          Hashtbl.replace t.ack_offsets e.ticket (t.offset_of ());
+          Option.iter
+            (fun h -> Hashtbl.replace h e.ticket (t.offset_of ()))
+            t.ack_offsets;
           t.unsynced <- e :: t.unsynced;
-          t.buf <- List.filter (fun e' -> e'.ticket <> e.ticket) t.buf
-        | exception Fault.Io_error _ ->
-          (* failed entry and everything younger stay buffered *)
-          ())
-      entries
+          go (frame + 1) younger
+        | exception Fault.Io_error _ -> t.buf <- List.rev (e :: younger)
+        | exception ex ->
+          t.buf <- List.rev (e :: younger);
+          raise ex)
+    in
+    go 0 entries
 
 (* Acks ride behind the fsync.  A transient fault at the ack point only
    delays delivery: the entries stay queued and the next successful

@@ -46,9 +46,9 @@ val create :
 (** [faults] must be the same plan wrapping the WAL's sink, so logical
     points and byte-level events share one crash state.  [offset_of]
     reports the log length after an append (the plan's byte counter in
-    fault runs); it is recorded per ticket for {!ack_offset}.  With
-    [metrics], the pipeline maintains [durable.fsyncs],
-    [durable.fsync_retries], [durable.fsync_giveups],
+    fault runs); only when it is given are offsets recorded per ticket
+    for {!ack_offset}.  With [metrics], the pipeline maintains
+    [durable.fsyncs], [durable.fsync_retries], [durable.fsync_giveups],
     [durable.batch_size] and the livelock gauge; with [trace], it emits
     [Sim] spans per batch and fsync round and a
     {!Hdd_obs.Trace.event.Durable_ack} per acknowledged commit.
@@ -70,10 +70,15 @@ val flush : t -> unit
 val acked : t -> ticket -> bool
 val ack_offset : t -> ticket -> int option
 (** Log length just after the ticket's commit frame was appended —
-    the durability horizon a recovery must reach to contain it. *)
+    the durability horizon a recovery must reach to contain it.  [None]
+    until the ticket is acked, and always without [offset_of]. *)
 
 val unacked : t -> int
 (** Tickets submitted but not yet acknowledged. *)
+
+val queued : t -> int
+(** Commit frames submitted but not yet appended to the log — nonzero
+    after a flush only when a transient append error stopped the batch. *)
 
 val fsyncs : t -> int
 (** Successful fsync rounds — the denominator of fsyncs-per-commit. *)

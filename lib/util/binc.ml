@@ -43,34 +43,60 @@ let w_option b f = function
     w_bool b true;
     f b v
 
-let payload b = Buffer.to_bytes b
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8:
+   table [k] (entries [256k .. 256k+255]) advances a byte through [k]
+   further zero bytes, so eight lookups retire eight input bytes per
+   step. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let p = t.(i - 256) in
+    t.(i) <- (p lsr 8) lxor t.(p land 0xff)
+  done;
+  t
 
-(* CRC-32 (IEEE), the same polynomial the WAL frames use. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+(* [i] is always a byte (0..255), so the index is in bounds *)
+let[@inline] crc_t k i = Array.unsafe_get crc_tables ((k lsl 8) lor i)
+let[@inline] u32_le buf i =
+  Int32.to_int (Bytes.get_int32_le buf i) land 0xFFFFFFFF
 
-let crc32 bytes =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  Bytes.iter
-    (fun ch ->
-      c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    bytes;
+let crc32_sub buf pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Binc.crc32_sub";
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let lo = !c lxor u32_le buf !i and hi = u32_le buf (!i + 4) in
+    c :=
+      crc_t 7 (lo land 0xff)
+      lxor crc_t 6 ((lo lsr 8) land 0xff)
+      lxor crc_t 5 ((lo lsr 16) land 0xff)
+      lxor crc_t 4 (lo lsr 24)
+      lxor crc_t 3 (hi land 0xff)
+      lxor crc_t 2 ((hi lsr 8) land 0xff)
+      lxor crc_t 1 ((hi lsr 16) land 0xff)
+      lxor crc_t 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := crc_t 0 ((!c lxor Bytes.get_uint8 buf !i) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
   !c lxor 0xFFFFFFFF
 
 let frame b =
-  let p = payload b in
-  let out = Bytes.create (8 + Bytes.length p) in
-  Bytes.set_int32_le out 0 (Int32.of_int (Bytes.length p));
-  Bytes.set_int32_le out 4 (Int32.of_int (crc32 p));
-  Bytes.blit p 0 out 8 (Bytes.length p);
+  let n = Buffer.length b in
+  let out = Bytes.create (8 + n) in
+  Buffer.blit b 0 out 8 n;
+  Bytes.set_int32_le out 0 (Int32.of_int n);
+  Bytes.set_int32_le out 4 (Int32.of_int (crc32_sub out 8 n));
   out
 
 (* --- reading --- *)
@@ -140,10 +166,9 @@ let unframe buf ~pos =
     let crc = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF in
     if plen < 0 || plen > 1 lsl 26 then Result.Error "implausible frame length"
     else if pos + 8 + plen > len then Result.Error "truncated frame body"
-    else
-      let p = Bytes.sub buf (pos + 8) plen in
-      if crc32 p <> crc then Result.Error "frame CRC mismatch"
-      else Result.Ok (p, pos + 8 + plen)
+    else if crc32_sub buf (pos + 8) plen <> crc then
+      Result.Error "frame CRC mismatch"
+    else Result.Ok (Bytes.sub buf (pos + 8) plen, pos + 8 + plen)
 
 let decode buf ~pos ~f =
   match unframe buf ~pos with

@@ -1,5 +1,6 @@
 (** Compact length-prefixed binary framing — the wire codec primitives
-    of the sharded engine (DESIGN.md §15).
+    of the sharded engine (DESIGN.md §15) and the format of checkpoint
+    data files (DESIGN.md §14).
 
     {!Jsonlite} is the right tool for reports a human (or CI gate) reads
     back; the shard wire protocol instead moves registry snapshots and
@@ -14,8 +15,7 @@
     Integers use zigzag LEB128 varints (small magnitudes, the common
     case for times, ids and keys, cost one byte); strings and lists are
     count-prefixed.  A {e frame} is [[payload length : u32 LE][crc32 of
-    payload : u32 LE][payload]], the same armor the WAL and checkpoint
-    files wear. *)
+    payload : u32 LE][payload]], the same armor the WAL frames wear. *)
 
 (** {1 Writing} *)
 
@@ -35,9 +35,6 @@ val w_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 val w_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 
 val w_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
-
-val payload : writer -> bytes
-(** The raw accumulated payload (no frame armor). *)
 
 val frame : writer -> bytes
 (** The framed payload: length, CRC, body. *)
@@ -64,11 +61,17 @@ val at_end : reader -> bool
 
 (** {1 Frames} *)
 
-val crc32 : bytes -> int
+val crc32_sub : bytes -> int -> int -> int
+(** [crc32_sub buf pos len]: CRC-32 (IEEE, polynomial 0xEDB88320) of
+    [len] bytes of [buf] from [pos], as a non-negative int, computed
+    without allocating.  The tree's only CRC: WAL frames, checkpoint
+    files, log-shipping batches and {!frame}s all use it.
+    @raise Invalid_argument if the range is outside [buf]. *)
 
 val unframe : bytes -> pos:int -> (bytes * int, string) result
-(** Cut one frame starting at [pos]: [Ok (payload, next)] after the CRC
-    checks out, [Error reason] on a truncated or corrupt frame.  Never
+(** Cut one frame starting at [pos]: [Ok (payload, next)] once the CRC
+    over the frame's bytes checks out (only then is the payload copied),
+    [Error reason] on a truncated or corrupt frame.  Never
     raises. *)
 
 val decode : bytes -> pos:int -> f:(reader -> 'a) -> ('a * int, string) result

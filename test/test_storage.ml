@@ -80,6 +80,40 @@ let test_codec_corruption () =
   | Error `Corrupt -> ()
   | _ -> Alcotest.fail "corruption undetected"
 
+(* One frame per record kind, byte for byte as the byte-at-a-time
+   encoder wrote them: the in-place encoder must not move the log
+   format. *)
+let pinned_frames =
+  [ ( Codec.Begin { txn = 7; class_id = 2; init = 41 },
+      "19000000e8f5c51c01070000000000000002000000000000002900000000000000" );
+    ( Codec.Write { txn = 7; granule = gr 1 300; ts = 41; value = -5 },
+      "29000000379cf2ba02070000000000000001000000000000002c0100000000000029\
+       00000000000000fbffffffffffffff" );
+    ( Codec.Commit { txn = 7; at = 44 },
+      "11000000552555c90307000000000000002c00000000000000" );
+    ( Codec.Abort { txn = 9; at = 1 lsl 40 },
+      "110000009bb25e660409000000000000000000000000010000" );
+    ( Codec.Wall { released_at = 50; components = [| 3; 0; 50 |] },
+      "29000000168b6f85053200000000000000030000000000000003000000000000000000\
+       0000000000003200000000000000" ) ]
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_codec_pinned_frames () =
+  List.iter
+    (fun (r, expected) ->
+      let frame = Codec.encode r in
+      Alcotest.(check string) (Format.asprintf "%a" Codec.pp_record r) expected
+        (hex frame);
+      match Codec.decode frame ~pos:0 with
+      | Ok (r', _) ->
+        checkb "pinned frame decodes" true (Codec.equal_record r r')
+      | Error _ -> Alcotest.fail "pinned frame rejected")
+    pinned_frames
+
 let prop_codec_random =
   QCheck2.Test.make ~name:"codec: random records roundtrip" ~count:300
     QCheck2.Gen.(int_range 0 100000)
@@ -747,6 +781,41 @@ let test_group_delay_flush () =
   checkb "aged batch flushed by ticks" true (Durable.acked db tk);
   Durable.close db
 
+let test_ack_offset_untracked () =
+  (* without a fault plan nobody tracks offsets: no per-ticket table *)
+  let path = fresh "hdd_group_untracked.log" in
+  let db =
+    Durable.create ~group:{ Group_commit.max_batch = 2; max_delay = 100 }
+      ~path ~partition ()
+  in
+  let tks = List.init 4 (fun i -> commit_one db (i + 1)) in
+  Durable.flush db;
+  checkb "all acked" true (List.for_all (Durable.acked db) tks);
+  checkb "no ack offsets" true
+    (List.for_all (fun tk -> Durable.ack_offset db tk = None) tks);
+  Durable.close db;
+  let path = fresh "hdd_direct_untracked.log" in
+  let db = Durable.create ~sync_on_commit:true ~path ~partition () in
+  let tk = commit_one db 1 in
+  checkb "direct: acked, no offset" true
+    (Durable.acked db tk && Durable.ack_offset db tk = None);
+  Durable.close db
+
+let test_ack_offset_waits_for_ack () =
+  (* the frame is appended and fsynced, but a transient fault delays the
+     ack: no offset is reported until the ack is delivered *)
+  let path = fresh "hdd_group_delayed_ack.log" in
+  let plan = Fault.plan [ Fault.Error_at (Fault.Batch_ack 1) ] in
+  let db = grouped_db ~max_batch:1 ~max_delay:0 ~plan ~path () in
+  let tk = commit_one db 1 in
+  checkb "ack delayed" false (Durable.acked db tk);
+  checkb "no offset before the ack" true (Durable.ack_offset db tk = None);
+  let tk2 = commit_one db 2 in
+  checkb "next round acks both" true
+    (Durable.acked db tk && Durable.acked db tk2);
+  checkb "offset once acked" true (Durable.ack_offset db tk <> None);
+  Durable.close db
+
 let test_group_crash_points () =
   (* a scripted crash at each pipeline point: recovery never raises and
      never exceeds what was submitted *)
@@ -885,6 +954,51 @@ let test_checkpoint_write_faults_are_transient () =
       checki "both commits recovered" 2 r.Durable.committed)
     [ Fault.Checkpoint_write 1; Fault.Checkpoint_rename 1;
       Fault.Manifest_write 1; Fault.Manifest_rename 1 ]
+
+let test_checkpoint_damage_every_byte () =
+  (* every cut and every single-bit flip of the newest data file: best
+     skips it and lands on the older checkpoint, never raising *)
+  let path = fresh "hdd_ckpt_every_byte.log" in
+  let db = Durable.create ~path ~partition () in
+  let commits lo hi =
+    for i = lo to hi do
+      let t = Durable.begin_update db ~class_id:(i mod 3) in
+      ok (Durable.write db t (gr (i mod 3) (i mod 4)) i);
+      Durable.commit db t
+    done
+  in
+  commits 1 6;
+  let m1 = Durable.checkpoint db in
+  let t = Durable.begin_update db ~class_id:1 in
+  ok (Durable.write db t (gr 1 9) 99);
+  commits 7 12;
+  let m2 = Durable.checkpoint db in
+  Durable.close db;
+  let data = Checkpoint.data_path ~log:path ~seq:m2.Checkpoint.seq in
+  let original = Bytes.of_string (Fixtures.read_file data) in
+  let put b =
+    Out_channel.with_open_bin data (fun oc -> Out_channel.output_bytes oc b)
+  in
+  let best () =
+    match Checkpoint.best ~log:path ~segments:3 ~init:(fun _ -> 0) () with
+    | Some (_, m) -> m.Checkpoint.seq
+    | None -> 0
+  in
+  checki "intact: newest loads" m2.Checkpoint.seq (best ());
+  let n = Bytes.length original in
+  for cut = 0 to n - 1 do
+    put (Bytes.sub original 0 cut);
+    checki (Printf.sprintf "cut at %d falls back" cut) m1.Checkpoint.seq
+      (best ())
+  done;
+  for bit = 0 to (8 * n) - 1 do
+    let b = Bytes.copy original in
+    let i = bit / 8 in
+    Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (bit mod 8)));
+    put b;
+    checki (Printf.sprintf "bit %d flipped falls back" bit) m1.Checkpoint.seq
+      (best ())
+  done
 
 (* --- log shipping --- *)
 
@@ -1151,6 +1265,19 @@ let prop_replica_staleness =
                [ 0; 1; 2 ])
            [ 0; 1; 2 ])
 
+(* Seeds the deep sweeps caught, replayed on every push.  560: a failed
+   append in the middle of a batch, younger frames appended past it and
+   acked by the next fsync's watermark.  4914: a checkpoint cut while a
+   commit frame was still queued behind a failed append. *)
+let test_torture_pinned_seeds () =
+  List.iter
+    (fun seed ->
+      let path = fresh "hdd_torture_pinned.log" in
+      let o = Torture.run_cycle ~monitors:true ~partition ~path ~seed () in
+      Alcotest.(check (list string)) (Printf.sprintf "seed %d" seed) []
+        o.Torture.violations)
+    [ 560; 4914 ]
+
 (* Cycle count defaults to 500 and scales up through the environment:
    the nightly CI job runs the same test with HDD_TORTURE_CYCLES=5000. *)
 let torture_cycles =
@@ -1241,4 +1368,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replica_staleness;
     Alcotest.test_case
       (Printf.sprintf "torture: %d crash/recover cycles" torture_cycles)
-      `Slow test_torture_cycles ]
+      `Slow test_torture_cycles;
+    Alcotest.test_case "codec: pinned frame bytes" `Quick test_codec_pinned_frames;
+    Alcotest.test_case "group: no ack offsets untracked" `Quick test_ack_offset_untracked;
+    Alcotest.test_case "group: ack offset waits for the ack" `Quick test_ack_offset_waits_for_ack;
+    Alcotest.test_case "checkpoint: damage at every byte and bit" `Quick test_checkpoint_damage_every_byte;
+    Alcotest.test_case "torture: pinned seeds 560 and 4914" `Quick test_torture_pinned_seeds ]

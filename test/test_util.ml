@@ -1,10 +1,11 @@
 (* Unit tests for hdd_util: PRNG determinism, distributions, statistics,
-   table rendering. *)
+   table rendering, the CRC-32. *)
 
 module Prng = Hdd_util.Prng
 module Dist = Hdd_util.Dist
 module Stats = Hdd_util.Stats
 module Table = Hdd_util.Table
+module Binc = Hdd_util.Binc
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -198,6 +199,40 @@ let test_table_cells () =
   check Alcotest.string "pct cell" "12.3%" (Table.cell_pct 0.123);
   check Alcotest.string "int cell" "7" (Table.cell_int 7)
 
+(* --- CRC-32 --- *)
+
+(* Reference: one byte at a time, each table entry recomputed bit by bit. *)
+let crc32_bytewise buf pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    let x = ref ((!c lxor Bytes.get_uint8 buf i) land 0xff) in
+    for _ = 0 to 7 do
+      x := if !x land 1 = 1 then 0xEDB88320 lxor (!x lsr 1) else !x lsr 1
+    done;
+    c := !x lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  checki "CRC-32(\"123456789\")" 0xCBF43926
+    (Binc.crc32_sub (Bytes.of_string "123456789") 0 9);
+  checki "empty range" 0 (Binc.crc32_sub (Bytes.create 4) 4 0);
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Binc.crc32_sub") (fun () ->
+      ignore (Binc.crc32_sub (Bytes.create 4) 1 4))
+
+let test_crc32_matches_bytewise () =
+  let rng = Prng.create 0xc3c in
+  for _ = 1 to 2000 do
+    let pos = Prng.int rng 16 and len = Prng.int rng 301 in
+    let buf =
+      Bytes.init (pos + len + Prng.int rng 16) (fun _ ->
+          Char.chr (Prng.int rng 256))
+    in
+    checki (Printf.sprintf "pos %d len %d" pos len)
+      (crc32_bytewise buf pos len) (Binc.crc32_sub buf pos len)
+  done
+
 let suite =
   [ Alcotest.test_case "prng: deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng: seed sensitivity" `Quick test_prng_seed_sensitivity;
@@ -220,4 +255,7 @@ let suite =
     Alcotest.test_case "stats: histogram" `Quick test_histogram;
     Alcotest.test_case "table: render" `Quick test_table_render;
     Alcotest.test_case "table: width mismatch" `Quick test_table_width_mismatch;
-    Alcotest.test_case "table: cells" `Quick test_table_cells ]
+    Alcotest.test_case "table: cells" `Quick test_table_cells;
+    Alcotest.test_case "crc32: check value and bounds" `Quick test_crc32_check_value;
+    Alcotest.test_case "crc32: slicing-by-8 equals bytewise" `Quick
+      test_crc32_matches_bytewise ]
