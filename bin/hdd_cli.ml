@@ -24,59 +24,39 @@ open Cmdliner
 
 (* --- partition description parsing --- *)
 
-let parse_spec_lines lines =
-  let segments : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let seg name =
-    match Hashtbl.find_opt segments name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length segments in
-      Hashtbl.add segments name i;
-      order := name :: !order;
-      i
-  in
-  let parse_segs s =
-    if String.trim s = "" then []
-    else
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-      |> List.map seg
-  in
-  let types =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" || String.length line > 0 && line.[0] = '#' then None
-        else
-          match String.index_opt line ':' with
-          | None -> failwith (Printf.sprintf "missing ':' in %S" line)
-          | Some i ->
-            let name = String.trim (String.sub line 0 i) in
-            let rest =
-              String.sub line (i + 1) (String.length line - i - 1)
-            in
-            let writes, reads =
-              match
-                Scanf.sscanf_opt rest " writes %s@ reads %s@!"
-                  (fun w r -> (w, r))
-              with
-              | Some (w, r) -> (w, r)
-              | None -> (
-                match
-                  Scanf.sscanf_opt rest " writes %s@!" (fun w -> w)
-                with
-                | Some w -> (w, "")
-                | None ->
-                  failwith
-                    (Printf.sprintf "cannot parse type description %S" line))
-            in
-            Some (Spec.txn_type ~name ~writes:(parse_segs writes)
-                    ~reads:(parse_segs reads)))
-      lines
-  in
-  Spec.make ~segments:(List.rev !order) ~types
+(* One line of a partition description or access trace,
+   [name : writes A[,B...] [reads C[,D...]]]: [Ok None] for a blank or
+   [#] line, [Error reason] for a malformed one. *)
+let parse_line line =
+  let line = String.trim line in
+  if line = "" || line.[0] = '#' then Ok None
+  else
+    match String.index_opt line ':' with
+    | None -> Error "missing ':' after the type name"
+    | Some i -> (
+      let name = String.trim (String.sub line 0 i) in
+      let rest = String.sub line (i + 1) (String.length line - i - 1) in
+      let items s =
+        String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (fun x -> x <> "")
+      in
+      let fields =
+        match
+          Scanf.sscanf_opt rest " writes %s@ reads %s@!" (fun w r -> (w, r))
+        with
+        | Some _ as f -> f
+        | None ->
+          Option.map (fun w -> (w, ""))
+            (Scanf.sscanf_opt rest " writes %s@!" Fun.id)
+      in
+      match fields with
+      | None -> Error "expected 'writes A[,B...] [reads C[,D...]]' after ':'"
+      | Some _ when name = "" -> Error "missing type name before ':'"
+      | Some (w, r) -> (
+        match items w with
+        | [] -> Error (Printf.sprintf "type %S writes nothing" name)
+        | writes -> Ok (Some (name, writes, items r))))
 
 let read_lines path =
   let ic = open_in path in
@@ -88,6 +68,50 @@ let read_lines path =
       List.rev acc
   in
   go []
+
+(* The (name, writes, reads) entries of a description file.  A bad line
+   prints FILE:LINE: reason and exits 1; [build] turns the entries into
+   the tool's input, and a whole-file problem it raises (no types, a
+   duplicate name) prints FILE: reason. *)
+let read_entries file build =
+  let entries =
+    List.mapi (fun i line -> (i + 1, line)) (read_lines file)
+    |> List.filter_map (fun (n, line) ->
+           match parse_line line with
+           | Ok e -> e
+           | Error reason ->
+             Printf.eprintf "%s:%d: %s\n" file n reason;
+             exit 1)
+  in
+  try build entries
+  with Invalid_argument reason ->
+    Printf.eprintf "%s: %s\n" file reason;
+    exit 1
+
+(* Segments are numbered by first use, each line's reads before its
+   writes. *)
+let spec_of_file file =
+  read_entries file (fun entries ->
+      let segments : (string, int) Hashtbl.t = Hashtbl.create 8 in
+      let order = ref [] in
+      let seg name =
+        match Hashtbl.find_opt segments name with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length segments in
+          Hashtbl.add segments name i;
+          order := name :: !order;
+          i
+      in
+      let types =
+        List.map
+          (fun (name, writes, reads) ->
+            let reads = List.map seg reads in
+            let writes = List.map seg writes in
+            Spec.txn_type ~name ~writes ~reads)
+          entries
+      in
+      Spec.make ~segments:(List.rev !order) ~types)
 
 (* --- built-in workloads, protocols and stress profiles --- *)
 
@@ -136,6 +160,10 @@ let profile =
                  $(b,abort-heavy) (~40% aborts), or $(b,adhoc-read) (~50% \
                  read-only transactions over arbitrary segments).")
 
+(* A name option over a fixed list: an unknown name is a usage error
+   listing the valid ones. *)
+let name_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
+
 (* --- commands --- *)
 
 let validate_cmd =
@@ -144,7 +172,7 @@ let validate_cmd =
            ~doc:"Partition description file.")
   in
   let run file =
-    let spec = parse_spec_lines (read_lines file) in
+    let spec = spec_of_file file in
     match Partition.build spec with
     | Ok p ->
       Printf.printf "TST-hierarchical: yes\n";
@@ -170,7 +198,7 @@ let legalize_cmd =
            ~doc:"Partition description file.")
   in
   let run file =
-    let spec = parse_spec_lines (read_lines file) in
+    let spec = spec_of_file file in
     let r = Hdd_core.Legalize.legalize spec in
     if r.Hdd_core.Legalize.merges = [] then
       print_endline "already TST-hierarchical; nothing to merge"
@@ -201,47 +229,20 @@ let decompose_cmd =
                  `name : writes ITEM[,ITEM...] reads [ITEM[,ITEM...]]`.")
   in
   let run file =
-    let trace =
-      List.filter_map
-        (fun line ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then None
-          else
-            match String.index_opt line ':' with
-            | None -> failwith (Printf.sprintf "missing ':' in %S" line)
-            | Some i ->
-              let tag = String.trim (String.sub line 0 i) in
-              let rest = String.sub line (i + 1) (String.length line - i - 1) in
-              let items s =
-                if String.trim s = "" then []
-                else
-                  String.split_on_char ',' s
-                  |> List.map String.trim
-                  |> List.filter (fun x -> x <> "")
-              in
-              let writes, reads =
-                match
-                  Scanf.sscanf_opt rest " writes %s@ reads %s@!" (fun w r ->
-                      (w, r))
-                with
-                | Some (w, r) -> (items w, items r)
-                | None -> (
-                  match Scanf.sscanf_opt rest " writes %s@!" Fun.id with
-                  | Some w -> (items w, [])
-                  | None -> failwith (Printf.sprintf "cannot parse %S" line))
-              in
-              Some { Hdd_core.Decompose.tag; writes; reads })
-        (read_lines file)
+    let d =
+      read_entries file (fun entries ->
+          Hdd_core.Decompose.decompose
+            (List.map
+               (fun (tag, writes, reads) ->
+                 { Hdd_core.Decompose.tag; writes; reads })
+               entries))
     in
-    let d = Hdd_core.Decompose.decompose trace in
     let spec = d.Hdd_core.Decompose.legal.Hdd_core.Legalize.spec in
-    Printf.printf "legal decomposition with %d segments:
-"
+    Printf.printf "legal decomposition with %d segments:\n"
       (Spec.segment_count spec);
     List.iter
       (fun (item, seg) ->
-        Printf.printf "  %-20s -> D%d (%s)
-" item seg
+        Printf.printf "  %-20s -> D%d (%s)\n" item seg
           (Spec.segment_name spec seg))
       d.Hdd_core.Decompose.items
   in
@@ -431,13 +432,16 @@ let explore_cmd =
   let module Scenarios = Hdd_check.Scenarios in
   let module Shrink = Hdd_check.Shrink in
   let scenario =
-    Arg.(value & opt string "all" & info [ "s"; "scenario" ] ~docv:"NAME"
-           ~doc:"Scenario (fig1, fig34, wall, adhoc) or 'all'.")
+    let names = List.map (fun sc -> sc.Scenarios.sc_name) Scenarios.all in
+    Arg.(value & opt (name_enum ("all" :: names)) "all"
+         & info [ "s"; "scenario" ] ~docv:"NAME"
+             ~doc:("Scenario: " ^ Arg.doc_alts ("all" :: names) ^ "."))
   in
   let system =
-    Arg.(value & opt string "all" & info [ "p"; "system" ] ~docv:"SYS"
-           ~doc:"System (HDD, 2PL, 2PL-noRL, TSO, TSO-noRTS, MVTO, MV2PL, \
-                 SDD-1, NoCC) or 'all'.")
+    let names = List.map (fun sys -> sys.Explore.sys_name) Explore.all_systems in
+    Arg.(value & opt (name_enum ("all" :: names)) "all"
+         & info [ "p"; "system" ] ~docv:"SYS"
+             ~doc:("System: " ^ Arg.doc_alts ("all" :: names) ^ "."))
   in
   let exhaustive =
     Arg.(value & flag & info [ "exhaustive" ]
@@ -455,11 +459,14 @@ let explore_cmd =
   in
   let run sc_name sys_name exhaustive max_schedules do_shrink =
     let scenarios =
-      if sc_name = "all" then Scenarios.all else [ Scenarios.find sc_name ]
+      List.filter
+        (fun sc -> sc_name = "all" || sc.Scenarios.sc_name = sc_name)
+        Scenarios.all
     in
     let systems =
-      if sys_name = "all" then Explore.all_systems
-      else [ Explore.system sys_name ]
+      List.filter
+        (fun sys -> sys_name = "all" || sys.Explore.sys_name = sys_name)
+        Explore.all_systems
     in
     let table =
       Table.create ~title:"schedule-space exploration"
@@ -827,27 +834,20 @@ let adapt_cmd =
                  run is in flight, each behind a park barrier.")
   in
   let scenario =
-    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
-           ~doc:"Instead of the oracle run, drive a curated drift \
-                 scenario through the detect/advise/execute pipeline \
-                 ($(b,hotspot_migration), $(b,class_split), or \
-                 $(b,all)) and replay its trace through the invariant \
-                 monitors.")
+    let names = List.map (fun gl -> gl.Scenario.g_name) Scenario.goldens in
+    Arg.(value & opt (some (name_enum (names @ [ "all" ]))) None
+         & info [ "scenario" ] ~docv:"NAME"
+             ~doc:("Instead of the oracle run, drive a curated drift \
+                    scenario through the detect/advise/execute pipeline \
+                    (" ^ Arg.doc_alts (names @ [ "all" ])
+                  ^ ") and replay its trace through the invariant \
+                     monitors."))
   in
   let run_scenarios which =
     let picked =
-      if which = "all" then Scenario.goldens
-      else
-        match
-          List.find_opt
-            (fun gl -> gl.Scenario.g_name = which)
-            Scenario.goldens
-        with
-        | Some gl -> [ gl ]
-        | None ->
-          failwith
-            ("unknown scenario: " ^ which
-           ^ " (try hotspot_migration, class_split, all)")
+      List.filter
+        (fun gl -> which = "all" || gl.Scenario.g_name = which)
+        Scenario.goldens
     in
     let failed = ref false in
     List.iter

@@ -124,7 +124,3 @@ let adhoc =
 
 let all = [ fig1; fig34; wall; adhoc ]
 
-let find name =
-  match List.find_opt (fun sc -> sc.sc_name = name) all with
-  | Some sc -> sc
-  | None -> failwith ("Scenarios.find: unknown scenario " ^ name)

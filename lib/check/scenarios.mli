@@ -41,6 +41,3 @@ val adhoc : t
     barrier in HDD and by plain locking/timestamps in the baselines. *)
 
 val all : t list
-
-val find : string -> t
-(** @raise Failure on an unknown scenario name. *)

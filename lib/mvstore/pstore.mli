@@ -1,32 +1,35 @@
-(** Packed-int multi-version store for the multicore runtime's hot path.
+(** Packed-int multi-version store: the multicore runtime's per-segment
+    store and the shard node's.
 
-    {!Snapshot} is a persistent map of boxed version lists — pleasant to
-    publish, but every commit allocates map spine and list cells, and
-    every read chases pointers.  [Pstore] flattens each granule's
-    version chain into a packed [int array] of [ts; value] pairs in
-    ascending-ts order — the same layout trick that took trace events
-    116→12 ns (DESIGN.md §9) — and splits the store into two faces:
+    Each granule's version chain is one packed [int array] of
+    [ts; value] pairs in ascending-ts order — the same layout trick that
+    took trace events 116→12 ns (DESIGN.md §9) — and the store has two
+    faces:
 
     - the {e owner face} ({!t}): mutable, touched only by the owning
-      worker domain.  {!add_commit} appends in place and allocates
-      nothing once buffers reach steady-state capacity (in-place
-      compaction below the {!set_watermark} point reclaims space
-      instead of growing);
-    - the {e reader face} ({!view}): an immutable frozen copy cut by
-      {!publish} once per batch, swapped into an [Atomic.t] by the
-      engine.  Views are never mutated, so cross-domain readers need no
-      synchronization beyond the view swap itself.
+      domain.  {!add_commit} appends in place and allocates nothing
+      once buffers reach steady-state capacity (in-place compaction
+      below the {!set_watermark} point reclaims space instead of
+      growing);
+    - the {e reader face} ({!view}): one table per segment of frozen
+      exact-length per-key buffers.  {!publish} stores a fresh copy for
+      each key written since the last publication into that table, in
+      place, so a publication costs the keys it changed.  A stored
+      buffer is never written again, so a cross-domain reader that
+      loads the table after the owner's publication record (DESIGN.md
+      §13) meets a buffer at least as new as that publication.
 
     Reads return the version timestamp directly ([Time.zero] = the
     bootstrap value predating every commit) — no option, no tuple — so
-    the Protocol A/B/C read paths allocate nothing.  The [_pair]
-    variants are allocating conveniences for tests and tools. *)
+    the Protocol A/B/C read paths allocate nothing.  Every read and
+    write raises [Invalid_argument "Pstore: negative key"] on a
+    negative key. *)
 
 type t
 (** Owner face: one per segment, single-domain mutable. *)
 
 type view
-(** Reader face: immutable frozen copy, safe to share across domains. *)
+(** Reader face: the published table, safe to read from any domain. *)
 
 val create : unit -> t
 val empty_view : view
@@ -51,26 +54,18 @@ val value_of : t -> key:int -> ts:Time.t -> fallback:int -> int
 (** Value of the exact version [ts], or [fallback] if absent. *)
 
 val publish : t -> view
-(** Freeze the keys dirtied since the last publish (one copy of each
-    dirty key's live range) and return a view of the whole segment.
-    Clean keys share their previous frozen buffer. *)
+(** Store one exact-length copy of each key dirtied since the last
+    publish into the segment's table and return the table.  A bigger
+    table is allocated only when the key range has grown; clean keys
+    keep their buffers. *)
 
 val view_latest_before : view -> key:int -> ts:Time.t -> Time.t
-val view_value_of : view -> key:int -> ts:Time.t -> fallback:int -> int
+(** {!latest_before} over the published buffers. *)
 
 val latest_before_pair : t -> key:int -> ts:Time.t -> (Time.t * int) option
-(** Allocating convenience mirroring {!Snapshot.latest_before}. *)
-
-val view_latest_before_pair :
-  view -> key:int -> ts:Time.t -> (Time.t * int) option
+(** Allocating convenience: the newest version strictly below [ts] with
+    its value, or [None] for the bootstrap. *)
 
 val dirty_count : t -> int
-(** Keys with versions the last published view does not hold — zero
-    means {!publish} would return a view equivalent to the last one, so
-    the caller can skip the swap entirely. *)
-
-val version_count : t -> int
-(** Live (uncompacted) versions across all keys. *)
-
-val key_count : t -> int
-val view_version_count : view -> int
+(** Keys with versions the published table does not hold — zero means
+    {!publish} would change nothing, so the caller can skip it. *)

@@ -1042,9 +1042,17 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     script;
   Array.iter Mailbox.close cboxes;
   Array.iter Mailbox.close roboxes;
-  let results = Array.map Domain.join domains in
+  (* a worker's exception (a read of a negative key, say) re-raises
+     here, once the coordinator has stopped, so no domain outlives the
+     run *)
+  let joined =
+    Array.map
+      (fun d -> match Domain.join d with r -> Ok r | exception e -> Error e)
+      domains
+  in
   Atomic.set sh.stop true;
   let wall_stats = Domain.join coord in
+  let results = Array.map (function Ok r -> r | Error e -> raise e) joined in
   let outcomes =
     Array.to_list results
     |> List.concat_map (fun (o, _) -> o)

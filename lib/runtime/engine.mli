@@ -10,8 +10,9 @@
     exactly what the paper makes free.  On commit an owner appends committed
     versions to a packed-int {!Hdd_mvstore.Pstore} per root segment —
     the zero-allocation commit path, gated by {!alloc_probe} — and once
-    per [publish_every] finished transactions (or on request) publishes
-    frozen store views with one [Atomic.set] each, followed by its
+    per [publish_every] finished transactions (or on request) stores a
+    frozen copy of each changed key into its segments' published tables
+    and sets each with one [Atomic.set], followed by its
     {!Registry.snapshot} together with an [upto] bound (the global
     clock value at capture: the snapshot answers [I_old]/[C_late]
     exactly for arguments at or below it — store before activity, so

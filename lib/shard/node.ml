@@ -1,7 +1,7 @@
 module T = Hdd_obs.Trace
 module P = Hdd_core.Partition
 module TW = Hdd_core.Timewall
-module Snap = Hdd_mvstore.Snapshot
+module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
 
 type config = {
@@ -52,7 +52,7 @@ type t = {
   net : Transport.t;
   clock : Sclock.t;
   registry : Registry.t;
-  store : Snap.t array;
+  store : Pstore.t array;
       (** per segment: own segments authoritative, remote ones a
           delta-replicated cache *)
   applied : int array;  (** delta messages applied, per segment *)
@@ -132,17 +132,16 @@ let publish_final t = publish_upto t max_int
 (* --- receiving --- *)
 
 let apply_delta t (d : Wire.delta) =
+  (* per key, deltas arrive in ascending timestamp order: one owner
+     commits them in that order and the transport is FIFO *)
+  let store = t.store.(d.Wire.dl_segment) in
   List.iter
-    (fun (key, ts, value) ->
-      let g = Granule.make ~segment:d.Wire.dl_segment ~key in
-      t.store.(d.Wire.dl_segment) <-
-        Snap.add_commit t.store.(d.Wire.dl_segment) g ~ts ~value)
+    (fun (key, ts, value) -> Pstore.add_commit store ~key ~ts ~value)
     d.Wire.dl_versions;
   t.applied.(d.Wire.dl_segment) <- t.applied.(d.Wire.dl_segment) + 1
 
 let serve_local t ~segment ~key ~th =
-  let g = Granule.make ~segment ~key in
-  match Snap.latest_before t.store.(segment) g ~ts:th with
+  match Pstore.latest_before_pair t.store.(segment) ~key ~ts:th with
   | Some (vts, v) -> [ (vts, v) ]
   | None -> []
 
@@ -435,7 +434,7 @@ let exec_update t (d : E.desc) cls =
     List.iter
       (fun ((g : Granule.t), v) ->
         let seg = g.segment in
-        t.store.(seg) <- Snap.add_commit t.store.(seg) g ~ts:init ~value:v;
+        Pstore.add_commit t.store.(seg) ~key:g.key ~ts:init ~value:v;
         let batch =
           match List.assoc_opt seg !touched with Some b -> b | None -> []
         in
@@ -534,8 +533,7 @@ let commit_local t ~segment ~key ~value =
   if owner t segment <> t.me then
     invalid_arg "Node.commit_local: not an owned segment";
   let ts = Sclock.tick t.clock in
-  let g = Granule.make ~segment ~key in
-  t.store.(segment) <- Snap.add_commit t.store.(segment) g ~ts ~value;
+  Pstore.add_commit t.store.(segment) ~key ~ts ~value;
   t.c.n_writes <- t.c.n_writes + 1;
   t.c.n_committed <- t.c.n_committed + 1
 
@@ -583,7 +581,7 @@ let create ?(config = default_config) ~partition ~init ~net () =
       net;
       clock;
       registry = Registry.create ?trace ~classes:nseg ();
-      store = Array.make nseg Snap.empty;
+      store = Array.init nseg (fun _ -> Pstore.create ());
       applied = Array.make nseg 0;
       sent_marks = Array.make nseg 0;
       pub_seq = 0;

@@ -117,35 +117,195 @@ let test_seqwall_no_tearing () =
   checki "no torn reads" 0 !torn;
   checkb "reader made progress" true (!reads > 0)
 
-(* --- immutable store snapshots --- *)
+(* --- the packed version store --- *)
 
-let test_store_snapshot () =
-  let module S = Hdd_mvstore.Snapshot in
-  let g = Granule.make ~segment:0 ~key:1 in
-  let s0 = S.empty in
-  checkb "empty has nothing" true (S.latest_before s0 g ~ts:100 = None);
-  let s1 = S.add_commit s0 g ~ts:5 ~value:50 in
-  let s2 = S.add_commit s1 g ~ts:9 ~value:90 in
+module Ps = Hdd_mvstore.Pstore
+
+let raises_negative_key label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" label
+  | exception Invalid_argument msg ->
+    check Alcotest.string label "Pstore: negative key" msg
+
+(* owner face: reads at, below and above every version, the bootstrap,
+   refused timestamps and negative keys *)
+let test_pstore_owner () =
+  let t = Ps.create () in
+  checki "empty store serves the bootstrap" Time.zero
+    (Ps.latest_before t ~key:3 ~ts:100);
+  List.iter (fun (ts, v) -> Ps.add_commit t ~key:3 ~ts ~value:v)
+    [ (5, 50); (9, 90); (12, 120) ];
+  List.iter
+    (fun (ts, want) ->
+      checki (Printf.sprintf "latest below %d" ts) want
+        (Ps.latest_before t ~key:3 ~ts))
+    [ (1, 0); (5, 0); (6, 5); (9, 5); (10, 9); (12, 9); (13, 12);
+      (max_int, 12) ];
+  List.iter
+    (fun (ts, want) ->
+      checki (Printf.sprintf "value of %d" ts) want
+        (Ps.value_of t ~key:3 ~ts ~fallback:(-1)))
+    [ (4, -1); (5, 50); (6, -1); (9, 90); (11, -1); (12, 120); (13, -1) ];
+  checki "untouched lower key" Time.zero (Ps.latest_before t ~key:0 ~ts:100);
+  checki "key beyond the range" Time.zero
+    (Ps.latest_before t ~key:1000 ~ts:100);
   check
     (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "latest below 100" (Some (9, 90))
-    (S.latest_before s2 g ~ts:100);
-  check
-    (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "latest below 9" (Some (5, 50))
-    (S.latest_before s2 g ~ts:9);
-  checkb "below oldest" true (S.latest_before s2 g ~ts:5 = None);
-  (* older snapshots are unaffected by later additions *)
-  check
-    (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "s1 frozen" (Some (5, 50))
-    (S.latest_before s1 g ~ts:100);
-  checki "version count" 2 (S.version_count s2);
-  checkb "non-monotone ts refused" true
-    (try
-       ignore (S.add_commit s2 g ~ts:9 ~value:0);
-       false
-     with Invalid_argument _ -> true)
+    "pair below 12" (Some (9, 90))
+    (Ps.latest_before_pair t ~key:3 ~ts:12);
+  checkb "pair at the bootstrap" true
+    (Ps.latest_before_pair t ~key:3 ~ts:5 = None);
+  List.iter
+    (fun ts ->
+      checkb (Printf.sprintf "ts %d refused" ts) true
+        (try
+           Ps.add_commit t ~key:3 ~ts ~value:0;
+           false
+         with Invalid_argument _ -> true))
+    [ 12; 11; 1 ];
+  checki "a refused commit leaves no trace" 12
+    (Ps.latest_before t ~key:3 ~ts:max_int);
+  let v = Ps.publish t in
+  List.iter
+    (fun key ->
+      let l = Printf.sprintf "key %d" key in
+      raises_negative_key (l ^ " latest_before") (fun () ->
+          Ps.latest_before t ~key ~ts:10);
+      raises_negative_key (l ^ " value_of") (fun () ->
+          Ps.value_of t ~key ~ts:10 ~fallback:0);
+      raises_negative_key (l ^ " latest_before_pair") (fun () ->
+          Ps.latest_before_pair t ~key ~ts:10);
+      raises_negative_key (l ^ " view") (fun () ->
+          Ps.view_latest_before v ~key ~ts:10);
+      raises_negative_key (l ^ " add_commit") (fun () ->
+          Ps.add_commit t ~key ~ts:100 ~value:0))
+    [ -1; -2; -1_000_000; min_int ]
+
+(* compaction below the watermark keeps the newest version under it —
+   what a read exactly at the watermark serves, and what the engine's
+   allocation probe relies on to stay at steady capacity *)
+let test_pstore_compaction () =
+  let t = Ps.create () in
+  for ts = 1 to 4 do
+    Ps.add_commit t ~key:0 ~ts ~value:(10 * ts)
+  done;
+  Ps.set_watermark t 4;
+  Ps.set_watermark t 2;  (* monotone: ignored *)
+  (* the fifth version overflows the first buffer and compacts it *)
+  Ps.add_commit t ~key:0 ~ts:5 ~value:50;
+  checki "read at the watermark keeps its version" 3
+    (Ps.latest_before t ~key:0 ~ts:4);
+  checki "its value" 30 (Ps.value_of t ~key:0 ~ts:3 ~fallback:(-1));
+  checki "versions below it are gone" (-1)
+    (Ps.value_of t ~key:0 ~ts:2 ~fallback:(-1));
+  checki "reads above the watermark unchanged" 4
+    (Ps.latest_before t ~key:0 ~ts:5);
+  checki "newest" 5 (Ps.latest_before t ~key:0 ~ts:max_int);
+  (* a long run behind an advancing watermark: every read at or above
+     the watermark is still exact *)
+  for ts = 6 to 2_000 do
+    Ps.add_commit t ~key:0 ~ts ~value:(10 * ts);
+    if ts mod 7 = 0 then Ps.set_watermark t (ts - 3)
+  done;
+  for ts = 1_997 to 2_001 do
+    checki (Printf.sprintf "latest below %d" ts) (ts - 1)
+      (Ps.latest_before t ~key:0 ~ts);
+    checki (Printf.sprintf "value of %d" (ts - 1)) (10 * (ts - 1))
+      (Ps.value_of t ~key:0 ~ts:(ts - 1) ~fallback:(-1))
+  done
+
+(* A view answers every read at or below the newest published version
+   exactly as the owner face does — also after later commits,
+   publications and table growth — and never shows an unpublished
+   version.  Timestamps rise across keys, as under one clock. *)
+let test_pstore_views () =
+  for seed = 1 to 100 do
+    let prng = Hdd_util.Prng.create seed in
+    let t = Ps.create () in
+    let views = ref [] and ts = ref 0 and range = ref 2 in
+    for _ = 1 to 150 do
+      if !range < 64 && Hdd_util.Prng.int prng 20 = 0 then
+        range := !range * 2;
+      incr ts;
+      let key = Hdd_util.Prng.int prng !range in
+      Ps.add_commit t ~key ~ts:!ts ~value:(!ts * 3);
+      if Hdd_util.Prng.int prng 6 = 0 then begin
+        let v = Ps.publish t in
+        views := (v, !ts) :: !views;
+        if Ps.dirty_count t <> 0 then
+          Alcotest.failf "seed %d: publish left keys dirty" seed
+      end;
+      (* the newest view hides every version above its publication *)
+      match !views with
+      | (v, upto) :: _ ->
+        for key = 0 to !range do
+          if Ps.view_latest_before v ~key ~ts:max_int
+             <> Ps.latest_before t ~key ~ts:(upto + 1)
+          then
+            Alcotest.failf "seed %d: view shows an unpublished version of %d"
+              seed key
+        done
+      | [] -> ()
+    done;
+    List.iter
+      (fun (v, upto) ->
+        for key = 0 to !range do
+          for th = 0 to upto + 1 do
+            let got = Ps.view_latest_before v ~key ~ts:th
+            and want = Ps.latest_before t ~key ~ts:th in
+            if got <> want then
+              Alcotest.failf
+                "seed %d: view published at %d reads key %d below %d as %d, \
+                 owner %d"
+                seed upto key th got want
+          done
+        done)
+      !views
+  done
+
+(* One domain commits to a growing key range, publishes every few
+   commits and then raises an [Atomic] upto, as an engine owner sets
+   its store view before its activity publication; the other loads
+   upto, then the view, and must find the newest version <= upto of a
+   random key.  The key written at each timestamp is a pure function of
+   it, so the reader knows the answer. *)
+let test_pstore_two_domain () =
+  let commits = 60_000 in
+  let range_at ts = 1 + (ts / 32) in
+  let key_at ts = (ts * 7919) mod range_at ts in
+  let rec newest_at_or_below key ts =
+    if ts <= 0 then Time.zero
+    else if key_at ts = key then ts
+    else newest_at_or_below key (ts - 1)
+  in
+  let t = Ps.create () in
+  let view = Atomic.make Ps.empty_view and upto = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        for ts = 1 to commits do
+          Ps.add_commit t ~key:(key_at ts) ~ts ~value:ts;
+          if ts mod 5 = 0 || ts = commits then begin
+            Atomic.set view (Ps.publish t);
+            Atomic.set upto ts
+          end
+        done)
+  in
+  let prng = Hdd_util.Prng.create 17 in
+  let checked = ref 0 and wrong = ref [] in
+  while Atomic.get upto < commits || !checked < 1_000 do
+    let u = Atomic.get upto in
+    let v = Atomic.get view in
+    let key = Hdd_util.Prng.int prng (range_at u + 2) in
+    let got = Ps.view_latest_before v ~key ~ts:(u + 1) in
+    let want = newest_at_or_below key u in
+    incr checked;
+    if got <> want && List.length !wrong < 5 then
+      wrong := Printf.sprintf "upto %d key %d: %d, want %d" u key got want
+               :: !wrong
+  done;
+  Domain.join writer;
+  if !wrong <> [] then Alcotest.failf "%s" (String.concat "\n" !wrong);
+  checkb "reader made progress" true (!checked > 0)
 
 (* --- per-domain traces merge by logical time --- *)
 
@@ -615,6 +775,29 @@ let test_batching_identity () =
     Alcotest.failf "%d batching divergences:@.%s" (List.length !failures)
       (String.concat "\n" !failures)
 
+(* A read of a negative key raises [Invalid_argument] out of
+   [run_script] under every protocol, as a write does, instead of
+   reading outside the store. *)
+let test_engine_negative_key () =
+  let partition = R.Differential.chain_partition 2 in
+  List.iter
+    (fun key ->
+      List.iter
+        (fun (protocol, kind, segment) ->
+          let script =
+            [| { R.Engine.d_id = 1; d_kind = kind;
+                 d_ops = [ R.Engine.Read (Granule.make ~segment ~key) ];
+                 d_abort = false } |]
+          in
+          match
+            R.Engine.run_script ~partition ~init:R.Differential.default_init
+              (R.Engine.default_config ~workers:2) ~script
+          with
+          | _ -> Alcotest.failf "protocol %s, key %d: no exception" protocol key
+          | exception Invalid_argument _ -> ())
+        [ ("A", `Update 0, 1); ("B", `Update 0, 0); ("C", `Read_only, 0) ])
+    [ -1; -2; -1_000_000 ]
+
 let suite =
   [ Alcotest.test_case "gclock: ticks unique across domains" `Quick
       test_gclock_unique;
@@ -623,8 +806,8 @@ let suite =
       test_mailbox_backpressure;
     Alcotest.test_case "seqwall: no torn reads under concurrent publish"
       `Quick test_seqwall_no_tearing;
-    Alcotest.test_case "store snapshot: immutable latest-before" `Quick
-      test_store_snapshot;
+    Alcotest.test_case "pstore: owner reads and refusals" `Quick
+      test_pstore_owner;
     Alcotest.test_case "trace: per-domain merge by logical time" `Quick
       test_trace_merge;
     Alcotest.test_case "monitor: Any_released wall rule" `Quick
@@ -655,4 +838,12 @@ let suite =
       test_multicore_stress;
     Alcotest.test_case "engine: timed benchmark mode" `Quick
       test_run_timed_smoke;
-    Alcotest.test_case "parbench: scaling report" `Quick test_parbench_json ]
+    Alcotest.test_case "parbench: scaling report" `Quick test_parbench_json;
+    Alcotest.test_case "pstore: compaction keeps the newest" `Quick
+      test_pstore_compaction;
+    Alcotest.test_case "pstore: views answer as the owner" `Quick
+      test_pstore_views;
+    Alcotest.test_case "pstore: two-domain publication" `Quick
+      test_pstore_two_domain;
+    Alcotest.test_case "engine: negative-key reads raise" `Quick
+      test_engine_negative_key ]

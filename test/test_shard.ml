@@ -511,6 +511,25 @@ let test_forged_backwards_wall () =
   Alcotest.(check (list string))
     "exactly the monitor check fails" [ "monitor-replay" ] (D.failures r)
 
+(* The node's store refuses a negative key on a read as on a write,
+   where it used to serve the bootstrap value. *)
+let test_negative_key () =
+  let partition = D.chain_partition 2 in
+  List.iter
+    (fun key ->
+      let script =
+        [| { E.d_id = 1; d_kind = `Update 0;
+             d_ops = [ E.Read (Granule.make ~segment:1 ~key) ];
+             d_abort = false } |]
+      in
+      match
+        Sh.Cluster.run_script_det ~partition ~init:D.default_init ~shards:2
+          ~seed:1 ~script ()
+      with
+      | _ -> Alcotest.failf "key %d: no exception" key
+      | exception Invalid_argument _ -> ())
+    [ -1; -2; -1_000_000 ]
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -536,4 +555,6 @@ let suite =
     Alcotest.test_case "forged verdict flip: serial check named" `Quick
       test_forged_verdict_flip;
     Alcotest.test_case "forged backwards wall: monitor check named" `Quick
-      test_forged_backwards_wall ]
+      test_forged_backwards_wall;
+    Alcotest.test_case "node: negative-key read raises" `Quick
+      test_negative_key ]
