@@ -3,8 +3,10 @@
    activity-link composition and wall vector (E6/E9), the per-protocol
    read path behind the E10 comparison, version-chain lookups at two
    chain lengths (storage ablation), the certifier, the simulator's
-   event queue, and the storage write and recovery paths.  The fixtures
-   are shared with the hot-path suite via {!Hdd_benchkit.Fixtures}. *)
+   event queue, the storage write and recovery paths, and the shard
+   path: one wire message of each per-commit kind encoded and decoded,
+   and the registry snapshot a publication carries.  The fixtures are
+   shared with the hot-path suite via {!Hdd_benchkit.Fixtures}. *)
 
 module Scheduler = Hdd_core.Scheduler
 module Activity = Hdd_core.Activity
@@ -25,6 +27,43 @@ let big_log steps =
     else T.Sched_log.log_read log ~txn:(i / 3) ~granule:g ~version:0
   done;
   log
+
+(* Four classes, eight finished windows each.  Classes 1-3 lie far
+   beyond class 0, so pruning class 0's history keeps theirs. *)
+let registry_fixture () =
+  let reg = T.Registry.create ~classes:4 () in
+  let add c t0 =
+    for k = 0 to 7 do
+      let init = t0 + (2 * k) in
+      T.Registry.register_active reg ~class_id:c ~id:init ~init;
+      T.Registry.finish_active reg ~class_id:c ~endt:(init + 1)
+    done
+  in
+  add 0 1;
+  for c = 1 to 3 do
+    add c (1 lsl 40)
+  done;
+  (reg, ref 17)
+
+(* A publication as shard-loopback's nodes send it: two owned classes
+   with finished windows, one of them with an active transaction. *)
+let pub_packet () =
+  let reg = T.Registry.create ~classes:4 () in
+  List.iter
+    (fun (c, init) ->
+      T.Registry.register_active reg ~class_id:c ~id:init ~init;
+      T.Registry.finish_active reg ~class_id:c ~endt:(init + 3))
+    [ (0, 101); (2, 103); (0, 107); (2, 111) ];
+  T.Registry.register_active reg ~class_id:0 ~id:115 ~init:115;
+  { Hdd_shard.Wire.src = 0; dst = 1; stamp = 117;
+    msg =
+      Hdd_shard.Wire.Pub
+        { p_shard = 0; p_seq = 40; p_upto = 116; p_marks = [| 21; 0; 19; 0 |];
+          p_snap = T.Registry.snapshot reg } }
+
+let round_trip pkt =
+  Bechamel.Staged.stage (fun () ->
+      Hdd_shard.Wire.decode (Hdd_shard.Wire.encode pkt) ~pos:0)
 
 let temp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
@@ -142,7 +181,36 @@ let tests () =
           of the replay *)
        Staged.stage (fun () : Hdd_storage.Durable.recovered ->
            Hdd_storage.Durable.recover ~path ~segments:1 ~init:(fun _ -> 0)
-             ())) ]
+             ()));
+    Test.make ~name:"shard/wire: Pub encode+decode"
+      (round_trip (pub_packet ()));
+    Test.make ~name:"shard/wire: Delta encode+decode"
+      (round_trip
+         { Hdd_shard.Wire.src = 0; dst = 1; stamp = 117;
+           msg =
+             Hdd_shard.Wire.Delta
+               { dl_shard = 0; dl_segment = 2;
+                 dl_versions = [ (517, 115, 9) ] } });
+    Test.make ~name:"shard/wire: Wall encode+decode"
+      (round_trip
+         { Hdd_shard.Wire.src = 0; dst = 1; stamp = 120;
+           msg =
+             Hdd_shard.Wire.Wall
+               (Hdd_core.Timewall.make ~s:3 ~m:101
+                  ~components:[| 99; 101; 97; 101 |] ~released_at:120) });
+    Test.make ~name:"registry: snapshot, no class changed"
+      (let reg, _ = registry_fixture () in
+       Staged.stage (fun () -> T.Registry.snapshot reg));
+    Test.make ~name:"registry: snapshot, one class changed"
+      (* each run also closes one class-0 window and prunes the oldest *)
+      (let reg, now = registry_fixture () in
+       Staged.stage (fun () ->
+           let init = !now in
+           now := init + 2;
+           T.Registry.register_active reg ~class_id:0 ~id:init ~init;
+           T.Registry.finish_active reg ~class_id:0 ~endt:(init + 1);
+           T.Registry.prune reg ~upto:(init - 16);
+           T.Registry.snapshot reg)) ]
 
 (* [quick] shortens each test's time quota from 0.25 s to 0.05 s. *)
 let run ~quick () =

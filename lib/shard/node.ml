@@ -104,12 +104,6 @@ let counters t =
     k_wall_lag_sum = t.c.n_wall_lag_sum;
     k_wall_lag_max = t.c.n_wall_lag_max }
 
-let emit_at t ~at ev =
-  match t.trace with None -> () | Some tr -> T.emit tr ~at ev
-
-let op_at t =
-  match t.trace with Some _ -> Sclock.tick t.clock | None -> 0
-
 (* --- publications --- *)
 
 let publish_upto t upto =
@@ -209,33 +203,32 @@ let coordinator_attempt t co =
   if now_ <> co.last_seen then begin
     co.last_seen <- now_;
     try
-      let own_snap = lazy (Registry.snapshot t.registry) in
+      (* own classes answer from the live registry (nothing commits
+         during an attempt, so it is exact at [now_]), remote ones from
+         their owner's latest publication *)
       let pub_of c =
-        if owner t c = t.me then (Lazy.force own_snap, now_)
-        else
-          match t.rpubs.(owner t c) with
-          | Some p -> (p.r_snap, p.r_upto)
-          | None -> raise Wall_stale
+        match t.rpubs.(owner t c) with
+        | Some p -> p
+        | None -> raise Wall_stale
       in
-      let q =
-        Array.init t.nseg (fun c ->
-            let snap, upto = pub_of c in
-            Registry.snap_i_old snap ~class_id:c ~at:upto)
+      let upto_of c = if owner t c = t.me then now_ else (pub_of c).r_upto in
+      let i_old_at c a =
+        if upto_of c < a then raise Wall_stale;
+        if owner t c = t.me then Registry.i_old t.registry ~class_id:c ~at:a
+        else Registry.snap_i_old (pub_of c).r_snap ~class_id:c ~at:a
       in
+      let c_late_at c a =
+        if upto_of c < a then raise Wall_stale;
+        match
+          if owner t c = t.me then Registry.c_late t.registry ~class_id:c ~at:a
+          else Registry.snap_c_late (pub_of c).r_snap ~class_id:c ~at:a
+        with
+        | Ok v -> v
+        | Error _ -> raise Wall_not_computable
+      in
+      let q = Array.init t.nseg (fun c -> i_old_at c (upto_of c)) in
       let m = Array.fold_left Time.min q.(0) q in
       if m > co.last_m && m < max_int then begin
-        let i_old_at c a =
-          let snap, upto = pub_of c in
-          if upto < a then raise Wall_stale;
-          Registry.snap_i_old snap ~class_id:c ~at:a
-        in
-        let c_late_at c a =
-          let snap, upto = pub_of c in
-          if upto < a then raise Wall_stale;
-          match Registry.snap_c_late snap ~class_id:c ~at:a with
-          | Ok v -> v
-          | Error _ -> raise Wall_not_computable
-        in
         let reduction = t.partition.P.reduction in
         let components = Array.make t.nseg Time.zero in
         for i = 0 to t.nseg - 1 do
@@ -260,9 +253,12 @@ let coordinator_attempt t co =
         let wall = TW.make ~s:co.primary ~m ~components ~released_at in
         t.wall <- wall;
         Transport.broadcast t.net ~stamp:released_at (Wire.Wall wall);
-        emit_at t ~at:released_at
-          (T.Wall_release
-             { m; released_at; components = Array.copy components });
+        (match t.trace with
+        | Some tr ->
+          T.emit tr ~at:released_at
+            (T.Wall_release
+               { m; released_at; components = Array.copy components })
+        | None -> ());
         co.last_m <- m;
         Registry.prune t.registry ~upto:(m - 1);
         t.c.n_wall_releases <- t.c.n_wall_releases + 1;
@@ -286,10 +282,13 @@ let pump t =
 
 (* --- waiting --- *)
 
+exception Stalled of { shard : int; waiting_for : string }
+
 (* Republish-then-pump until [check] holds.  Republishing our own
    activity is what unblocks a peer that is itself waiting for our
    coverage; the hook lets the cluster pump other nodes (deterministic
-   mode) or yield the core (domain/process mode). *)
+   mode) or yield the core (domain/process mode).  [why] names the wait
+   and runs only if it stalls. *)
 let await t ~why check =
   if not (check ()) then begin
     t.c.n_stale_waits <- t.c.n_stale_waits + 1;
@@ -297,8 +296,7 @@ let await t ~why check =
     while not (check ()) do
       incr n;
       if !n > t.stall_limit then
-        failwith
-          (Printf.sprintf "Shard node %d: stalled waiting for %s" t.me why);
+        raise (Stalled { shard = t.me; waiting_for = why () });
       publish t;
       t.on_wait ();
       pump t
@@ -310,7 +308,8 @@ let await t ~why check =
 let await_pub t ~class_id m =
   let ow = owner t class_id in
   await t
-    ~why:(Printf.sprintf "a publication of shard %d covering %d" ow m)
+    ~why:(fun () ->
+      Printf.sprintf "a publication of shard %d covering %d" ow m)
     (fun () ->
       match t.rpubs.(ow) with Some p -> p.r_upto >= m | None -> false);
   match t.rpubs.(ow) with Some p -> p | None -> assert false
@@ -351,8 +350,8 @@ let a_threshold t ~from_class ~to_class m =
 let await_store t ~seg ~th =
   let ow = owner t seg in
   await t
-    ~why:
-      (Printf.sprintf "segment D%d of shard %d to quiesce below %d" seg ow th)
+    ~why:(fun () ->
+      Printf.sprintf "segment D%d of shard %d to quiesce below %d" seg ow th)
     (fun () ->
       match t.rpubs.(ow) with
       | None -> false
@@ -376,7 +375,10 @@ let exec_update t (d : E.desc) cls =
   let init = Sclock.tick t.clock in
   let txn = Txn.make ~id:d.E.d_id ~kind:(Txn.Update cls) ~init in
   Registry.register_in t.registry ~class_id:cls txn;
-  emit_at t ~at:init (T.Begin { txn = d.E.d_id; kind = T.Update cls; init });
+  (match t.trace with
+  | Some tr ->
+    T.emit tr ~at:init (T.Begin { txn = d.E.d_id; kind = T.Update cls; init })
+  | None -> ());
   let pending = ref [] in
   List.iter
     (fun op ->
@@ -390,10 +392,13 @@ let exec_update t (d : E.desc) cls =
           (g, v)
           :: List.filter (fun (g', _) -> not (Granule.equal g g')) !pending;
         t.c.n_writes <- t.c.n_writes + 1;
-        emit_at t ~at:(op_at t)
-          (T.Write
-             { txn = d.E.d_id; segment = g.Granule.segment;
-               key = g.Granule.key; ts = init })
+        (match t.trace with
+        | Some tr ->
+          T.emit tr ~at:(Sclock.tick t.clock)
+            (T.Write
+               { txn = d.E.d_id; segment = g.Granule.segment;
+                 key = g.Granule.key; ts = init })
+        | None -> ())
       | E.Read g ->
         let seg = g.Granule.segment in
         if seg = cls then begin
@@ -401,10 +406,13 @@ let exec_update t (d : E.desc) cls =
              a time against its own authoritative store *)
           let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th:init in
           t.c.n_reads_b <- t.c.n_reads_b + 1;
-          emit_at t ~at:(op_at t)
-            (T.Read
-               { txn = d.E.d_id; protocol = T.B; segment = seg;
-                 key = g.Granule.key; threshold = init; version = vts })
+          match t.trace with
+          | Some tr ->
+            T.emit tr ~at:(Sclock.tick t.clock)
+              (T.Read
+                 { txn = d.E.d_id; protocol = T.B; segment = seg;
+                   key = g.Granule.key; threshold = init; version = vts })
+          | None -> ()
         end
         else begin
           if not (P.may_read t.partition ~class_id:cls ~segment:seg) then
@@ -414,16 +422,21 @@ let exec_update t (d : E.desc) cls =
           if owner t seg <> t.me then await_store t ~seg ~th;
           let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
           t.c.n_reads_a <- t.c.n_reads_a + 1;
-          emit_at t ~at:(op_at t)
-            (T.Read
-               { txn = d.E.d_id; protocol = T.A; segment = seg;
-                 key = g.Granule.key; threshold = th; version = vts })
+          match t.trace with
+          | Some tr ->
+            T.emit tr ~at:(Sclock.tick t.clock)
+              (T.Read
+                 { txn = d.E.d_id; protocol = T.A; segment = seg;
+                   key = g.Granule.key; threshold = th; version = vts })
+          | None -> ()
         end)
     d.E.d_ops;
   if d.E.d_abort then begin
     let a = Sclock.tick t.clock in
     Txn.abort txn ~at:a;
-    emit_at t ~at:a (T.Abort { txn = d.E.d_id; at = a });
+    (match t.trace with
+    | Some tr -> T.emit tr ~at:a (T.Abort { txn = d.E.d_id; at = a })
+    | None -> ());
     t.c.n_aborted <- t.c.n_aborted + 1;
     t.outcomes <- (d.E.d_id, false) :: t.outcomes
   end
@@ -453,7 +466,9 @@ let exec_update t (d : E.desc) cls =
                dl_versions = List.rev versions });
         t.sent_marks.(seg) <- t.sent_marks.(seg) + 1)
       !touched;
-    emit_at t ~at:e (T.Commit { txn = d.E.d_id; at = e });
+    (match t.trace with
+    | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.E.d_id; at = e })
+    | None -> ());
     t.c.n_committed <- t.c.n_committed + 1;
     t.outcomes <- (d.E.d_id, true) :: t.outcomes
   end;
@@ -470,7 +485,10 @@ let exec_ro t (d : E.desc) =
   (* wall first, initiation tick second: released_at < init, always *)
   let wall = t.wall in
   let init = Sclock.tick t.clock in
-  emit_at t ~at:init (T.Begin { txn = d.E.d_id; kind = T.Read_only; init });
+  (match t.trace with
+  | Some tr ->
+    T.emit tr ~at:init (T.Begin { txn = d.E.d_id; kind = T.Read_only; init })
+  | None -> ());
   List.iter
     (fun op ->
       match op with
@@ -482,13 +500,18 @@ let exec_ro t (d : E.desc) =
         if owner t seg <> t.me && th > Time.zero then await_store t ~seg ~th;
         let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
         t.c.n_reads_c <- t.c.n_reads_c + 1;
-        emit_at t ~at:(op_at t)
-          (T.Read
-             { txn = d.E.d_id; protocol = T.C; segment = seg;
-               key = g.Granule.key; threshold = th; version = vts }))
+        match t.trace with
+        | Some tr ->
+          T.emit tr ~at:(Sclock.tick t.clock)
+            (T.Read
+               { txn = d.E.d_id; protocol = T.C; segment = seg;
+                 key = g.Granule.key; threshold = th; version = vts })
+        | None -> ())
     d.E.d_ops;
   let e = Sclock.tick t.clock in
-  emit_at t ~at:e (T.Commit { txn = d.E.d_id; at = e });
+  (match t.trace with
+  | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.E.d_id; at = e })
+  | None -> ());
   t.c.n_committed <- t.c.n_committed + 1;
   t.outcomes <- (d.E.d_id, true) :: t.outcomes
 
@@ -509,13 +532,15 @@ let read_2pc t ~segment ~key =
     t.next_req <- t.next_req + 1;
     Transport.send_to t.net ~dst:ow ~stamp:(Sclock.now t.clock)
       (Wire.Lock_req { req; segment });
-    await t ~why:(Printf.sprintf "lock grant for D%d" segment) (fun () ->
-        Hashtbl.mem t.lock_replies req);
+    await t
+      ~why:(fun () -> Printf.sprintf "lock grant for D%d" segment)
+      (fun () -> Hashtbl.mem t.lock_replies req);
     Hashtbl.remove t.lock_replies req;
     Transport.send_to t.net ~dst:ow ~stamp:(Sclock.now t.clock)
       (Wire.Read_req { req; segment; key; threshold = max_int });
-    await t ~why:(Printf.sprintf "read reply for D%d" segment) (fun () ->
-        Hashtbl.mem t.read_replies req);
+    await t
+      ~why:(fun () -> Printf.sprintf "read reply for D%d" segment)
+      (fun () -> Hashtbl.mem t.read_replies req);
     let slice =
       match Hashtbl.find_opt t.read_replies req with
       | Some s -> s

@@ -30,7 +30,8 @@ type config = {
   trace_capacity : int;
   stall_limit : int;
       (** wait iterations before a wait is declared a stall (a bug —
-          the protocol is deadlock-free) and the node raises *)
+          the protocol is deadlock-free) and the node raises
+          {!Stalled} *)
   publish_every : int;
       (** publish activity once per this many finished update
           transactions (clamped to >= 1; default 1 = per commit).
@@ -41,6 +42,13 @@ type config = {
 }
 
 val default_config : config
+
+exception Stalled of { shard : int; waiting_for : string }
+(** A wait ran [stall_limit] iterations without its condition coming
+    true.  [shard] is the waiting node; [waiting_for] names what it
+    waited for, e.g. ["a publication of shard 1 covering 3"].  The
+    reason is built only when the wait trips, so a wait that never
+    stalls formats nothing. *)
 
 type t
 

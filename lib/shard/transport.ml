@@ -38,8 +38,7 @@ module Loopback = struct
       if pkt.dst < 0 || pkt.dst >= nodes then
         invalid_arg "Loopback: destination out of range";
       let frame = Wire.encode pkt in
-      Mutex.lock mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
+      Mutex.protect mu @@ fun () ->
       match (pkt.msg, fault) with
       | Wire.Pub _, Some plan -> (
         match Netfault.on_pub plan with
@@ -52,9 +51,7 @@ module Loopback = struct
       | _ -> deliver pkt.dst frame
     in
     let poll me () =
-      Mutex.lock mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
-      match Queue.take_opt qs.(me) with
+      match Mutex.protect mu (fun () -> Queue.take_opt qs.(me)) with
       | None -> None
       | Some frame -> (
         match Wire.decode frame ~pos:0 with
@@ -90,10 +87,11 @@ module Framebuf = struct
       if plen < 0 then failwith "Framebuf: negative frame length"
       else if t.len < 8 + plen then None
       else begin
-        let frame = Bytes.sub t.buf 0 (8 + plen) in
+        (* decoded where it lies; the packet shares no bytes with [buf] *)
+        let decoded = Wire.decode t.buf ~pos:0 in
         Bytes.blit t.buf (8 + plen) t.buf 0 (t.len - 8 - plen);
         t.len <- t.len - 8 - plen;
-        match Wire.decode frame ~pos:0 with
+        match decoded with
         | Ok (pkt, _) -> Some pkt
         | Error e -> failwith ("Framebuf: corrupt frame: " ^ e)
       end

@@ -58,19 +58,20 @@ type packet = { src : int; dst : int; stamp : Time.t; msg : msg }
 
 (* --- writing --- *)
 
+(* the window columns go out interleaved, one (init, end) pair at a time *)
 let w_snap b snap =
   B.w_array b
-    (fun b (actives, windows, gen) ->
+    (fun b (actives, w_init, w_end, gen) ->
       B.w_list b
         (fun b (id, t) ->
           B.w_int b id;
           B.w_int b t)
         actives;
-      B.w_array b
-        (fun b (i, e) ->
-          B.w_int b i;
-          B.w_int b e)
-        windows;
+      B.w_int b (Array.length w_init);
+      for k = 0 to Array.length w_init - 1 do
+        B.w_int b w_init.(k);
+        B.w_int b w_end.(k)
+      done;
       B.w_int b gen)
     (Registry.snap_parts snap)
 
@@ -323,14 +324,14 @@ let r_snap r =
                let t = B.r_int r in
                (id, t))
          in
-         let windows =
-           B.r_array r (fun r ->
-               let i = B.r_int r in
-               let e = B.r_int r in
-               (i, e))
-         in
+         let n = B.r_count r in
+         let w_init = Array.make n 0 and w_end = Array.make n 0 in
+         for k = 0 to n - 1 do
+           w_init.(k) <- B.r_int r;
+           w_end.(k) <- B.r_int r
+         done;
          let gen = B.r_int r in
-         (actives, windows, gen)))
+         (actives, w_init, w_end, gen)))
 
 let r_wall r =
   let s = B.r_int r in

@@ -1,3 +1,14 @@
+(* A class's frozen activity state: what a snapshot holds per class.
+   Immutable once built; the arrays start at index 0. *)
+type class_view = {
+  v_actives : (Txn.id * Time.t) list;
+  v_w_init : Time.t array;
+  v_w_end : Time.t array;
+  v_gen : int;
+}
+
+let no_view = { v_actives = []; v_w_init = [||]; v_w_end = [||]; v_gen = -1 }
+
 type class_log = {
   mutable records : Txn.t array;  (* circular-free growable array *)
   mutable base : int;  (* first live index after pruning *)
@@ -26,6 +37,9 @@ type class_log = {
   mutable w_base : int;
   mutable w_len : int;
   mutable gen : int;  (* bumped whenever a query could change *)
+  (* the view the last snapshot froze, and [w_base] when it did *)
+  mutable view : class_view;
+  mutable view_w_base : int;
 }
 
 type t = { logs : class_log array; trace : Hdd_obs.Trace.t option }
@@ -34,7 +48,7 @@ let fresh_log () =
   { records = Array.make 8 Txn.bootstrap; base = 0; len = 0;
     pending = []; a_id = -1; a_init = max_int;
     w_end = [||]; w_init = [||]; w_base = 0; w_len = 0;
-    gen = 0 }
+    gen = 0; view = no_view; view_w_base = 0 }
 
 let create ?trace ~classes () =
   if classes <= 0 then invalid_arg "Registry.create: classes must be > 0";
@@ -319,35 +333,39 @@ let window_count t ~class_id =
 
 (* --- immutable snapshots --- *)
 
-type class_view = {
-  v_actives : (Txn.id * Time.t) list;
-  v_w_init : Time.t array;
-  v_w_end : Time.t array;
-  v_gen : int;
-}
-
 type snapshot = { views : class_view array }
 
-let snapshot t =
-  { views =
-      Array.map
-        (fun log ->
-          sync log;
-          let live = log.w_len - log.w_base in
-          let actives =
-            List.map (fun (r : Txn.t) -> (r.Txn.id, r.Txn.init)) log.pending
-          in
-          let actives =
-            (* the packed active is the newest activity: append last to
-               keep [v_actives] ascending in init *)
-            if log.a_init = max_int then actives
-            else actives @ [ (log.a_id, log.a_init) ]
-          in
-          { v_actives = actives;
-            v_w_init = Array.sub log.w_init log.w_base live;
-            v_w_end = Array.sub log.w_end log.w_base live;
-            v_gen = log.gen })
-        t.logs }
+(* Reuse the class's last frozen view while nothing it shows has moved.
+   Every change to the actives or to a window bumps [gen] (the window
+   arrays are only written by [add_window], whose callers bump it);
+   [prune] alone moves [w_base] without a bump, and only forwards.  So
+   equal ([gen], [w_base]) means equal content. *)
+let freeze log =
+  sync log;
+  if log.view.v_gen = log.gen && log.view_w_base = log.w_base then log.view
+  else begin
+    let live = log.w_len - log.w_base in
+    let actives =
+      List.map (fun (r : Txn.t) -> (r.Txn.id, r.Txn.init)) log.pending
+    in
+    let actives =
+      (* the packed active is the newest activity: append last to keep
+         [v_actives] ascending in init *)
+      if log.a_init = max_int then actives
+      else actives @ [ (log.a_id, log.a_init) ]
+    in
+    let v =
+      { v_actives = actives;
+        v_w_init = Array.sub log.w_init log.w_base live;
+        v_w_end = Array.sub log.w_end log.w_base live;
+        v_gen = log.gen }
+    in
+    log.view <- v;
+    log.view_w_base <- log.w_base;
+    v
+  end
+
+let snapshot t = { views = Array.map freeze t.logs }
 
 let snap_classes snap = Array.length snap.views
 
@@ -387,45 +405,37 @@ let snap_c_late snap ~class_id ~at =
     if i > 0 && v.v_w_end.(i - 1) > at then Ok v.v_w_end.(i - 1) else Ok at
 
 let snap_parts snap =
-  Array.map
-    (fun v ->
-      ( v.v_actives,
-        Array.init (Array.length v.v_w_init) (fun i ->
-            (v.v_w_init.(i), v.v_w_end.(i))),
-        v.v_gen ))
-    snap.views
+  Array.map (fun v -> (v.v_actives, v.v_w_init, v.v_w_end, v.v_gen)) snap.views
+
+let rec check_actives = function
+  | (_, a) :: ((_, b) :: _ as rest) ->
+    if a >= b then
+      invalid_arg "Registry.snapshot_of_parts: actives not ascending"
+    else check_actives rest
+  | _ -> ()
 
 let snapshot_of_parts parts =
-  let views =
-    Array.map
-      (fun (actives, windows, gen) ->
-        let rec check_actives = function
-          | (_, a) :: ((_, b) :: _ as rest) ->
-            if a >= b then
-              invalid_arg "Registry.snapshot_of_parts: actives not ascending"
-            else check_actives rest
-          | _ -> ()
-        in
-        check_actives actives;
-        Array.iteri
-          (fun i (init, endt) ->
-            if init >= endt then
+  if Array.length parts = 0 then
+    invalid_arg "Registry.snapshot_of_parts: no classes";
+  { views =
+      Array.map
+        (fun (actives, w_init, w_end, gen) ->
+          check_actives actives;
+          let n = Array.length w_init in
+          if Array.length w_end <> n then
+            invalid_arg "Registry.snapshot_of_parts: window columns differ";
+          for i = 0 to n - 1 do
+            if w_init.(i) >= w_end.(i) then
               invalid_arg "Registry.snapshot_of_parts: empty window";
             if
               i > 0
-              && (fst windows.(i - 1) >= init || snd windows.(i - 1) >= endt)
+              && (w_init.(i - 1) >= w_init.(i) || w_end.(i - 1) >= w_end.(i))
             then
-              invalid_arg "Registry.snapshot_of_parts: windows not ascending")
-          windows;
-        { v_actives = actives;
-          v_w_init = Array.map fst windows;
-          v_w_end = Array.map snd windows;
-          v_gen = gen })
-      parts
-  in
-  if Array.length views = 0 then
-    invalid_arg "Registry.snapshot_of_parts: no classes";
-  { views }
+              invalid_arg "Registry.snapshot_of_parts: windows not ascending"
+          done;
+          { v_actives = actives; v_w_init = w_init; v_w_end = w_end;
+            v_gen = gen })
+        parts }
 
 (* First record index at or after [i] that has not finished by [upto].
    Top-level recursion: [prune] runs on the engine's steady-state commit

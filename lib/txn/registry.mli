@@ -118,18 +118,29 @@ val window_count : t -> class_id:int -> int
     actives (id, initiation) and the dominance-pruned finished-window
     arrays — into a value that shares nothing mutable with the live
     registry.  The parallel runtime publishes one per owner domain
-    through an [Atomic], so cross-class threshold computations on other
-    domains are pure reads with no locks and no access to scan
-    internals.  A snapshot answers exactly as the live registry answered
-    at capture time: the 1000-seed equivalence property in
-    [test_runtime.ml] pins this. *)
+    through an [Atomic], and the shard node ships one in every
+    publication, so cross-class threshold computations elsewhere are
+    pure reads with no locks and no access to scan internals.  A
+    snapshot answers exactly as the live registry answered at capture
+    time: the 1000-seed equivalence properties in [test_runtime.ml] pin
+    this.
+
+    Consecutive snapshots share the frozen view of every class that did
+    not change between them, so a snapshot costs the classes that moved,
+    not the whole registry.  The reuse is exact: every change to a
+    class's actives or windows advances its {!generation}, and pruning
+    moves only the start of its window index, forwards; a view is
+    reused only while both are where it was frozen. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture all classes.  Costs O(actives + windows) copies; the live
-    registry is synced first so the view reflects every finish observed
-    so far. *)
+(** Capture all classes.  The live registry is synced first, so the
+    view reflects every finish observed so far.  A class whose
+    generation and window start are unchanged since the previous
+    capture reuses that capture's view; any other class costs
+    O(actives + windows) copies.  Only the registry's owner may call
+    it, as for every other mutation of the registry. *)
 
 val snap_classes : snapshot -> int
 
@@ -144,20 +155,25 @@ val snap_c_late :
 (** {!c_late} against the frozen view. *)
 
 val snap_parts :
-  snapshot -> ((Txn.id * Time.t) list * (Time.t * Time.t) array * int) array
-(** The frozen state, one triple per class: the ordered actives
-    (id, initiation; oldest first), the dominance-pruned finished
-    windows as [(init, end)] pairs (both columns ascending), and the
-    generation — everything a wire codec needs to rebuild the snapshot
-    on another machine.  Fresh arrays; mutating them is safe. *)
+  snapshot -> ((Txn.id * Time.t) list * Time.t array * Time.t array * int) array
+(** The frozen state, one tuple per class: the ordered actives (id,
+    initiation; oldest first), the dominance-pruned finished windows as
+    two columns — initiations, then ends, both strictly ascending and
+    of equal length — and the generation.  Everything a wire codec needs
+    to rebuild the snapshot on another machine.  The columns are the
+    snapshot's own arrays, shared with every later snapshot that reuses
+    the class's view: read them, never write them. *)
 
 val snapshot_of_parts :
-  ((Txn.id * Time.t) list * (Time.t * Time.t) array * int) array -> snapshot
+  ((Txn.id * Time.t) list * Time.t array * Time.t array * int) array ->
+  snapshot
 (** Rebuild a snapshot from decoded parts.  Validates the shape
     {!snap_parts} guarantees — actives ascending by initiation, window
-    columns strictly ascending, each window's init below its end — so a
-    decoder feeding it corrupted bytes gets a clean failure, not a
-    snapshot that answers nonsense.
+    columns of equal length and strictly ascending, each window's init
+    below its end — so a decoder feeding it corrupted bytes gets a
+    clean failure, not a snapshot that answers nonsense.  The snapshot
+    keeps the column arrays it is given; the caller must not write them
+    afterwards.
     @raise Invalid_argument on malformed parts. *)
 
 val prune : t -> upto:Time.t -> unit

@@ -1,6 +1,18 @@
-type writer = Buffer.t
+(* A writer is its frame under construction: bytes [0, 8) are kept for
+   the header {!frame} fills in, and the payload grows from byte 8, so
+   framing is one exact-length copy with nothing to move. *)
+type writer = { mutable buf : bytes; mutable len : int }
 
-let writer () = Buffer.create 256
+let header = 8
+let writer () = { buf = Bytes.create 256; len = header }
+
+let grow b n =
+  let buf = Bytes.create (Int.max (2 * Bytes.length b.buf) (b.len + n)) in
+  Bytes.blit b.buf 0 buf 0 b.len;
+  b.buf <- buf
+
+(* Room for [n] more bytes, checked once per field. *)
+let[@inline] reserve b n = if b.len + n > Bytes.length b.buf then grow b n
 
 (* zigzag: sign bit into bit 0, so small magnitudes of either sign stay
    short.  [lsr 62] rather than 63: zigzag doubles, so the top bit of the
@@ -8,26 +20,35 @@ let writer () = Buffer.create 256
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag n = (n lsr 1) lxor (-(n land 1))
 
-let w_int b n =
-  let v = ref (zigzag n) in
-  (* OCaml ints are 63-bit; as an unsigned quantity [!v] needs at most
-     9 LEB128 digits *)
-  let continue = ref true in
-  while !continue do
-    let digit = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_uint8 b digit;
-      continue := false
-    end
-    else Buffer.add_uint8 b (digit lor 0x80)
-  done
+(* The LEB128 digits of the unsigned [v] from [pos]; returns the end.
+   Top-level and tail-recursive, so writing allocates nothing. *)
+let rec put_varint buf pos v =
+  if v lsr 7 = 0 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_varint buf (pos + 1) (v lsr 7)
+  end
 
-let w_bool b v = Buffer.add_uint8 b (if v then 1 else 0)
+let w_int b n =
+  (* OCaml ints are 63-bit; as an unsigned quantity the zigzagged value
+     needs at most 9 LEB128 digits *)
+  reserve b 9;
+  b.len <- put_varint b.buf b.len (zigzag n)
+
+let w_bool b v =
+  reserve b 1;
+  Bytes.unsafe_set b.buf b.len (if v then '\001' else '\000');
+  b.len <- b.len + 1
 
 let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+  let n = String.length s in
+  w_int b n;
+  reserve b n;
+  Bytes.blit_string s 0 b.buf b.len n;
+  b.len <- b.len + n
 
 let w_list b f l =
   w_int b (List.length l);
@@ -92,40 +113,40 @@ let crc32_sub buf pos len =
   !c lxor 0xFFFFFFFF
 
 let frame b =
-  let n = Buffer.length b in
-  let out = Bytes.create (8 + n) in
-  Buffer.blit b 0 out 8 n;
-  Bytes.set_int32_le out 0 (Int32.of_int n);
-  Bytes.set_int32_le out 4 (Int32.of_int (crc32_sub out 8 n));
-  out
+  let n = b.len - header in
+  Bytes.set_int32_le b.buf 0 (Int32.of_int n);
+  Bytes.set_int32_le b.buf 4 (Int32.of_int (crc32_sub b.buf header n));
+  Bytes.sub b.buf 0 b.len
 
 (* --- reading --- *)
 
-type reader = { buf : bytes; mutable pos : int }
+(* [stop] is the end of the reader's frame: the bytes after it belong to
+   whatever follows in the buffer, never to this payload. *)
+type reader = { buf : bytes; mutable pos : int; stop : int }
 
 exception Error of string
 
-let reader buf = { buf; pos = 0 }
-
-let need r n =
-  if r.pos + n > Bytes.length r.buf then raise (Error "truncated")
-
 let r_byte r =
-  need r 1;
-  let v = Bytes.get_uint8 r.buf r.pos in
-  r.pos <- r.pos + 1;
-  v
+  let p = r.pos in
+  if p >= r.stop then raise (Error "truncated");
+  r.pos <- p + 1;
+  Char.code (Bytes.unsafe_get r.buf p)
 
-let r_int r =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if !shift > 63 then raise (Error "varint overflow");
-    let d = r_byte r in
-    v := !v lor ((d land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if d land 0x80 = 0 then continue := false
-  done;
-  unzigzag !v
+(* One bound check per byte: [stop] never exceeds the buffer.  More than
+   ten digits cannot come from {!w_int}. *)
+let rec varint r buf pos shift acc =
+  if shift > 63 then raise (Error "varint overflow")
+  else if pos >= r.stop then raise (Error "truncated")
+  else
+    let d = Char.code (Bytes.unsafe_get buf pos) in
+    let acc = acc lor ((d land 0x7f) lsl shift) in
+    if d land 0x80 = 0 then begin
+      r.pos <- pos + 1;
+      acc
+    end
+    else varint r buf (pos + 1) (shift + 7) acc
+
+let r_int r = unzigzag (varint r r.buf r.pos 0 0)
 
 let r_bool r =
   match r_byte r with
@@ -136,7 +157,7 @@ let r_bool r =
 let r_string r =
   let n = r_int r in
   if n < 0 then raise (Error "negative string length");
-  need r n;
+  if n > r.stop - r.pos then raise (Error "truncated");
   let s = Bytes.sub_string r.buf r.pos n in
   r.pos <- r.pos + n;
   s
@@ -145,7 +166,7 @@ let r_count r =
   let n = r_int r in
   (* an element costs at least one byte, so a count beyond the remaining
      bytes is corrupt — refuse before allocating *)
-  if n < 0 || n > Bytes.length r.buf - r.pos then
+  if n < 0 || n > r.stop - r.pos then
     raise (Error (Printf.sprintf "bad count %d" n));
   n
 
@@ -154,30 +175,26 @@ let r_array r f = Array.init (r_count r) (fun _ -> f r)
 
 let r_option r f = if r_bool r then Some (f r) else None
 
-let at_end r = r.pos = Bytes.length r.buf
+let at_end r = r.pos = r.stop
 
 (* --- frames --- *)
 
-let unframe buf ~pos =
+let decode buf ~pos ~f =
   let len = Bytes.length buf in
-  if pos < 0 || pos + 8 > len then Result.Error "truncated frame header"
+  if pos < 0 || pos > len - header then Result.Error "truncated frame header"
   else
     let plen = Int32.to_int (Bytes.get_int32_le buf pos) in
     let crc = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF in
     if plen < 0 || plen > 1 lsl 26 then Result.Error "implausible frame length"
-    else if pos + 8 + plen > len then Result.Error "truncated frame body"
-    else if crc32_sub buf (pos + 8) plen <> crc then
+    else if plen > len - pos - header then Result.Error "truncated frame body"
+    else if crc32_sub buf (pos + header) plen <> crc then
       Result.Error "frame CRC mismatch"
-    else Result.Ok (Bytes.sub buf (pos + 8) plen, pos + 8 + plen)
-
-let decode buf ~pos ~f =
-  match unframe buf ~pos with
-  | Result.Error _ as e -> e
-  | Result.Ok (p, next) -> (
-    let r = reader p in
-    match f r with
-    | v ->
-      if at_end r then Result.Ok (v, next)
-      else Result.Error "trailing payload bytes"
-    | exception Error e -> Result.Error e
-    | exception Invalid_argument e -> Result.Error ("invalid: " ^ e))
+    else
+      (* the payload is read where it lies, up to the frame's end *)
+      let r = { buf; pos = pos + header; stop = pos + header + plen } in
+      match f r with
+      | v ->
+        if at_end r then Result.Ok (v, r.stop)
+        else Result.Error "trailing payload bytes"
+      | exception Error e -> Result.Error e
+      | exception Invalid_argument e -> Result.Error ("invalid: " ^ e)

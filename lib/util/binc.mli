@@ -15,7 +15,15 @@
     Integers use zigzag LEB128 varints (small magnitudes, the common
     case for times, ids and keys, cost one byte); strings and lists are
     count-prefixed.  A {e frame} is [[payload length : u32 LE][crc32 of
-    payload : u32 LE][payload]], the same armor the WAL frames wear. *)
+    payload : u32 LE][payload]], the same armor the WAL frames wear.
+
+    Frames are written and read in place.  A {!writer} is the frame
+    under construction: it keeps the 8 header bytes free and appends
+    the payload after them, so {!frame} fills in the header and cuts
+    one exact-length copy.  {!decode} checks the header and CRC and
+    then reads the payload where it lies, through a reader bounded by
+    the frame's end: no payload is copied, and bytes after the frame
+    are never read as part of it. *)
 
 (** {1 Writing} *)
 
@@ -48,11 +56,15 @@ exception Error of string
     {!decode} catches it — only result-returning entry points are meant
     for untrusted bytes. *)
 
-val reader : bytes -> reader
-
 val r_int : reader -> int
 val r_bool : reader -> bool
 val r_string : reader -> string
+
+val r_count : reader -> int
+(** A count prefix, as {!w_list}/{!w_array} write it.  Refused when it
+    exceeds the payload bytes left, since every element costs at least
+    one byte. *)
+
 val r_list : reader -> (reader -> 'a) -> 'a list
 val r_array : reader -> (reader -> 'a) -> 'a array
 val r_option : reader -> (reader -> 'a) -> 'a option
@@ -68,14 +80,12 @@ val crc32_sub : bytes -> int -> int -> int
     files, log-shipping batches and {!frame}s all use it.
     @raise Invalid_argument if the range is outside [buf]. *)
 
-val unframe : bytes -> pos:int -> (bytes * int, string) result
-(** Cut one frame starting at [pos]: [Ok (payload, next)] once the CRC
-    over the frame's bytes checks out (only then is the payload copied),
-    [Error reason] on a truncated or corrupt frame.  Never
-    raises. *)
-
 val decode : bytes -> pos:int -> f:(reader -> 'a) -> ('a * int, string) result
-(** {!unframe}, then run [f] over the payload, requiring it to consume
-    every byte.  Any {!Error} (and any [Invalid_argument] a validating
-    constructor inside [f] raises) comes back as [Error]; nothing
-    escapes. *)
+(** Check the frame starting at [pos] (header, length, CRC over its
+    payload), then run [f] over the payload in place, requiring it to
+    consume every byte: [Ok (v, next)] with [next] the offset just past
+    the frame.  The reader stops at the frame's end, so a payload cut
+    short reads as truncated even when more bytes follow in [buf].  A
+    truncated or corrupt frame, any {!Error} and any [Invalid_argument]
+    a validating constructor inside [f] raises come back as [Error];
+    nothing escapes. *)

@@ -435,6 +435,115 @@ let test_registry_snapshot_property () =
       (List.init classes Fun.id)
   done
 
+(* --- registry snapshot reuse, 1000 seeds --- *)
+
+(* Register/commit/abort, packed register_active/finish_active and
+   prune, interleaved at random, with a snapshot after every step.
+   Every snapshot must answer [i_old]/[c_late] as the live registry did
+   at its capture, at every argument, and keep doing so to the end.
+   Between two consecutive snapshots, a class nobody touched must share
+   its window columns physically; a class that changed or lost windows
+   to [prune] must not (an empty column is the shared empty array, so
+   only non-empty ones count). *)
+let test_registry_snapshot_reuse () =
+  for seed = 1 to 1000 do
+    let prng = Hdd_util.Prng.create seed in
+    let classes = 1 + Hdd_util.Prng.int prng 4 in
+    let reg = Registry.create ~classes () in
+    let now = ref 0 in
+    let tick () = incr now; !now in
+    let actives = ref [] in
+    let packed = Array.make classes false in
+    let touched = Array.make classes false in
+    let next_id = ref 0 in
+    let step () =
+      let c = Hdd_util.Prng.int prng classes in
+      match Hdd_util.Prng.int prng 6 with
+      | (0 | 1) when not packed.(c) ->
+        (* no registration behind a packed active: it stays the newest *)
+        incr next_id;
+        let t = Txn.make ~id:!next_id ~kind:(Txn.Update c) ~init:(tick ()) in
+        Registry.register reg t;
+        actives := t :: !actives;
+        touched.(c) <- true
+      | 2 when !actives <> [] ->
+        let t = Hdd_util.Prng.pick prng (Array.of_list !actives) in
+        actives := List.filter (fun u -> u != t) !actives;
+        if Hdd_util.Prng.bool prng then Txn.commit t ~at:(tick ())
+        else Txn.abort t ~at:(tick ());
+        (match t.Txn.kind with
+        | Txn.Update k -> touched.(k) <- true
+        | Txn.Read_only -> ())
+      | 3 when not packed.(c) ->
+        incr next_id;
+        Registry.register_active reg ~class_id:c ~id:!next_id ~init:(tick ());
+        packed.(c) <- true;
+        touched.(c) <- true
+      | 4 when packed.(c) ->
+        Registry.finish_active reg ~class_id:c ~endt:(tick ());
+        packed.(c) <- false;
+        touched.(c) <- true
+      | _ ->
+        let before =
+          Array.init classes (fun k -> Registry.window_count reg ~class_id:k)
+        in
+        Registry.prune reg ~upto:(Hdd_util.Prng.int prng (!now + 1));
+        Array.iteri
+          (fun k n ->
+            if Registry.window_count reg ~class_id:k < n then
+              touched.(k) <- true)
+          before
+    in
+    let answers snap_or_live =
+      Array.init classes (fun c ->
+          Array.init (!now + 2) (fun at -> snap_or_live c at))
+    in
+    let live c at =
+      ( Registry.i_old reg ~class_id:c ~at,
+        Registry.c_late reg ~class_id:c ~at )
+    in
+    let of_snap snap c at =
+      ( Registry.snap_i_old snap ~class_id:c ~at,
+        Registry.snap_c_late snap ~class_id:c ~at )
+    in
+    let taken = ref [] in
+    let prev = ref (Registry.snapshot reg) in
+    for k = 1 to 10 + Hdd_util.Prng.int prng 40 do
+      Array.fill touched 0 classes false;
+      step ();
+      let snap = Registry.snapshot reg in
+      let expect = answers live in
+      if answers (of_snap snap) <> expect then
+        Alcotest.failf "seed %d step %d: snapshot answers differ from live"
+          seed k;
+      taken := (k, snap, expect) :: !taken;
+      let was = Registry.snap_parts !prev and is = Registry.snap_parts snap in
+      for c = 0 to classes - 1 do
+        let _, i0, e0, _ = was.(c) and _, i1, e1, _ = is.(c) in
+        if touched.(c) then begin
+          if Array.length i1 > 0 && (i0 == i1 || e0 == e1) then
+            Alcotest.failf "seed %d step %d: class %d changed, view reused"
+              seed k c
+        end
+        else if not (i0 == i1 && e0 == e1) then
+          Alcotest.failf "seed %d step %d: class %d untouched, view copied"
+            seed k c
+      done;
+      prev := snap
+    done;
+    (* later steps never change what an earlier snapshot answers *)
+    List.iter
+      (fun (k, snap, expect) ->
+        let n = Array.length expect.(0) in
+        let again =
+          Array.init classes (fun c ->
+              Array.init n (fun at -> of_snap snap c at))
+        in
+        if again <> expect then
+          Alcotest.failf "seed %d: snapshot of step %d changed" seed k)
+      !taken
+  done
+
 (* --- JSON schema versioning --- *)
 
 let test_jsonlite_schema () =
@@ -846,4 +955,6 @@ let suite =
     Alcotest.test_case "pstore: two-domain publication" `Quick
       test_pstore_two_domain;
     Alcotest.test_case "engine: negative-key reads raise" `Quick
-      test_engine_negative_key ]
+      test_engine_negative_key;
+    Alcotest.test_case "registry: snapshot reuse is exact on 1000 seeds"
+      `Quick test_registry_snapshot_reuse ]

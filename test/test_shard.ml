@@ -56,7 +56,10 @@ let rand_snap prng =
                we := max !we !wi + 1 + Prng.int prng 7;
                (!wi, !we))
          in
-         (actives, windows, Prng.int prng 1000)))
+         ( actives,
+           Array.map fst windows,
+           Array.map snd windows,
+           Prng.int prng 1000 )))
 
 let rand_wall prng =
   TW.make ~s:(Prng.int prng 4)
@@ -530,6 +533,154 @@ let test_negative_key () =
       | exception Invalid_argument _ -> ())
     [ -1; -2; -1_000_000 ]
 
+(* --- pinned frames: one per [Wire.msg] constructor, in declaration
+   order, with their bytes as hex.  The encoder must reproduce them
+   exactly and the decoder read them back. *)
+
+let pinned_packets () =
+  let g segment key = Granule.make ~segment ~key in
+  let pkt src dst stamp msg = { Sh.Wire.src; dst; stamp; msg } in
+  [ pkt 1 0 1_000
+      (Sh.Wire.Pub
+         { p_shard = 1; p_seq = 42; p_upto = max_int; p_marks = [| 0; 3; 300 |];
+           p_snap = (Registry.snapshot_of_parts
+                [| ([ (7, 10); (9, 12) ], [| 1; 2 |], [| 4; 6 |], 5);
+                   ([], [||], [||], 0);
+                   ([ (100, 1_000_000) ], [| -5 |], [| 200 |], max_int) |]) });
+    pkt 0 1 17
+      (Sh.Wire.Delta
+         { dl_shard = 0; dl_segment = 2;
+           dl_versions = [ (1, 17, -1); (1023, 99, max_int) ] });
+    pkt 0 2 13
+      (Sh.Wire.Wall
+         (TW.make ~s:0 ~m:12 ~components:[| 12; 9; 1 |] ~released_at:13));
+    pkt 2 0 64
+      (Sh.Wire.Read_req
+         { req = 5; segment = 1; key = 64; threshold = min_int });
+    pkt 0 2 65 (Sh.Wire.Read_reply { req = 5; slice = [ (8, 127); (0, -64) ] });
+    pkt 2 1 66 (Sh.Wire.Lock_req { req = 6; segment = 3 });
+    pkt 1 2 67 (Sh.Wire.Lock_reply { req = 6; granted = true });
+    pkt 2 1 68 (Sh.Wire.Unlock { segment = 3 });
+    pkt 3 0 0
+      (Sh.Wire.Exec
+         { E.d_id = 77; d_kind = `Update 2;
+           d_ops = [ E.Read (g 3 1); E.Write (g 2 5, -300) ];
+           d_abort = false });
+    pkt 3 1 0 Sh.Wire.Drain;
+    pkt 1 3 500
+      (Sh.Wire.Outcome
+         { shard = 1; outcomes = [ (1, true); (2, false) ];
+           counters =
+             { Sh.Wire.k_committed = 1; k_aborted = 1; k_reads_a = 2;
+               k_reads_b = 0; k_reads_c = 128; k_writes = 3;
+               k_stale_waits = 16_384; k_wall_releases = 4;
+               k_wall_lag_sum = 1 lsl 40; k_wall_lag_max = 63 } });
+    pkt 1 3 501
+      (Sh.Wire.Trace_slice
+         { shard = 1;
+           records =
+             [ { T.seq = 0; at = 3; dom = 2;
+                 ev =
+                   T.Begin
+                     { txn = 9;
+                       kind = T.Adhoc { wsegs = [ 0 ]; rsegs = [ 0; 2 ] };
+                       init = 3 } };
+               { T.seq = 1; at = 4; dom = 2;
+                 ev =
+                   T.Read
+                     { txn = 9; protocol = T.A; segment = 2; key = 7;
+                       threshold = 3; version = 1 } };
+               { T.seq = 2; at = 5; dom = 2;
+                 ev =
+                   T.Reject
+                     { txn = 9; protocol = Some T.C; stage = T.Barrier;
+                       segment = -1; reason = "wall" } };
+               { T.seq = 3; at = 6; dom = 2;
+                 ev =
+                   T.Reject
+                     { txn = 10; protocol = None; stage = T.Rule; segment = 1;
+                       reason = "" } };
+               { T.seq = 4; at = 7; dom = 2; ev = T.Note "é\n" };
+               { T.seq = 5; at = 8; dom = 2;
+                 ev =
+                   T.Repartition
+                     { epoch = 1; kind = "split"; moved = [ 1; 2 ];
+                       fresh_store = true } };
+               { T.seq = 6; at = 9; dom = 2;
+                 ev = T.Escalation { seq = 2; modes = [ 0; 1 ] } } ] });
+    pkt 1 3 502 (Sh.Wire.Bye { shard = 1 }) ]
+
+let pinned_hex =
+  [
+    ( "Pub",
+      "37000000474071480200d00f000254feffffffffffffff7f060006d80406"
+      ^ "040e141218040208040c0a00000002c80180897a02099003feffffffffff"
+      ^ "ffff7f" );
+    ( "Delta",
+      "170000003cd8a66400022202000404022201fe0fc601feffffffffffffff"
+      ^ "7f" );
+    ("Wall", "0b000000433156fa00041a040018061812021a");
+    ("Read_req", "12000000e74ca1df04008001060a028001ffffffffffffffff7f");
+    ("Read_reply", "0c000000f38ea21500048201080a0410fe01007f");
+    ("Lock_req", "07000000be447090040284010a0c06");
+    ("Lock_reply", "07000000e828d0c5020486010c0c01");
+    ("Unlock", "060000008dcc5c0e040288010e06");
+    ("Exec", "120000005ff6f814060000109a0100040400060202040ad70400");
+    ("Drain", "04000000e62512f406020012");
+    ( "Outcome",
+      "1d0000000c6fa4de0206e807140204020104000202040080020680800208"
+      ^ "8080808080407e" );
+    ( "Trace_slice",
+      "53000000b4662de60206ea0716020e000604001206020004000406020804"
+      ^ "021200040e0602040a040612010402010877616c6c060c04061400040200"
+      ^ "080e041a06c3a90a0a100424020a73706c6974040204020c120426040400"
+      ^ "02" );
+    ("Bye", "0600000078e4b9860206ec071802") ]
+
+let to_hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+let test_codec_pinned () =
+  List.iter2
+    (fun pkt (name, hex) ->
+      let buf = Sh.Wire.encode pkt in
+      checks (name ^ ": bytes") hex (to_hex buf);
+      match Sh.Wire.decode buf ~pos:0 with
+      | Ok (pkt', next) ->
+        checki (name ^ ": whole frame read") (Bytes.length buf) next;
+        checkb (name ^ ": decodes back") true (Sh.Wire.equal pkt pkt')
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    (pinned_packets ()) pinned_hex
+
+(* A wait that trips [stall_limit] raises the typed [Stalled], naming
+   the waiting shard and what it waited for: here a publication of a
+   peer that never pumps, so never publishes. *)
+let test_stall_typed () =
+  let partition = D.chain_partition 2 in
+  let config = { Sh.Node.default_config with stall_limit = 1_000 } in
+  let nodes =
+    Array.map
+      (fun net ->
+        Sh.Node.create ~config ~partition ~init:D.default_init ~net ())
+      (Sh.Transport.Loopback.create ~nodes:2 ())
+  in
+  Sh.Node.set_on_wait nodes.(0) (fun () -> ());
+  let d =
+    { E.d_id = 1; d_kind = `Update 0;
+      d_ops = [ E.Read (Granule.make ~segment:1 ~key:0) ]; d_abort = false }
+  in
+  match Sh.Node.exec nodes.(0) d with
+  | () -> Alcotest.fail "the wait never stalled"
+  | exception Sh.Node.Stalled { shard; waiting_for } ->
+    checki "the waiting shard" 0 shard;
+    checkb
+      (Printf.sprintf "names the awaited publication (%S)" waiting_for)
+      true
+      (String.starts_with ~prefix:"a publication of shard 1 covering"
+         waiting_for)
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -557,4 +708,8 @@ let suite =
     Alcotest.test_case "forged backwards wall: monitor check named" `Quick
       test_forged_backwards_wall;
     Alcotest.test_case "node: negative-key read raises" `Quick
-      test_negative_key ]
+      test_negative_key;
+    Alcotest.test_case "codec: one pinned frame per message" `Quick
+      test_codec_pinned;
+    Alcotest.test_case "node: a stalled wait raises Stalled" `Quick
+      test_stall_typed ]

@@ -233,6 +233,69 @@ let test_crc32_matches_bytewise () =
       (crc32_bytewise buf pos len) (Binc.crc32_sub buf pos len)
   done
 
+(* --- Binc varints and frame bounds --- *)
+
+(* [n] alone in a frame: its encoded length and its decoded value *)
+let varint_frame n =
+  let w = Binc.writer () in
+  Binc.w_int w n;
+  let buf = Binc.frame w in
+  (Bytes.length buf - 8, Binc.decode buf ~pos:0 ~f:Binc.r_int)
+
+let test_binc_varint_lengths () =
+  let cases = ref [ (0, 1); (-1, 1); (1, 1); (max_int, 9); (min_int, 9) ] in
+  (* zigzag: [k] digits hold exactly [-2^(7k-1), 2^(7k-1))] *)
+  for k = 1 to 8 do
+    let b = 1 lsl ((7 * k) - 1) in
+    cases :=
+      [ (b - 1, k); (b, k + 1); (b + 1, k + 1);
+        (-b + 1, k); (-b, k); (-b - 1, k + 1) ]
+      @ !cases
+  done;
+  List.iter
+    (fun (n, digits) ->
+      let len, back = varint_frame n in
+      checki (Printf.sprintf "%d: bytes" n) digits len;
+      match back with
+      | Ok (v, _) -> checki (Printf.sprintf "%d: round-trips" n) n v
+      | Error e -> Alcotest.failf "%d: %s" n e)
+    !cases
+
+let test_binc_decode_bounds () =
+  let frame_of f =
+    let w = Binc.writer () in
+    f w;
+    Binc.frame w
+  in
+  let a = frame_of (fun w -> Binc.w_int w 300; Binc.w_string w "x") in
+  let b = frame_of (fun w -> Binc.w_int w (-7)) in
+  let buf = Bytes.cat (Bytes.cat a b) (Bytes.of_string "\001") in
+  let la = Bytes.length a and lb = Bytes.length b in
+  let read_a r =
+    let n = Binc.r_int r in
+    (n, Binc.r_string r)
+  in
+  (match Binc.decode buf ~pos:0 ~f:read_a with
+  | Ok ((300, "x"), next) -> checki "first frame's next" la next
+  | Ok _ -> Alcotest.fail "first frame misread"
+  | Error e -> Alcotest.failf "first frame: %s" e);
+  (match Binc.decode buf ~pos:la ~f:Binc.r_int with
+  | Ok (-7, next) -> checki "second frame's next" (la + lb) next
+  | Ok _ -> Alcotest.fail "second frame misread"
+  | Error e -> Alcotest.failf "second frame: %s" e);
+  (* a one-byte payload holding a varint cut short (continuation bit
+     set), then bytes that would complete it: the reader must stop at
+     its own frame's end *)
+  let cut = Bytes.make 11 '\000' in
+  Bytes.set_int32_le cut 2 1l;
+  Bytes.set cut 10 '\x80';
+  Bytes.set_int32_le cut 6 (Int32.of_int (Binc.crc32_sub cut 10 1));
+  let buf = Bytes.cat cut (Bytes.of_string "\x80\x01") in
+  check
+    Alcotest.(result (pair int int) string)
+    "cut-short varint" (Error "truncated")
+    (Binc.decode buf ~pos:2 ~f:Binc.r_int)
+
 let suite =
   [ Alcotest.test_case "prng: deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng: seed sensitivity" `Quick test_prng_seed_sensitivity;
@@ -258,4 +321,8 @@ let suite =
     Alcotest.test_case "table: cells" `Quick test_table_cells;
     Alcotest.test_case "crc32: check value and bounds" `Quick test_crc32_check_value;
     Alcotest.test_case "crc32: slicing-by-8 equals bytewise" `Quick
-      test_crc32_matches_bytewise ]
+      test_crc32_matches_bytewise;
+    Alcotest.test_case "binc: varint length at every 7-bit boundary" `Quick
+      test_binc_varint_lengths;
+    Alcotest.test_case "binc: decode stops at its frame's end" `Quick
+      test_binc_decode_bounds ]
