@@ -1,3 +1,43 @@
+type 's i_old = 's -> class_id:int -> at:Time.t -> Time.t
+
+type 's c_late = 's -> class_id:int -> at:Time.t -> (Time.t, Txn.id) result
+
+let critical_path partition ~from_class ~to_class =
+  match Partition.critical_path partition from_class to_class with
+  | Some path -> path
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Activity: no critical path from T%d to T%d" from_class
+         to_class)
+
+(* A_i^j(m) composes I_old over the successive classes of CP_i^j,
+   excluding the starting class itself.  Top-level recursion over a
+   closed lookup: nothing is allocated. *)
+let rec fold_up i_old src m = function
+  | [] -> m
+  | cls :: rest -> fold_up i_old src (i_old src ~class_id:cls ~at:m) rest
+
+let compose i_old src partition ~from_class ~to_class m =
+  match critical_path partition ~from_class ~to_class with
+  | [] -> m
+  | _ :: above -> fold_up i_old src m above
+
+(* Up-steps (u -> v critical arc, v higher) apply I_old at the target
+   class, composing like A.  Down-steps (v -> u critical arc, v lower)
+   apply C_late at the *source* class u — the B composition excludes
+   the bottom class of each descent, so the application happens where
+   the step starts, not where it lands. *)
+let rec walk i_old c_late src (partition : Partition.t) path m =
+  match path with
+  | [] | [ _ ] -> Ok m
+  | u :: (v :: _ as rest) ->
+    if Hdd_graph.Digraph.mem_arc partition.Partition.reduction u v then
+      walk i_old c_late src partition rest (i_old src ~class_id:v ~at:m)
+    else (
+      match c_late src ~class_id:u ~at:m with
+      | Ok m' -> walk i_old c_late src partition rest m'
+      | Error _ as e -> e)
+
 type cache_entry = {
   mutable arg : Time.t;
   mutable stamp : int;
@@ -19,35 +59,22 @@ let i_old ctx ~class_id m = Registry.i_old ctx.registry ~class_id ~at:m
 
 let c_late ctx ~class_id m = Registry.c_late ctx.registry ~class_id ~at:m
 
-let critical_path_exn ctx ~from_class ~to_class =
-  match Partition.critical_path ctx.partition from_class to_class with
-  | Some path -> path
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Activity: no critical path from T%d to T%d" from_class
-         to_class)
+(* a_fn_trace's lookup: the live registry, every answer recorded *)
+type recorder = { reg : Registry.t; mutable steps : (int * Time.t) list }
+
+let record r ~class_id ~at =
+  let v = Registry.i_old r.reg ~class_id ~at in
+  r.steps <- (class_id, v) :: r.steps;
+  v
 
 let a_fn_trace ctx ~from_class ~to_class m =
-  let path = critical_path_exn ctx ~from_class ~to_class in
-  match path with
-  | [] -> assert false
-  | first :: rest ->
-    (* A_i^j(m) composes I_old over the successive classes of CP_i^j,
-       excluding the starting class itself. *)
-    let _, acc =
-      List.fold_left
-        (fun (m, acc) cls ->
-          let m' = i_old ctx ~class_id:cls m in
-          (m', (cls, m') :: acc))
-        (m, [ (first, m) ])
-        rest
-    in
-    List.rev acc
+  let r = { reg = ctx.registry; steps = [ (from_class, m) ] } in
+  ignore (compose record r ctx.partition ~from_class ~to_class m);
+  List.rev r.steps
 
 let a_fn ctx ~from_class ~to_class m =
-  match critical_path_exn ctx ~from_class ~to_class with
-  | [] -> assert false
-  | [ _ ] -> m  (* from = to: the identity (§5.0 hosting) *)
+  match critical_path ctx.partition ~from_class ~to_class with
+  | [] | [ _ ] -> m  (* from = to: the identity (§5.0 hosting) *)
   | _ :: rest ->
     (* Per-(class-pair) composition cache.  The composed value depends
        only on the argument and on the activity of the classes I_old is
@@ -64,9 +91,7 @@ let a_fn ctx ~from_class ~to_class m =
     (match Hashtbl.find_opt ctx.cache key with
     | Some e when e.arg = m && e.stamp = stamp -> e.value
     | found ->
-      let value =
-        List.fold_left (fun m cls -> i_old ctx ~class_id:cls m) m rest
-      in
+      let value = fold_up Registry.i_old ctx.registry m rest in
       (match found with
       | Some e ->
         e.arg <- m;
@@ -75,19 +100,15 @@ let a_fn ctx ~from_class ~to_class m =
       | None -> Hashtbl.add ctx.cache key { arg = m; stamp; value });
       value)
 
+(* B walks the critical path top-down, so every step is a down-step and
+   C_late applies at every class except the bottom one ([from]), the
+   mirror image of A applying I_old at every class except the bottom:
+   only then do Properties 2.1 (A∘B >= id) and 2.2 (A∘(B - eps) < id)
+   hold. *)
 let b_fn ctx ~from_class ~to_class m =
-  let path = critical_path_exn ctx ~from_class ~to_class in
-  (* path = [from; ...; to]; B walks it top-down, applying C_late at every
-     class except the bottom one ([from]), the mirror image of A applying
-     I_old at every class except the bottom: only then do Properties 2.1
-     (A∘B >= id) and 2.2 (A∘(B - eps) < id) hold. *)
-  let above_bottom = List.rev (List.tl path) in
-  List.fold_left
-    (fun acc cls ->
-      match acc with
-      | Error _ -> acc
-      | Ok m -> c_late ctx ~class_id:cls m)
-    (Ok m) above_bottom
+  let path = critical_path ctx.partition ~from_class ~to_class in
+  walk Registry.i_old Registry.c_late ctx.registry ctx.partition
+    (List.rev path) m
 
 let e_fn ctx ~s ~i m =
   match Partition.ucp ctx.partition s i with
@@ -95,22 +116,4 @@ let e_fn ctx ~s ~i m =
     invalid_arg
       (Printf.sprintf "Activity.e_fn: T%d and T%d are not connected" s i)
   | Some path ->
-    let reduction = ctx.partition.Partition.reduction in
-    (* Up-steps (u -> v critical arc, v higher) apply I_old at the target
-       class, composing like A.  Down-steps (v -> u critical arc, v lower)
-       apply C_late at the *source* class u — the B composition excludes
-       the bottom class of each descent, so the application happens where
-       the step starts, not where it lands. *)
-    let rec walk m = function
-      | [] | [ _ ] -> Ok m
-      | u :: (v :: _ as rest) ->
-        if Hdd_graph.Digraph.mem_arc reduction u v then
-          walk (i_old ctx ~class_id:v m) rest
-        else begin
-          assert (Hdd_graph.Digraph.mem_arc reduction v u);
-          match c_late ctx ~class_id:u m with
-          | Error _ as e -> e
-          | Ok m' -> walk m' rest
-        end
-    in
-    walk m path
+    walk Registry.i_old Registry.c_late ctx.registry ctx.partition path m

@@ -30,76 +30,124 @@ let component_starts (partition : Partition.t) =
   done;
   starts
 
-let compute (ctx : Activity.ctx) ~m =
-  let n = Partition.segment_count ctx.Activity.partition in
-  let starts = component_starts ctx.Activity.partition in
-  let components = Array.make n Time.zero in
+(* E_s^i(m) for every class i, each from its component's start *)
+let components i_old c_late src partition starts m =
+  let n = Array.length starts in
+  let out = Array.make n Time.zero in
   let rec fill i =
-    if i >= n then Ok components
+    if i >= n then Ok out
     else
-      match Activity.e_fn ctx ~s:starts.(i) ~i m with
+      match
+        Activity.walk i_old c_late src partition
+          (Option.get (Partition.ucp partition starts.(i) i))
+          m
+      with
       | Ok v ->
-        components.(i) <- v;
+        out.(i) <- v;
         fill (i + 1)
       | Error id -> Error id
   in
   fill 0
 
+let compute (ctx : Activity.ctx) ~m =
+  components Registry.i_old Registry.c_late ctx.Activity.registry
+    ctx.Activity.partition
+    (component_starts ctx.Activity.partition)
+    m
+
+type coordinator = {
+  partition : Partition.t;
+  starts : int array;
+  primary : int;
+  trace : Hdd_obs.Trace.t option;
+  mutable last_m : Time.t;
+  mutable releases : int;
+  mutable lag_sum : int;
+  mutable lag_max : int;
+}
+
+let coordinator ?trace partition =
+  { partition;
+    starts = component_starts partition;
+    primary =
+      (match Partition.lowest_classes partition with s :: _ -> s | [] -> 0);
+    trace;
+    last_m = Time.zero;
+    releases = 0;
+    lag_sum = 0;
+    lag_max = 0 }
+
+let recorded co wall =
+  (match co.trace with
+  | Some tr ->
+    Hdd_obs.Trace.emit tr ~at:wall.released_at
+      (Hdd_obs.Trace.Wall_release
+         { m = wall.m; released_at = wall.released_at;
+           components = Array.copy wall.components })
+  | None -> ());
+  wall
+
+let initial co ~m ~released_at =
+  recorded co
+    { s = co.primary; m; components = Array.make (Array.length co.starts) m;
+      released_at }
+
+let release co ~m ~components ~released_at =
+  co.last_m <- m;
+  co.releases <- co.releases + 1;
+  let lag = released_at - m in
+  co.lag_sum <- co.lag_sum + lag;
+  if lag > co.lag_max then co.lag_max <- lag;
+  recorded co { s = co.primary; m; components; released_at }
+
+exception Stale
+
+let attempt co i_old c_late src ~q ~tick =
+  let m = Array.fold_left Time.min max_int q in
+  (* m = max_int: every class has left for good, a wall there would be
+     meaningless *)
+  if m <= co.last_m || m = max_int then None
+  else
+    match components i_old c_late src co.partition co.starts m with
+    | Ok components when not (Array.exists2 ( > ) components q) ->
+      Some (release co ~m ~components ~released_at:(tick ()))
+    | Ok _ | Error _ | (exception Stale) -> None
+
 type manager = {
   ctx : Activity.ctx;
   clock : Time.Clock.clock;
-  primary_start : int;
-  trace : Hdd_obs.Trace.t option;
+  co : coordinator;
   mutable walls : wall list;  (* newest first, never empty *)
-  mutable count : int;
 }
 
-let try_release_inner mgr =
+let try_release mgr =
   let m = Time.Clock.tick mgr.clock in
   match compute mgr.ctx ~m with
   | Error id as e ->
-    (match mgr.trace with
+    (match mgr.co.trace with
     | None -> ()
     | Some tr ->
       Hdd_obs.Trace.emit tr ~at:m (Hdd_obs.Trace.Wall_blocked { on = id }));
     e
   | Ok components ->
     let wall =
-      { s = mgr.primary_start; m; components;
-        released_at = Time.Clock.tick mgr.clock }
+      release mgr.co ~m ~components ~released_at:(Time.Clock.tick mgr.clock)
     in
     mgr.walls <- wall :: mgr.walls;
-    mgr.count <- mgr.count + 1;
-    (match mgr.trace with
-    | None -> ()
-    | Some tr ->
-      Hdd_obs.Trace.emit tr ~at:wall.released_at
-        (Hdd_obs.Trace.Wall_release
-           { m; released_at = wall.released_at;
-             components = Array.copy components }));
     Ok wall
 
 let create ?trace ctx ~clock =
-  let primary_start =
-    match Partition.lowest_classes ctx.Activity.partition with
-    | s :: _ -> s
-    | [] -> 0
-  in
-  let mgr = { ctx; clock; primary_start; trace; walls = []; count = 0 } in
-  (match try_release_inner mgr with
+  let co = coordinator ?trace ctx.Activity.partition in
+  let mgr = { ctx; clock; co; walls = [] } in
+  (match try_release mgr with
   | Ok _ -> ()
   | Error _ ->
     (* cannot happen: create is called before any transaction begins, but
-       guard against misuse by installing a zero wall *)
-    let n = Partition.segment_count ctx.Activity.partition in
-    let t = Time.Clock.tick clock in
-    mgr.walls <-
-      [ { s = primary_start; m = t; components = Array.make n t;
-          released_at = Time.Clock.tick clock } ];
-    mgr.count <- 1);
+       guard against misuse by installing a trivial wall *)
+    let m = Time.Clock.tick clock in
+    mgr.walls <- [ initial co ~m ~released_at:(Time.Clock.tick clock) ];
+    co.releases <- 1);
   mgr
-
-let try_release = try_release_inner
 
 let latest_before mgr t =
   let rec go = function
@@ -115,4 +163,4 @@ let current mgr =
 
 let released mgr = List.rev mgr.walls
 
-let release_count mgr = mgr.count
+let release_count mgr = mgr.co.releases

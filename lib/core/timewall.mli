@@ -1,4 +1,4 @@
-(** Time walls (§5.1–§5.2).
+(** Time walls (§5.1–§5.2), and the release rule of every engine.
 
     A time wall [TW(m,s)] is the vector of extended-activity-link values
     [E_s^i(m)] over all classes: a frontier such that no direct dependency
@@ -9,7 +9,14 @@
 
     When the class hierarchy is a forest, dependencies never cross
     components, so each component gets its own start class (a lowest one)
-    and the wall is assembled per component. *)
+    and the wall is assembled per component.
+
+    The serial scheduler's {!manager} anchors each wall at a fresh tick
+    over its live registry.  The concurrent coordinators — the multicore
+    engine's wall domain and shard 0 of the sharded engine — call
+    {!attempt} instead, with their own {!Activity} lookups; the
+    anchor, the composition, the stability check and the release
+    bookkeeping live here once. *)
 
 type wall = private {
   s : int;  (** start class of the primary component *)
@@ -26,16 +33,8 @@ val to_vector : wall -> Time.t array
 
 val make :
   s:int -> m:Time.t -> components:Time.t array -> released_at:Time.t -> wall
-(** Assemble a wall from externally computed components — the parallel
-    runtime's wall coordinator evaluates [E] over published registry
-    snapshots rather than through a live {!Activity.ctx}.  The array is
-    copied. *)
-
-val component_starts : Partition.t -> int array
-(** For each class, the start class of its connected component (one
-    lowest class per component; isolated nodes start at themselves) —
-    the per-component wall assembly of §5.2, exposed for the parallel
-    coordinator. *)
+(** Assemble a wall from its parts, e.g. decoded off the wire.  The
+    array is copied. *)
 
 val compute :
   Activity.ctx -> m:Time.t -> (Time.t array, Txn.id) result
@@ -44,15 +43,56 @@ val compute :
     because [id] is still active — the caller retries after that
     transaction finishes. *)
 
+(** {1 Releasing walls} *)
+
+type coordinator = private {
+  partition : Partition.t;
+  starts : int array;  (** per class, the start of its component *)
+  primary : int;  (** [s] of every wall: the first lowest class *)
+  trace : Hdd_obs.Trace.t option;
+  mutable last_m : Time.t;  (** anchor of the last wall {!attempt} released *)
+  mutable releases : int;
+  mutable lag_sum : int;  (** sum of [released_at - m] in clock ticks *)
+  mutable lag_max : int;
+}
+(** A wall releaser's state.  With [trace], every wall it releases, and
+    its {!initial} wall, emits a [Wall_release] record (anchor, release
+    time and a copy of the component vector). *)
+
+val coordinator : ?trace:Hdd_obs.Trace.t -> Partition.t -> coordinator
+
+val initial : coordinator -> m:Time.t -> released_at:Time.t -> wall
+(** The wall a run starts from, components all [m] — sound on a system
+    with no version above the bootstrap below [m].  Traced, not
+    counted. *)
+
+exception Stale
+(** Raised by a lookup that cannot answer yet: the publication it
+    answers from does not cover the argument. *)
+
+val attempt :
+  coordinator -> 's Activity.i_old -> 's Activity.c_late -> 's ->
+  q:Time.t array -> tick:(unit -> Time.t) -> wall option
+(** One release attempt of a concurrent coordinator.  [q.(i)] is class
+    [i]'s quiescence point: every member initiated below it has finished
+    and is visible to readers.  The wall is anchored at [m = min q] and
+    composed through the lookups; it is released, at [tick ()], only if
+    no component exceeds its class's [q] (a component above [q.(i)]
+    could admit a version a class-[i] straggler has yet to publish).
+    [None] when [m] does not pass the last anchor ([last_m]), when every [q]
+    is [max_int] (every class has published its last), when a [C^late]
+    is not computable or when a lookup raises {!Stale}. *)
+
+(** {1 The serial scheduler's walls} *)
+
 type manager
 
 val create :
   ?trace:Hdd_obs.Trace.t -> Activity.ctx -> clock:Time.Clock.clock -> manager
 (** Also releases an initial wall (trivially computable on an idle
     system) so read-only transactions always find one.  With [trace],
-    every release emits a [Wall_release] record (anchor, release time and
-    a copy of the component vector) and every failed attempt emits
-    [Wall_blocked] naming the transaction in the way. *)
+    every release emits a [Wall_release] record and every failed attempt
+    emits [Wall_blocked] naming the transaction in the way. *)
 
 val try_release : manager -> (wall, Txn.id) result
 (** Anchor a new wall at a fresh current time and release it if

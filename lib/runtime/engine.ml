@@ -12,22 +12,11 @@ type desc = {
   d_abort : bool;
 }
 
-type config = {
-  workers : int;
-  traced : bool;
-  trace_capacity : int;
-  mailbox_capacity : int;
-  wall_poll_s : float;
-  publish_every : int;
-}
+type config = { workers : int; traced : bool; publish_every : int }
 
-let default_config ~workers =
-  { workers;
-    traced = true;
-    trace_capacity = 1 lsl 16;
-    mailbox_capacity = 64;
-    wall_poll_s = 100e-6;
-    publish_every = 8 }
+let default_config ~workers = { workers; traced = true; publish_every = 8 }
+
+let mailbox_capacity = 64
 
 type stats = {
   committed : int;
@@ -60,21 +49,16 @@ type run = {
    finalized on the owner's own thread before the capture.
 
    [p_q] is a full per-class vector: [p_q.(c)] is I_old^c(upto) for
-   classes the publisher owned at capture and [max_int] elsewhere, and
-   [p_qmin] is the minimum over owned classes — the per-worker
-   quiescence summary the coordinator folds in O(workers) instead of
-   rescanning every class's history per release attempt (DESIGN.md
-   §16).  A claim [p_q.(c) = v] means every class-c transaction with a
-   smaller initiation has finished; after an ownership migration the
-   coordinator folds the minimum over all workers, so a past owner's
-   stale-but-true claim only tightens the bound and the current
-   owner's barrier republication caps it correctly. *)
-type pub = {
-  p_snap : Registry.snapshot;
-  p_upto : Time.t;
-  p_q : Time.t array;
-  p_qmin : Time.t;
-}
+   classes the publisher owned at capture and [max_int] elsewhere — the
+   per-worker quiescence summary the coordinator folds in
+   O(workers x classes) instead of rescanning every class's history per
+   release attempt (DESIGN.md §16).  A claim [p_q.(c) = v] means every
+   class-c transaction with a smaller initiation has finished; after an
+   ownership migration the coordinator folds the minimum over all
+   workers, so a past owner's stale-but-true claim only tightens the
+   bound and the current owner's barrier republication caps it
+   correctly. *)
+type pub = { p_snap : Registry.snapshot; p_upto : Time.t; p_q : Time.t array }
 
 type shared = {
   clock : Gclock.t;
@@ -187,10 +171,8 @@ let publish_upto w upto =
     let c = Array.unsafe_get own i in
     q.(c) <- Registry.i_old w.registry ~class_id:c ~at:upto
   done;
-  let qmin = Array.fold_left Time.min max_int q in
   Atomic.set sh.pubs.(w.me)
-    { p_snap = Registry.snapshot w.registry; p_upto = upto; p_q = q;
-      p_qmin = qmin };
+    { p_snap = Registry.snapshot w.registry; p_upto = upto; p_q = q };
   w.since_pub <- 0;
   w.c.n_pubs <- w.c.n_pubs + 1
 
@@ -302,27 +284,12 @@ let fast_i_old w cls at =
   end
   else slow_i_old w cls at
 
-(* A_i^j(m): I_old composed along the critical path.  Classes this
-   worker owns are answered from the live local registry; remote
+(* Protocol A's lookup for {!Hdd_core.Activity.compose}: classes this
+   worker owns are answered from the live local registry, remote
    classes from their activity boards — wait-free either way. *)
-let rec compose_threshold w m path =
-  match path with
-  | [] -> m
-  | cls :: rest ->
-    let m' =
-      if owner w.sh cls = w.me then
-        Registry.i_old w.registry ~class_id:cls ~at:m
-      else fast_i_old w cls m
-    in
-    compose_threshold w m' rest
-
-let a_threshold w ~from_class ~to_class m =
-  match P.critical_path w.sh.partition from_class to_class with
-  | None | Some [] ->
-    invalid_arg
-      (Printf.sprintf "Engine: no critical path from T%d to T%d" from_class
-         to_class)
-  | Some (_ :: rest) -> compose_threshold w m rest
+let a_i_old w ~class_id ~at =
+  if owner w.sh class_id = w.me then Registry.i_old w.registry ~class_id ~at
+  else fast_i_old w class_id at
 
 (* Newest version of [key] strictly below [th] in a remote segment.
    The published view is complete at or below its publication's upto;
@@ -432,7 +399,10 @@ let rec run_update_ops w d cls init esc ops =
         if not (P.may_read w.sh.partition ~class_id:cls ~segment:seg) then
           invalid_arg
             (Printf.sprintf "Engine: T%d may not read D%d" cls seg);
-        let th = a_threshold w ~from_class:cls ~to_class:seg init in
+        let th =
+          Hdd_core.Activity.compose a_i_old w w.sh.partition ~from_class:cls
+            ~to_class:seg init
+        in
         (* own segments are served from the live local store — always
            complete; remote segments from the published view spliced
            with the owner's version ring *)
@@ -585,8 +555,19 @@ let exec w d =
 
 (* --- the wall coordinator --- *)
 
-exception Wall_stale
-exception Wall_not_computable
+(* The wall lookups for {!TW.attempt}: each class answers from its
+   owner's publication, fetched once per attempt into [by_class]; one
+   that does not cover the argument yet raises [Stale]. *)
+let wall_snap (by_class : pub array) c at =
+  let p = by_class.(c) in
+  if p.p_upto < at then raise TW.Stale;
+  p.p_snap
+
+let wall_i_old by_class ~class_id ~at =
+  Registry.snap_i_old (wall_snap by_class class_id at) ~class_id ~at
+
+let wall_c_late by_class ~class_id ~at =
+  Registry.snap_c_late (wall_snap by_class class_id at) ~class_id ~at
 
 (* The repartition barrier, coordinator side (DESIGN.md §17).  Three
    phases, all between transactions of every worker:
@@ -657,12 +638,8 @@ let escalation_swap sh ~target () =
 let rotated_map map workers =
   Array.map (fun o -> (o + 1) mod workers) map
 
-let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
-    ?control ?(rotate_every_s = 0.) trace =
-  let nseg = sh.nseg in
-  let reduction = sh.partition.P.reduction in
-  let last_m = ref initial_m in
-  let releases = ref 0 and lag_sum = ref 0 and lag_max = ref 0 in
+let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
+    ?(rotate_every_s = 0.) trace =
   let repartitions = ref 0 and escalations = ref 0 in
   let plan = ref plan in
   let mode_plan = ref mode_plan in
@@ -706,81 +683,31 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
         incr repartitions
       | None -> ())
     | None -> ());
-    (* one release attempt over a single fetch of every publication;
-       the stability fold is O(workers) over worker-precomputed
-       quiescence summaries, not O(classes x history) *)
+    (* one release attempt over a single fetch of every publication.
+       Below q(i), class i is quiescent — every member with a smaller
+       initiation has finished and its versions published.  The fold
+       over every worker keeps a past owner's stale-but-true claim in
+       play only to tighten the bound. *)
     let advanced =
-      try
-        let omap = Atomic.get sh.owner_map in
-        let pubs = Array.map Atomic.get sh.pubs in
-        let pub_of c = pubs.(omap.(c)) in
-        (* below q(i), class i is quiescent — every member with a
-           smaller initiation has finished and its versions published.
-           The fold over every worker keeps a past owner's stale-but-
-           true claim in play only to tighten the bound. *)
-        let q_of i =
-          Array.fold_left (fun acc p -> Time.min acc p.p_q.(i)) max_int pubs
-        in
-        let m =
-          Array.fold_left (fun acc p -> Time.min acc p.p_qmin) max_int pubs
-        in
-        (* m = max_int means every owner has published its final (exit)
-           snapshot: the run is over, a wall there would be meaningless *)
-        if m > !last_m && m < max_int then begin
-          let i_old_at c a =
-            let p = pub_of c in
-            if p.p_upto < a then raise Wall_stale;
-            Registry.snap_i_old p.p_snap ~class_id:c ~at:a
-          in
-          let c_late_at c a =
-            let p = pub_of c in
-            if p.p_upto < a then raise Wall_stale;
-            match Registry.snap_c_late p.p_snap ~class_id:c ~at:a with
-            | Ok v -> v
-            | Error _ -> raise Wall_not_computable
-          in
-          (* E_s^i(m): I_old at the target of up-arcs, C_late at the
-             source of down-arcs — Activity.e_fn over frozen views *)
-          let components = Array.make nseg Time.zero in
-          for i = 0 to nseg - 1 do
-            let path =
-              match P.ucp sh.partition starts.(i) i with
-              | Some p -> p
-              | None -> [ i ]
-            in
-            let rec walk a = function
-              | [] | [ _ ] -> a
-              | u :: (v :: _ as rest) ->
-                if Hdd_graph.Digraph.mem_arc reduction u v then
-                  walk (i_old_at v a) rest
-                else walk (c_late_at u a) rest
-            in
-            components.(i) <- walk m path
-          done;
-          (* stability re-check against the published summaries: a
-             component above q(i) could admit a version a class-i
-             straggler has yet to publish; retry once they drain *)
-          for i = 0 to nseg - 1 do
-            if components.(i) > q_of i then raise Wall_stale
-          done;
-          let released_at = Gclock.tick sh.clock in
-          let wall = TW.make ~s:primary ~m ~components ~released_at in
-          Epochwall.publish sh.wall wall;
-          (match trace with
-          | None -> ()
-          | Some tr ->
-            T.emit tr ~at:released_at
-              (T.Wall_release
-                 { m; released_at; components = Array.copy components }));
-          last_m := m;
-          incr releases;
-          let lag = released_at - m in
-          lag_sum := !lag_sum + lag;
-          if lag > !lag_max then lag_max := lag;
-          true
-        end
-        else m >= max_int
-      with Wall_stale | Wall_not_computable -> false
+      let omap = Atomic.get sh.owner_map in
+      let pubs = Array.map Atomic.get sh.pubs in
+      let q =
+        Array.init sh.nseg (fun i ->
+            Array.fold_left (fun acc p -> Time.min acc p.p_q.(i)) max_int pubs)
+      in
+      match
+        TW.attempt walls wall_i_old wall_c_late
+          (Array.map (fun o -> pubs.(o)) omap)
+          ~q
+          ~tick:(fun () -> Gclock.tick sh.clock)
+      with
+      | Some wall ->
+        Epochwall.publish sh.wall wall;
+        true
+      | None ->
+        (* every owner has published its final (exit) snapshot: the run
+           is over, nothing left to nag *)
+        Array.for_all (fun v -> v = max_int) q
     in
     (* batched publication bounds how far summaries lag behind the
        clock; when the wall fails to advance for two polls, ask every
@@ -797,23 +724,21 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
     end;
     Unix.sleepf (if sh.workers = 0 then 1e-3 else 1e-4)
   done;
-  (!releases, !lag_sum, !lag_max, !repartitions, !escalations)
+  (!repartitions, !escalations)
 
 (* --- engine setup shared by both modes --- *)
 
 type setup = {
   s_sh : shared;
   s_regs : Registry.t array;
-  s_primary : int;
-  s_starts : int array;
-  s_initial_m : Time.t;
+  s_walls : TW.coordinator;
   s_coord_trace : T.t option;
 }
 
 let default_owner_map ~segments ~workers =
   Array.init segments (fun c -> c mod workers)
 
-let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
+let setup ~partition ~init ~workers ~traced ~publish_every =
   if workers <= 0 then invalid_arg "Engine: workers must be > 0";
   if publish_every <= 0 then invalid_arg "Engine: publish_every must be > 0";
   (* bootstrap values no longer surface: reads report version
@@ -822,18 +747,14 @@ let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
   let nseg = P.segment_count partition in
   let clock = Gclock.create () in
   let regs = Array.init workers (fun _ -> Registry.create ~classes:nseg ()) in
+  let coord_trace =
+    if traced then Some (T.create ~domain:(workers + 1) ()) else None
+  in
+  let walls = TW.coordinator ?trace:coord_trace partition in
   (* the initial wall: trivially computable on the idle system, released
      before any worker starts so read-only transactions always find one *)
   let m0 = Gclock.tick clock in
-  let released0 = Gclock.tick clock in
-  let primary =
-    match P.lowest_classes partition with s :: _ -> s | [] -> 0
-  in
-  let starts = TW.component_starts partition in
-  let wall0 =
-    TW.make ~s:primary ~m:m0 ~components:(Array.make nseg m0)
-      ~released_at:released0
-  in
+  let wall0 = TW.initial walls ~m:m0 ~released_at:(Gclock.tick clock) in
   let omap0 = default_owner_map ~segments:nseg ~workers in
   let sh =
     { clock;
@@ -849,20 +770,11 @@ let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
         Array.init workers (fun w ->
             let upto = Gclock.now clock in
             (* empty registries: I_old(c, upto) = upto for every class *)
-            let q = Array.make nseg max_int in
-            let owns = ref false in
-            Array.iteri
-              (fun c o ->
-                if o = w then begin
-                  q.(c) <- upto;
-                  owns := true
-                end)
-              omap0;
             Atomic.make
               { p_snap = Registry.snapshot regs.(w);
                 p_upto = upto;
-                p_q = q;
-                p_qmin = (if !owns then upto else max_int) });
+                p_q =
+                  Array.map (fun o -> if o = w then upto else max_int) omap0 });
       repub = Array.init workers (fun _ -> Atomic.make false);
       wall = Epochwall.create wall0;
       owner_map = Atomic.make omap0;
@@ -878,19 +790,7 @@ let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
       esc_seq = Atomic.make 0;
       class_commits = Array.make nseg 0 }
   in
-  let coord_trace =
-    if traced then begin
-      let tr = T.create ~capacity:trace_capacity ~domain:(workers + 1) () in
-      T.emit tr ~at:released0
-        (T.Wall_release
-           { m = m0; released_at = released0;
-             components = Array.make nseg m0 });
-      Some tr
-    end
-    else None
-  in
-  { s_sh = sh; s_regs = regs; s_primary = primary; s_starts = starts;
-    s_initial_m = m0; s_coord_trace = coord_trace }
+  { s_sh = sh; s_regs = regs; s_walls = walls; s_coord_trace = coord_trace }
 
 let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
   { sh;
@@ -912,8 +812,7 @@ let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
     lat_n = 0;
     timed }
 
-let stats_of counters
-    ~wall:(releases, lag_sum, lag_max, repartitions, escalations) =
+let stats_of counters (walls : TW.coordinator) (repartitions, escalations) =
   let committed = ref 0 and aborted = ref 0 and pubs = ref 0 in
   let ra = ref 0 and rb = ref 0 and rc = ref 0 and wr = ref 0 in
   Array.iter
@@ -933,9 +832,9 @@ let stats_of counters
     reads_c = !rc;
     writes = !wr;
     publications = !pubs;
-    wall_releases = releases;
-    wall_lag_sum = lag_sum;
-    wall_lag_max = lag_max;
+    wall_releases = walls.releases;
+    wall_lag_sum = walls.lag_sum;
+    wall_lag_max = walls.lag_max;
     repartitions;
     escalations }
 
@@ -947,14 +846,13 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     (config : config) ~script =
   let s =
     setup ~partition ~init ~workers:config.workers ~traced:config.traced
-      ~trace_capacity:config.trace_capacity
       ~publish_every:config.publish_every
   in
   let sh = s.s_sh in
   let traces =
     Array.init config.workers (fun w ->
         if config.traced then
-          Some (T.create ~capacity:config.trace_capacity ~domain:(w + 1) ())
+          Some (T.create ~domain:(w + 1) ())
         else None)
   in
   (* Update descriptors are routed per class, not per worker: a live
@@ -965,11 +863,11 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
      them. *)
   let cboxes =
     Array.init sh.nseg (fun _ ->
-        Mailbox.create ~capacity:config.mailbox_capacity)
+        Mailbox.create ~capacity:mailbox_capacity)
   in
   let roboxes =
     Array.init config.workers (fun _ ->
-        Mailbox.create ~capacity:config.mailbox_capacity)
+        Mailbox.create ~capacity:mailbox_capacity)
   in
   let worker w =
     let ctx =
@@ -978,7 +876,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     in
     (* drain one publication batch per lock acquisition *)
     let batch =
-      Int.max 1 (Int.min config.publish_every config.mailbox_capacity)
+      Int.max 1 (Int.min config.publish_every mailbox_capacity)
     in
     let buf = Array.make batch dummy_desc in
     (* a worker exits only when every queue in the system is drained:
@@ -1025,8 +923,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   in
   let coord =
     Domain.spawn (fun () ->
-        coordinator sh ~primary:s.s_primary ~starts:s.s_starts
-          ~initial_m:s.s_initial_m ~plan ~mode_plan s.s_coord_trace)
+        coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace)
   in
   Array.iter
     (fun d ->
@@ -1051,7 +948,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
       domains
   in
   Atomic.set sh.stop true;
-  let wall_stats = Domain.join coord in
+  let barriers = Domain.join coord in
   let results = Array.map (function Ok r -> r | Error e -> raise e) joined in
   let outcomes =
     Array.to_list results
@@ -1067,7 +964,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   in
   { records;
     outcomes;
-    stats = stats_of (Array.map snd results) ~wall:wall_stats }
+    stats = stats_of (Array.map snd results) s.s_walls barriers }
 
 (* --- timed self-generating mode (benchmark) --- *)
 
@@ -1121,13 +1018,9 @@ let gen_desc sh mix prng ~id ~classes_mine ~readable =
     { d_id = id; d_kind = `Read_only; d_ops = ops; d_abort = false }
   end
 
-let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
-    ?(publish_every = 8) ?(rotate_every_s = 0.) ?control ~mix ~seed () =
-  ignore wall_poll_s;
-  let s =
-    setup ~partition ~init ~workers ~traced:false ~trace_capacity:1024
-      ~publish_every
-  in
+let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
+    ?(rotate_every_s = 0.) ?control ~mix ~seed () =
+  let s = setup ~partition ~init ~workers ~traced:false ~publish_every in
   let sh = s.s_sh in
   let nseg = sh.nseg in
   let readable =
@@ -1166,8 +1059,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
   let domains = Array.init workers (fun w -> Domain.spawn (fun () -> worker w)) in
   let coord =
     Domain.spawn (fun () ->
-        coordinator sh ~primary:s.s_primary ~starts:s.s_starts
-          ~initial_m:s.s_initial_m ?control ~rotate_every_s None)
+        coordinator sh s.s_walls ?control ~rotate_every_s None)
   in
   let t0 = Unix.gettimeofday () in
   Unix.sleepf seconds;
@@ -1175,7 +1067,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
   let results = Array.map Domain.join domains in
   let elapsed = Unix.gettimeofday () -. t0 in
   Atomic.set sh.stop true;
-  let wall_stats = Domain.join coord in
+  let barriers = Domain.join coord in
   let metrics = Hdd_obs.Metrics.create () in
   let hist = Hdd_obs.Metrics.histogram metrics "commit_latency_us" in
   Array.iter
@@ -1184,7 +1076,8 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
         Hdd_obs.Metrics.observe hist (lat.(i) *. 1e6)
       done)
     results;
-  { t_stats = stats_of (Array.map (fun (c, _, _) -> c) results) ~wall:wall_stats;
+  { t_stats =
+      stats_of (Array.map (fun (c, _, _) -> c) results) s.s_walls barriers;
     t_elapsed_s = elapsed;
     t_latency = metrics }
 
@@ -1222,7 +1115,7 @@ let alloc_probe ?(commits = 20_000) () =
   let s =
     setup ~partition
       ~init:(fun _ -> 0)
-      ~workers:1 ~traced:false ~trace_capacity:1024 ~publish_every:max_int
+      ~workers:1 ~traced:false ~publish_every:max_int
   in
   let ctx =
     fresh_wctx s.s_sh ~me:0 ~registry:s.s_regs.(0) ~trace:None

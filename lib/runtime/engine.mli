@@ -31,13 +31,19 @@
     serves the latest committed version below the threshold: the same historical fact the serial scheduler computes,
     because [I_old(m)] is fixed once the clock passes [m].
 
-    A wall-coordinator domain anchors Protocol C walls at
-    [m = min_i q_i] where [q_i = I_old^i(upto_i)] — below [q_i] class
-    [i] is quiescent and fully published.  Each worker precomputes its
-    classes' [q] at publication time, so a release attempt folds
-    O(workers) summaries instead of rescanning every class's history;
-    the coordinator evaluates [E_s^i(m)] over the same snapshots,
-    re-checks every component against [q], and releases through a
+    The threshold itself is {!Hdd_core.Activity.compose}; the engine
+    supplies only its lookup: the live registry for classes the worker
+    owns, otherwise the class's activity board, falling back to the
+    owner's publication as above.
+
+    A wall-coordinator domain polls every 100 µs.  Each attempt is
+    {!Hdd_core.Timewall.attempt} with [q_i = I_old^i(upto_i)] — below
+    [q_i] class [i] is quiescent and fully published.  Each worker
+    precomputes its classes' [q] at publication time, so an attempt
+    folds per-worker summaries instead of rescanning every class's
+    history; the engine's wall lookups answer each class from its
+    owner's publication and raise {!Hdd_core.Timewall.Stale} where it
+    does not cover the argument.  Released walls go out through a
     wait-free {!Epochwall} (the {!Seqwall} seqlock stays as the
     ablation partner).  Read-only transactions load the wall before
     ticking their initiation, so a released wall always satisfies
@@ -64,9 +70,6 @@ type config = {
   traced : bool;
       (** per-domain trace rings, one clock tick per event so the merge
           by [(at, dom, seq)] is a total order; off for benchmarks *)
-  trace_capacity : int;
-  mailbox_capacity : int;
-  wall_poll_s : float;  (** coordinator poll between release attempts *)
   publish_every : int;
       (** batched publication: workers publish registry/store snapshots
           once per [publish_every] finished transactions, plus on
@@ -168,7 +171,6 @@ val run_timed :
   init:(Granule.t -> int) ->
   workers:int ->
   seconds:float ->
-  ?wall_poll_s:float ->
   ?publish_every:int ->
   ?rotate_every_s:float ->
   ?control:(int array -> int array option) ->

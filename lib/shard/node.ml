@@ -4,16 +4,10 @@ module TW = Hdd_core.Timewall
 module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
 
-type config = {
-  traced : bool;
-  trace_capacity : int;
-  stall_limit : int;
-  publish_every : int;
-}
+type config = { traced : bool; stall_limit : int; publish_every : int }
 
 let default_config =
-  { traced = true; trace_capacity = 1 lsl 16; stall_limit = 2_000_000;
-    publish_every = 1 }
+  { traced = true; stall_limit = 2_000_000; publish_every = 1 }
 
 (* The latest accepted publication of a remote shard. *)
 type rpub = {
@@ -31,16 +25,6 @@ type counters = {
   mutable n_reads_c : int;
   mutable n_writes : int;
   mutable n_stale_waits : int;
-  mutable n_wall_releases : int;
-  mutable n_wall_lag_sum : int;
-  mutable n_wall_lag_max : int;
-}
-
-type coord = {
-  primary : int;
-  starts : int array;
-  mutable last_m : Time.t;
-  mutable last_seen : Time.t;  (** clock value at the last attempt *)
 }
 
 type t = {
@@ -60,6 +44,8 @@ type t = {
   mutable pub_seq : int;
   rpubs : rpub option array;  (** per shard *)
   mutable wall : TW.wall;
+  walls : TW.coordinator;  (** released from on shard 0 only *)
+  mutable last_seen : Time.t;  (** clock value at the last wall attempt *)
   trace : T.t option;
   c : counters;
   mutable outcomes : (Txn.id * bool) list;
@@ -67,7 +53,6 @@ type t = {
   stall_limit : int;
   publish_every : int;
   mutable since_pub : int;  (** commits since the last publication *)
-  coord : coord option;
   (* process-mode work dispatch *)
   work : E.desc Queue.t;
   mutable drain_seen : bool;
@@ -100,9 +85,9 @@ let counters t =
     k_reads_c = t.c.n_reads_c;
     k_writes = t.c.n_writes;
     k_stale_waits = t.c.n_stale_waits;
-    k_wall_releases = t.c.n_wall_releases;
-    k_wall_lag_sum = t.c.n_wall_lag_sum;
-    k_wall_lag_max = t.c.n_wall_lag_max }
+    k_wall_releases = t.walls.releases;
+    k_wall_lag_sum = t.walls.lag_sum;
+    k_wall_lag_max = t.walls.lag_max }
 
 (* --- publications --- *)
 
@@ -195,78 +180,49 @@ let handle t (pkt : Wire.packet) =
 
 (* --- the wall coordinator (shard 0) --- *)
 
-exception Wall_stale
-exception Wall_not_computable
+(* The wall lookups for {!TW.attempt}.  Own classes answer from the
+   live registry, exact up to the attempt's clock [last_seen] (nothing
+   commits during an attempt); remote ones from their owner's latest
+   publication.  An argument beyond either raises [Stale]. *)
+let wall_upto t c =
+  if owner t c = t.me then t.last_seen
+  else
+    match t.rpubs.(owner t c) with
+    | Some p -> p.r_upto
+    | None -> raise TW.Stale
 
-let coordinator_attempt t co =
+let wall_i_old t ~class_id ~at =
+  if wall_upto t class_id < at then raise TW.Stale
+  else if owner t class_id = t.me then Registry.i_old t.registry ~class_id ~at
+  else
+    Registry.snap_i_old (Option.get t.rpubs.(owner t class_id)).r_snap
+      ~class_id ~at
+
+let wall_c_late t ~class_id ~at =
+  if wall_upto t class_id < at then raise TW.Stale
+  else if owner t class_id = t.me then Registry.c_late t.registry ~class_id ~at
+  else
+    Registry.snap_c_late (Option.get t.rpubs.(owner t class_id)).r_snap
+      ~class_id ~at
+
+let coordinator_attempt t =
   let now_ = Sclock.now t.clock in
-  if now_ <> co.last_seen then begin
-    co.last_seen <- now_;
-    try
-      (* own classes answer from the live registry (nothing commits
-         during an attempt, so it is exact at [now_]), remote ones from
-         their owner's latest publication *)
-      let pub_of c =
-        match t.rpubs.(owner t c) with
-        | Some p -> p
-        | None -> raise Wall_stale
-      in
-      let upto_of c = if owner t c = t.me then now_ else (pub_of c).r_upto in
-      let i_old_at c a =
-        if upto_of c < a then raise Wall_stale;
-        if owner t c = t.me then Registry.i_old t.registry ~class_id:c ~at:a
-        else Registry.snap_i_old (pub_of c).r_snap ~class_id:c ~at:a
-      in
-      let c_late_at c a =
-        if upto_of c < a then raise Wall_stale;
-        match
-          if owner t c = t.me then Registry.c_late t.registry ~class_id:c ~at:a
-          else Registry.snap_c_late (pub_of c).r_snap ~class_id:c ~at:a
-        with
-        | Ok v -> v
-        | Error _ -> raise Wall_not_computable
-      in
-      let q = Array.init t.nseg (fun c -> i_old_at c (upto_of c)) in
-      let m = Array.fold_left Time.min q.(0) q in
-      if m > co.last_m && m < max_int then begin
-        let reduction = t.partition.P.reduction in
-        let components = Array.make t.nseg Time.zero in
-        for i = 0 to t.nseg - 1 do
-          let path =
-            match P.ucp t.partition co.starts.(i) i with
-            | Some p -> p
-            | None -> [ i ]
-          in
-          let rec walk a = function
-            | [] | [ _ ] -> a
-            | u :: (v :: _ as rest) ->
-              if Hdd_graph.Digraph.mem_arc reduction u v then
-                walk (i_old_at v a) rest
-              else walk (c_late_at u a) rest
-          in
-          components.(i) <- walk m path
-        done;
-        (* stability: a component above q.(i) could admit a version a
-           class-i straggler has yet to replicate *)
-        Array.iteri (fun i v -> if v > q.(i) then raise Wall_stale) components;
-        let released_at = Sclock.tick t.clock in
-        let wall = TW.make ~s:co.primary ~m ~components ~released_at in
+  if now_ <> t.last_seen then begin
+    t.last_seen <- now_;
+    match
+      Array.init t.nseg (fun c -> wall_i_old t ~class_id:c ~at:(wall_upto t c))
+    with
+    | exception TW.Stale -> ()
+    | q -> (
+      match
+        TW.attempt t.walls wall_i_old wall_c_late t ~q
+          ~tick:(fun () -> Sclock.tick t.clock)
+      with
+      | Some wall ->
         t.wall <- wall;
-        Transport.broadcast t.net ~stamp:released_at (Wire.Wall wall);
-        (match t.trace with
-        | Some tr ->
-          T.emit tr ~at:released_at
-            (T.Wall_release
-               { m; released_at; components = Array.copy components })
-        | None -> ());
-        co.last_m <- m;
-        Registry.prune t.registry ~upto:(m - 1);
-        t.c.n_wall_releases <- t.c.n_wall_releases + 1;
-        let lag = released_at - m in
-        t.c.n_wall_lag_sum <- t.c.n_wall_lag_sum + lag;
-        if lag > t.c.n_wall_lag_max then t.c.n_wall_lag_max <- lag
-      end
-    with Wall_stale | Wall_not_computable -> ()
+        Transport.broadcast t.net ~stamp:wall.TW.released_at (Wire.Wall wall);
+        Registry.prune t.registry ~upto:(wall.TW.m - 1)
+      | None -> ())
   end
 
 let pump t =
@@ -278,7 +234,7 @@ let pump t =
     | None -> ()
   in
   drain ();
-  match t.coord with Some co -> coordinator_attempt t co | None -> ()
+  if t.me = 0 then coordinator_attempt t
 
 (* --- waiting --- *)
 
@@ -314,23 +270,11 @@ let await_pub t ~class_id m =
       match t.rpubs.(ow) with Some p -> p.r_upto >= m | None -> false);
   match t.rpubs.(ow) with Some p -> p | None -> assert false
 
-(* A_i^j(m): I_old composed along the critical path, local classes from
-   the live registry, remote ones from received publications. *)
-let a_threshold t ~from_class ~to_class m =
-  match P.critical_path t.partition from_class to_class with
-  | None | Some [] ->
-    invalid_arg
-      (Printf.sprintf "Shard node: no critical path from T%d to T%d"
-         from_class to_class)
-  | Some (_ :: rest) ->
-    List.fold_left
-      (fun m cls ->
-        if owner t cls = t.me then
-          Registry.i_old t.registry ~class_id:cls ~at:m
-        else
-          let pub = await_pub t ~class_id:cls m in
-          Registry.snap_i_old pub.r_snap ~class_id:cls ~at:m)
-      m rest
+(* Protocol A's lookup for {!Hdd_core.Activity.compose}: local classes
+   from the live registry, remote ones from received publications. *)
+let a_i_old t ~class_id ~at =
+  if owner t class_id = t.me then Registry.i_old t.registry ~class_id ~at
+  else Registry.snap_i_old (await_pub t ~class_id at).r_snap ~class_id ~at
 
 (* Wait until the cache of remote segment [seg] provably holds every
    committed version below [th]: the owner's publication must cover the
@@ -418,7 +362,10 @@ let exec_update t (d : E.desc) cls =
           if not (P.may_read t.partition ~class_id:cls ~segment:seg) then
             invalid_arg
               (Printf.sprintf "Shard node: T%d may not read D%d" cls seg);
-          let th = a_threshold t ~from_class:cls ~to_class:seg init in
+          let th =
+            Hdd_core.Activity.compose a_i_old t t.partition ~from_class:cls
+              ~to_class:seg init
+          in
           if owner t seg <> t.me then await_store t ~seg ~th;
           let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
           t.c.n_reads_a <- t.c.n_reads_a + 1;
@@ -569,12 +516,11 @@ let create ?(config = default_config) ~partition ~init ~net () =
   let nseg = P.segment_count partition in
   let clock = Sclock.create ~shards ~me in
   let trace =
-    if config.traced then
-      Some (T.create ~capacity:config.trace_capacity ~domain:(me + 1) ())
-    else None
+    if config.traced then Some (T.create ~domain:(me + 1) ()) else None
   in
-  let primary =
-    match P.lowest_classes partition with s :: _ -> s | [] -> 0
+  (* shard 0 alone releases walls, so only its trace records them *)
+  let walls =
+    TW.coordinator ?trace:(if me = 0 then trace else None) partition
   in
   (* The bootstrap wall, identical on every node without a message:
      components all 1 — the only version below 1 is the bootstrap
@@ -583,60 +529,37 @@ let create ?(config = default_config) ~partition ~init ~net () =
      finds the slot empty.  (All-zero components would be sound too,
      but a C-read at threshold 0 would have to serve version 0, which
      the monitors rightly reject as not-below-threshold.) *)
-  let wall0 =
-    TW.make ~s:primary ~m:1
-      ~components:(Array.make nseg 1)
-      ~released_at:Time.zero
-  in
-  let coord =
-    if me = 0 then
-      Some
-        { primary;
-          starts = TW.component_starts partition;
-          last_m = Time.zero;
-          last_seen = -1 }
-    else None
-  in
-  let t =
-    { partition;
-      nseg;
-      shards;
-      me;
-      init_fn = init;
-      net;
-      clock;
-      registry = Registry.create ?trace ~classes:nseg ();
-      store = Array.init nseg (fun _ -> Pstore.create ());
-      applied = Array.make nseg 0;
-      sent_marks = Array.make nseg 0;
-      pub_seq = 0;
-      rpubs = Array.make shards None;
-      wall = wall0;
-      trace;
-      c =
-        { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
-          n_reads_c = 0; n_writes = 0; n_stale_waits = 0;
-          n_wall_releases = 0; n_wall_lag_sum = 0; n_wall_lag_max = 0 };
-      outcomes = [];
-      on_wait = (fun () -> ());
-      stall_limit = config.stall_limit;
-      publish_every = Int.max 1 config.publish_every;
-      since_pub = 0;
-      coord;
-      work = Queue.create ();
-      drain_seen = false;
-      bye = false;
-      locked = Array.make nseg false;
-      lock_waiters = Array.init nseg (fun _ -> Queue.create ());
-      next_req = 0;
-      lock_replies = Hashtbl.create 16;
-      read_replies = Hashtbl.create 16 }
-  in
-  (match t.trace, coord with
-  | Some tr, Some _ ->
-    T.emit tr ~at:Time.zero
-      (T.Wall_release
-         { m = 1; released_at = Time.zero;
-           components = Array.make nseg 1 })
-  | _ -> ());
-  t
+  let wall0 = TW.initial walls ~m:1 ~released_at:Time.zero in
+  { partition;
+    nseg;
+    shards;
+    me;
+    init_fn = init;
+    net;
+    clock;
+    registry = Registry.create ?trace ~classes:nseg ();
+    store = Array.init nseg (fun _ -> Pstore.create ());
+    applied = Array.make nseg 0;
+    sent_marks = Array.make nseg 0;
+    pub_seq = 0;
+    rpubs = Array.make shards None;
+    wall = wall0;
+    walls;
+    last_seen = -1;
+    trace;
+    c =
+      { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
+        n_reads_c = 0; n_writes = 0; n_stale_waits = 0 };
+    outcomes = [];
+    on_wait = (fun () -> ());
+    stall_limit = config.stall_limit;
+    publish_every = Int.max 1 config.publish_every;
+    since_pub = 0;
+    work = Queue.create ();
+    drain_seen = false;
+    bye = false;
+    locked = Array.make nseg false;
+    lock_waiters = Array.init nseg (fun _ -> Queue.create ());
+    next_req = 0;
+    lock_replies = Hashtbl.create 16;
+    read_replies = Hashtbl.create 16 }

@@ -15,9 +15,12 @@
     duplicated or reordered publications can only ever add waiting,
     never admit an inconsistent read.
 
-    Shard 0 doubles as the wall coordinator: it recomputes the
-    engine-identical UCP walk over its own registry plus the cached
-    remote publications and broadcasts each released wall.
+    The threshold and the wall are {!Hdd_core.Activity.compose} and
+    {!Hdd_core.Timewall.attempt}, the same code as the engine's; the
+    node supplies only its lookups, its own live registry or a received
+    publication.  Shard 0 doubles as the wall coordinator: it attempts a
+    release whenever its clock has moved since the last attempt and
+    broadcasts each released wall.
 
     A node never blocks the OS thread: every wait is a [check]-loop
     that republishes its own activity (so mutually waiting shards
@@ -27,7 +30,6 @@
 
 type config = {
   traced : bool;
-  trace_capacity : int;
   stall_limit : int;
       (** wait iterations before a wait is declared a stall (a bug —
           the protocol is deadlock-free) and the node raises
@@ -60,8 +62,9 @@ val create :
   unit ->
   t
 (** Shard id and shard count come from [net].  Shard 0 becomes the
-    wall coordinator and seeds the trivial wall (m = 0, released at 0,
-    all components 0 — sound because a stale wall only under-serves). *)
+    wall coordinator.  Every node starts from the same wall (m = 1,
+    released at 0, all components 1 — sound because a stale wall only
+    under-serves). *)
 
 val me : t -> int
 val now : t -> Time.t

@@ -10,6 +10,8 @@ module Follows = Hdd_core.Follows
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let check_array = Alcotest.check (Alcotest.array Alcotest.int)
+let check_path = Alcotest.check (Alcotest.option (Alcotest.list Alcotest.int))
 
 let chain3 = History_gen.chain_partition 3
 
@@ -451,6 +453,162 @@ let prop_ro_invisible_to_registry =
       in
       ro_hidden && adhoc_joined && wall_ok)
 
+(* --- the concurrent coordinators' release rule (Timewall.attempt) --- *)
+
+(* Hand-built lookups on branch2, the three-class tree whose unique
+   critical path [0; 2; 1] climbs to the base and steps down to the
+   right branch, applying C_late at the base.  I_old is the identity;
+   C_late answers [late] ([None]: not computable, blocked by t9); an
+   argument above [upto] is stale. *)
+type stub = { upto : Time.t; late : Time.t option }
+
+let stub_i_old s ~class_id:_ ~at =
+  if at > s.upto then raise Timewall.Stale else at
+
+let stub_c_late s ~class_id:_ ~at =
+  if at > s.upto then raise Timewall.Stale
+  else match s.late with Some v -> Ok v | None -> Error 9
+
+let test_attempt_rule () =
+  check_path "the down-step" (Some [ 0; 2; 1 ]) (Partition.ucp branch2 0 1);
+  let co = Timewall.coordinator branch2 in
+  let attempt s q =
+    Timewall.attempt co stub_i_old stub_c_late s ~q ~tick:(fun () -> 50)
+  in
+  let refused what s q =
+    match attempt s q with
+    | None -> ()
+    | Some _ -> Alcotest.failf "released although %s" what
+  in
+  let ok = { upto = 100; late = Some 8 } in
+  refused "every q is max_int" ok (Array.make 3 max_int);
+  refused "a lookup is stale" { ok with upto = 7 } [| 8; 8; 8 |];
+  refused "C_late is not computable" { ok with late = None } [| 8; 8; 8 |];
+  refused "a component exceeds its q" { ok with late = Some 12 }
+    [| 8; 11; 8 |];
+  checki "nothing released yet" 0 co.Timewall.releases;
+  (match attempt { ok with late = Some 12 } [| 8; 12; 9 |] with
+  | Some w ->
+    check_array "anchored at min q" [| 8; 12; 8 |] w.Timewall.components;
+    checki "anchor" 8 w.Timewall.m;
+    checki "released at the tick" 50 w.Timewall.released_at
+  | None -> Alcotest.fail "a component at its q is stable");
+  refused "min q does not pass the last anchor" ok [| 8; 9; 9 |];
+  refused "min q falls behind the last anchor" ok [| 9; 9; 7 |];
+  checki "one release" 1 co.Timewall.releases;
+  checki "its lag" 42 co.Timewall.lag_max;
+  (* over a live registry, a released wall is Timewall.compute at its
+     anchor: the scripted history of Figure 9 *)
+  let ctx, reg = mk_ctx branch2 in
+  let mk id cls i = Txn.make ~id ~kind:(Txn.Update cls) ~init:i in
+  let base = mk 1 2 3 and left = mk 2 0 5 and right = mk 3 1 7 in
+  List.iter (Registry.register reg) [ base; left; right ];
+  Txn.commit base ~at:10;
+  Txn.commit left ~at:12;
+  Txn.commit right ~at:14;
+  let co = Timewall.coordinator branch2 in
+  List.iter
+    (fun m ->
+      match
+        ( Timewall.attempt co Registry.i_old Registry.c_late reg
+            ~q:(Array.make 3 m) ~tick:(fun () -> m + 1),
+          Timewall.compute ctx ~m )
+      with
+      | Some w, Ok components ->
+        check_array (Printf.sprintf "E at %d" m) components
+          w.Timewall.components
+      | _ -> Alcotest.failf "anchor %d: attempt and compute disagree" m)
+    [ 2; 6; 9; 15 ]
+
+(* --- the cached A against the one composition, 1000 seeds --- *)
+
+(* Register/commit/abort at random on chain3 and branch2.  After every
+   step, each cached a_fn answer must be the uncached composition over
+   the live registry, and the wall composed over a registry snapshot
+   must be Timewall.compute over the live registry.  One context per
+   argument, so every context's cache entry is revisited at its own
+   argument across steps. *)
+let test_cache_is_the_composition () =
+  let args = [| 1; 2; 4; 7; 11; 16; 22; 29; 37; 46 |] in
+  List.iter
+    (fun (name, partition) ->
+      let n = Partition.segment_count partition in
+      let pairs =
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j ->
+                if Partition.critical_path partition i j <> None then
+                  Some (i, j)
+                else None)
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      for seed = 1 to 1000 do
+        let prng = Hdd_util.Prng.create seed in
+        let reg = Registry.create ~classes:n () in
+        let ctxs =
+          Array.map (fun _ -> Activity.make_ctx partition reg) args
+        in
+        let live = Activity.make_ctx partition reg in
+        let now = ref 0 in
+        let tick () = incr now; !now in
+        let actives = ref [] in
+        let next_id = ref 0 in
+        for step = 1 to 10 + Hdd_util.Prng.int prng 40 do
+          (if !actives <> [] && Hdd_util.Prng.float prng 1. < 0.45 then begin
+             let t = Hdd_util.Prng.pick prng (Array.of_list !actives) in
+             actives := List.filter (fun u -> u != t) !actives;
+             if Hdd_util.Prng.bool prng then Txn.commit t ~at:(tick ())
+             else Txn.abort t ~at:(tick ())
+           end
+           else begin
+             incr next_id;
+             let c = Hdd_util.Prng.int prng n in
+             let t =
+               Txn.make ~id:!next_id ~kind:(Txn.Update c) ~init:(tick ())
+             in
+             Registry.register reg t;
+             actives := t :: !actives
+           end);
+          Array.iteri
+            (fun k m ->
+              List.iter
+                (fun (i, j) ->
+                  let cached =
+                    Activity.a_fn ctxs.(k) ~from_class:i ~to_class:j m
+                  in
+                  let fresh =
+                    Activity.compose Registry.i_old reg partition
+                      ~from_class:i ~to_class:j m
+                  in
+                  if cached <> fresh then
+                    Alcotest.failf
+                      "%s seed %d step %d: A_%d^%d(%d) cached %d, composed %d"
+                      name seed step i j m cached fresh)
+                pairs)
+            args;
+          let snap = Registry.snapshot reg in
+          Array.iter
+            (fun m ->
+              let shared =
+                Timewall.attempt (Timewall.coordinator partition)
+                  Registry.snap_i_old Registry.snap_c_late snap
+                  ~q:(Array.make n m) ~tick:(fun () -> m + 1)
+              in
+              match (shared, Timewall.compute live ~m) with
+              | Some w, Ok components when w.Timewall.components = components
+                -> ()
+              | None, Error _ -> ()
+              | _ ->
+                Alcotest.failf
+                  "%s seed %d step %d: wall at %d over the snapshot differs"
+                  name seed step m)
+            args
+        done
+      done)
+    [ ("chain3", chain3); ("branch2", branch2) ]
+
 let suite =
   [ Alcotest.test_case "A: idle identity" `Quick test_a_fn_idle;
     Alcotest.test_case "A: direct arc" `Quick test_a_fn_direct;
@@ -478,4 +636,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_a_b_inverse_abort_heavy;
     QCheck_alcotest.to_alcotest prop_ro_invisible_to_registry;
     Alcotest.test_case "Property 1.2: proof-case coverage" `Quick
-      test_follows_case_coverage ]
+      test_follows_case_coverage;
+    Alcotest.test_case "wall: the release rule refuses and releases" `Quick
+      test_attempt_rule;
+    Alcotest.test_case "A: the cache is the composition on 1000 seeds" `Quick
+      test_cache_is_the_composition ]
