@@ -54,16 +54,6 @@ let begin_txn t ~read_only =
   t.m.begins <- t.m.begins + 1;
   txn
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 let buffered st g =
   List.find_map
     (fun (g', v) -> if Granule.equal g g' then Some v else None)
@@ -72,7 +62,7 @@ let buffered st g =
 let snapshot_read t (txn : Txn.t) g =
   match Store.committed_before t.store g ~ts:txn.Txn.init with
   | Some v ->
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
     Granted v.Chain.value
   | None ->
     t.m.rejects <- t.m.rejects + 1;
@@ -81,7 +71,7 @@ let snapshot_read t (txn : Txn.t) g =
 let current_read t (txn : Txn.t) g =
   match Store.latest_committed t.store g with
   | Some v ->
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
     Granted v.Chain.value
   | None ->
     t.m.rejects <- t.m.rejects + 1;
@@ -168,7 +158,7 @@ let commit t txn =
     (fun (g, value) ->
       ignore (Store.install t.store g ~ts:at ~writer:txn.Txn.id ~value);
       Store.commit_version t.store g ~ts:at;
-      log_write t ~txn:txn.Txn.id ~granule:g ~version:at)
+      Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:at)
     (List.rev st.buffer);
   Txn.commit txn ~at;
   release t st;
@@ -176,9 +166,7 @@ let commit t txn =
 
 let abort t txn =
   let st = state_of t txn in
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   release t st;
   t.m.aborts <- t.m.aborts + 1

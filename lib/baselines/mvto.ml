@@ -34,16 +34,6 @@ let begin_txn t =
   t.m.begins <- t.m.begins + 1;
   txn
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 let read t txn g =
   ignore (state_of t txn);
   t.m.reads <- t.m.reads + 1;
@@ -57,7 +47,7 @@ let read t txn g =
   | Some (Chain.Version v) ->
     Chain.mark_read v ~at:txn.Txn.init;
     t.m.read_registrations <- t.m.read_registrations + 1;
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
     Granted v.Chain.value
 
 let write t txn g value =
@@ -67,7 +57,7 @@ let write t txn g value =
   if List.exists (Granule.equal g) st.written then begin
     Store.discard_version t.store g ~ts;
     ignore (Store.install t.store g ~ts ~writer:txn.Txn.id ~value);
-    log_write t ~txn:txn.Txn.id ~granule:g ~version:ts;
+    Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:ts;
     Granted ()
   end
   else
@@ -83,7 +73,7 @@ let write t txn g value =
     else begin
       ignore (Store.install t.store g ~ts ~writer:txn.Txn.id ~value);
       st.written <- g :: st.written;
-      log_write t ~txn:txn.Txn.id ~granule:g ~version:ts;
+      Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:ts;
       Granted ()
     end
 
@@ -101,9 +91,7 @@ let abort t txn =
   List.iter
     (fun g -> Store.discard_version t.store g ~ts:txn.Txn.init)
     st.written;
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   Hashtbl.remove t.states txn.Txn.id;
   t.m.aborts <- t.m.aborts + 1

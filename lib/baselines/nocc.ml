@@ -24,18 +24,14 @@ let begin_txn t =
 let read t txn g =
   t.m.reads <- t.m.reads + 1;
   let value, wts = Sv.read t.store g in
-  (match t.log with
-  | Some log -> Sched_log.log_read log ~txn:txn.Txn.id ~granule:g ~version:wts
-  | None -> ());
+  Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:wts;
   Granted value
 
 let write t txn g value =
   t.m.writes <- t.m.writes + 1;
   let wts = Time.Clock.tick t.clock in
   Sv.write t.store g ~value ~wts;
-  (match t.log with
-  | Some log -> Sched_log.log_write log ~txn:txn.Txn.id ~granule:g ~version:wts
-  | None -> ());
+  Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:wts;
   Granted ()
 
 let commit t txn =
@@ -43,8 +39,6 @@ let commit t txn =
   t.m.commits <- t.m.commits + 1
 
 let abort t txn =
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   t.m.aborts <- t.m.aborts + 1

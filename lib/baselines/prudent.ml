@@ -10,195 +10,205 @@ open Hdd_core.Outcome
    a transaction may only commit once every recorded predecessor has
    finished, which the driver enforces through [try_commit] — a
    commit-wait cycle surfaces as a driver-level deadlock and restarts
-   one participant. *)
+   one participant.  [Table] is that discipline; the standalone
+   controller below and the hybrid scheduler's escalated classes both
+   drive it. *)
 
-type gstate = {
-  mutable writer : Txn.id option;  (** pending exclusive writer *)
-  mutable readers : Txn.id list;  (** active readers of the latest version *)
-}
+module Table = struct
+  type gstate = {
+    mutable writer : Txn.id option;  (** pending exclusive writer *)
+    mutable readers : Txn.id list;  (** active readers of the latest version *)
+  }
 
-type 'a txn_state = {
-  txn : Txn.t;
-  read_only : bool;
-  mutable reads : Granule.t list;  (** granules registered as reader *)
-  mutable writes : Granule.t list;  (** granules whose writer slot we hold *)
-  mutable buffer : (Granule.t * 'a) list;  (** deferred writes, newest first *)
-  mutable preds : Txn.id list;  (** must finish before our commit *)
-}
+  type 'a entry = {
+    mutable reads : Granule.t list;  (** granules registered as reader *)
+    mutable writes : Granule.t list;  (** granules whose writer slot we hold *)
+    mutable buffer : (Granule.t * 'a) list;  (** deferred, newest first *)
+    mutable preds : Txn.id list;  (** must finish before our commit *)
+  }
 
-type 'a t = {
-  clock : Time.Clock.clock;
-  store : 'a Store.t;
-  granules : gstate Granule.Tbl.t;
-  states : (Txn.id, 'a txn_state) Hashtbl.t;
-  log : Sched_log.t option;
-  m : Cc_metrics.t;
-  mutable next_id : int;
-}
+  type 'a t = {
+    store : 'a Store.t;
+    granules : gstate Granule.Tbl.t;
+    entries : (Txn.id, 'a entry) Hashtbl.t;
+    m : Cc_metrics.t;
+  }
 
-let create ?log ~clock ~segments ~init () =
-  { clock; store = Store.create ~segments ~init;
-    granules = Granule.Tbl.create 256; states = Hashtbl.create 64; log;
-    m = Cc_metrics.create (); next_id = 1 }
+  type 'a read = Own of 'a | Latest of 'a Chain.version | Missing
 
-let metrics t = t.m
-let store t = t.store
+  let create store =
+    { store; granules = Granule.Tbl.create 256; entries = Hashtbl.create 64;
+      m = Cc_metrics.create () }
 
-let gstate_of t g =
-  match Granule.Tbl.find_opt t.granules g with
-  | Some s -> s
-  | None ->
-    let s = { writer = None; readers = [] } in
-    Granule.Tbl.add t.granules g s;
-    s
+  let metrics t = t.m
+  let store t = t.store
+  let mem t (txn : Txn.t) = Hashtbl.mem t.entries txn.Txn.id
 
-let state_of t (txn : Txn.t) =
-  match Hashtbl.find_opt t.states txn.Txn.id with
-  | Some s -> s
-  | None ->
-    invalid_arg (Printf.sprintf "Prudent: unknown transaction %d" txn.Txn.id)
+  let join t (txn : Txn.t) =
+    Hashtbl.replace t.entries txn.Txn.id
+      { reads = []; writes = []; buffer = []; preds = [] }
 
-let begin_txn t ~read_only =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let kind = if read_only then Txn.Read_only else Txn.Update 0 in
-  let txn = Txn.make ~id ~kind ~init:(Time.Clock.tick t.clock) in
-  Hashtbl.replace t.states id
-    { txn; read_only; reads = []; writes = []; buffer = []; preds = [] };
-  t.m.begins <- t.m.begins + 1;
-  txn
+  let entry t (txn : Txn.t) =
+    match Hashtbl.find_opt t.entries txn.Txn.id with
+    | Some e -> e
+    | None ->
+      invalid_arg (Printf.sprintf "Prudent: unknown transaction %d" txn.Txn.id)
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
+  let gstate_of t g =
+    match Granule.Tbl.find_opt t.granules g with
+    | Some s -> s
+    | None ->
+      let s = { writer = None; readers = [] } in
+      Granule.Tbl.add t.granules g s;
+      s
 
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
+  let add_pred e id = if not (List.mem id e.preds) then e.preds <- id :: e.preds
 
-let buffered st g =
-  List.find_map
-    (fun (g', v) -> if Granule.equal g g' then Some v else None)
-    st.buffer
-
-let add_pred st id = if not (List.mem id st.preds) then st.preds <- id :: st.preds
-
-let snapshot_read t (txn : Txn.t) g =
-  match Store.committed_before t.store g ~ts:txn.Txn.init with
-  | Some v ->
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
-    Granted v.Chain.value
-  | None ->
-    t.m.rejects <- t.m.rejects + 1;
-    Rejected "snapshot version collected"
-
-let current_read t (txn : Txn.t) g =
-  match Store.latest_committed t.store g with
-  | Some v ->
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
-    Granted v.Chain.value
-  | None ->
-    t.m.rejects <- t.m.rejects + 1;
-    Rejected "no committed version"
-
-let read t txn g =
-  let st = state_of t txn in
-  let id = txn.Txn.id in
-  t.m.reads <- t.m.reads + 1;
-  if st.read_only then snapshot_read t txn g
-  else
-    match buffered st g with
-    | Some v -> Granted v (* own deferred write *)
+  let read t txn g =
+    let e = entry t txn in
+    let id = txn.Txn.id in
+    t.m.reads <- t.m.reads + 1;
+    match List.assoc_opt g e.buffer with
+    | Some v -> Own v
     | None ->
       let gs = gstate_of t g in
       (* we read over the head of a pending write: the writer now
          commit-waits for us *)
       (match gs.writer with
       | Some w when w <> id -> (
-        match Hashtbl.find_opt t.states w with
-        | Some wst -> add_pred wst id
+        match Hashtbl.find_opt t.entries w with
+        | Some we -> add_pred we id
         | None -> ())
       | _ -> ());
       if not (List.mem id gs.readers) then begin
         gs.readers <- id :: gs.readers;
-        st.reads <- g :: st.reads;
+        e.reads <- g :: e.reads;
         t.m.read_registrations <- t.m.read_registrations + 1
       end;
-      current_read t txn g
+      (match Store.latest_committed t.store g with
+      | Some v -> Latest v
+      | None ->
+        t.m.rejects <- t.m.rejects + 1;
+        Missing)
 
-let write t txn g value =
-  let st = state_of t txn in
-  let id = txn.Txn.id in
-  t.m.writes <- t.m.writes + 1;
-  if st.read_only then begin
-    t.m.rejects <- t.m.rejects + 1;
-    Rejected "read-only transaction may not write"
-  end
-  else
+  let write t txn g value =
+    let e = entry t txn in
+    let id = txn.Txn.id in
+    t.m.writes <- t.m.writes + 1;
     let gs = gstate_of t g in
     match gs.writer with
     | Some w when w <> id ->
       t.m.blocks <- t.m.blocks + 1;
       Blocked [ w ]
-    | Some _ ->
-      st.buffer <- (g, value) :: List.remove_assoc g st.buffer;
-      Granted ()
-    | None ->
-      gs.writer <- Some id;
-      st.writes <- g :: st.writes;
-      (* every current reader of the version we overwrite precedes us *)
-      List.iter (fun r -> if r <> id then add_pred st r) gs.readers;
-      st.buffer <- (g, value) :: List.remove_assoc g st.buffer;
+    | held ->
+      if held = None then begin
+        gs.writer <- Some id;
+        e.writes <- g :: e.writes;
+        (* every current reader of the version we overwrite precedes us *)
+        List.iter (fun r -> if r <> id then add_pred e r) gs.readers
+      end;
+      e.buffer <- (g, value) :: List.remove_assoc g e.buffer;
       Granted ()
 
-let try_commit t txn =
-  let st = state_of t txn in
-  if st.read_only then Granted ()
-  else
-    let live = List.filter (Hashtbl.mem t.states) st.preds in
+  let admit t txn =
+    let live = List.filter (Hashtbl.mem t.entries) (entry t txn).preds in
     if live = [] then Granted ()
     else begin
       t.m.blocks <- t.m.blocks + 1;
       Blocked live
     end
 
-let release t st =
-  List.iter
-    (fun g ->
-      let gs = gstate_of t g in
-      gs.readers <- List.filter (fun r -> r <> st.txn.Txn.id) gs.readers)
-    st.reads;
-  List.iter
-    (fun g ->
-      let gs = gstate_of t g in
-      match gs.writer with
-      | Some w when w = st.txn.Txn.id -> gs.writer <- None
-      | _ -> ())
-    st.writes;
-  Hashtbl.remove t.states st.txn.Txn.id
+  let release t txn =
+    let e = entry t txn in
+    let id = txn.Txn.id in
+    List.iter
+      (fun g ->
+        let gs = gstate_of t g in
+        gs.readers <- List.filter (fun r -> r <> id) gs.readers)
+      e.reads;
+    List.iter
+      (fun g ->
+        let gs = gstate_of t g in
+        if gs.writer = Some id then gs.writer <- None)
+      e.writes;
+    Hashtbl.remove t.entries id
 
-let commit t txn =
-  let st = state_of t txn in
-  let at = Time.Clock.tick t.clock in
   (* version order per granule = commit order, which the writer slots
      plus commit-waits serialise *)
-  List.iter
-    (fun (g, value) ->
-      ignore (Store.install t.store g ~ts:at ~writer:txn.Txn.id ~value);
-      Store.commit_version t.store g ~ts:at;
-      log_write t ~txn:txn.Txn.id ~granule:g ~version:at)
-    (List.rev st.buffer);
+  let install t txn ~stamp on_granule =
+    List.iter
+      (fun (g, value) ->
+        ignore (Store.install t.store g ~ts:stamp ~writer:txn.Txn.id ~value);
+        Store.commit_version t.store g ~ts:stamp;
+        on_granule g)
+      (List.rev (entry t txn).buffer);
+    release t txn
+end
+
+type 'a t = {
+  clock : Time.Clock.clock;
+  table : 'a Table.t;
+  m : Cc_metrics.t;  (** the table's, with begins, commits and aborts *)
+  log : Sched_log.t option;
+  mutable next_id : int;
+}
+
+let create ?log ~clock ~segments ~init () =
+  let table = Table.create (Store.create ~segments ~init) in
+  { clock; table; m = Table.metrics table; log; next_id = 1 }
+
+let metrics t = t.m
+let store t = Table.store t.table
+
+let begin_txn t ~read_only =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let kind = if read_only then Txn.Read_only else Txn.Update 0 in
+  let txn = Txn.make ~id ~kind ~init:(Time.Clock.tick t.clock) in
+  Table.join t.table txn;
+  t.m.begins <- t.m.begins + 1;
+  txn
+
+let read_version t (txn : Txn.t) g (v : _ Chain.version) =
+  Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+  Granted v.Chain.value
+
+(* Read-only transactions read a snapshot at their initiation and never
+   register: they take no part in the table's precedence edges. *)
+let read t txn g =
+  if Txn.is_update txn then
+    match Table.read t.table txn g with
+    | Table.Own v -> Granted v
+    | Table.Latest v -> read_version t txn g v
+    | Table.Missing -> Rejected "no committed version"
+  else begin
+    t.m.reads <- t.m.reads + 1;
+    match Store.committed_before (store t) g ~ts:txn.Txn.init with
+    | Some v -> read_version t txn g v
+    | None ->
+      t.m.rejects <- t.m.rejects + 1;
+      Rejected "snapshot version collected"
+  end
+
+let write t txn g value =
+  if Txn.is_update txn then Table.write t.table txn g value
+  else begin
+    t.m.writes <- t.m.writes + 1;
+    t.m.rejects <- t.m.rejects + 1;
+    Rejected "read-only transaction may not write"
+  end
+
+let try_commit t txn = Table.admit t.table txn
+
+let commit t txn =
+  let at = Time.Clock.tick t.clock in
+  Table.install t.table txn ~stamp:at (fun g ->
+      Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:at);
   Txn.commit txn ~at;
-  release t st;
   t.m.commits <- t.m.commits + 1
 
 let abort t txn =
-  let st = state_of t txn in
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
-  release t st;
+  Table.release t.table txn;
   t.m.aborts <- t.m.aborts + 1

@@ -57,16 +57,6 @@ let begin_txn t ~read_only =
   t.m.begins <- t.m.begins + 1;
   txn
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 let holds lock id = List.mem_assoc id lock.holders
 
 let others lock id =
@@ -81,7 +71,7 @@ let read t txn g =
   t.m.reads <- t.m.reads + 1;
   let grant () =
     let value, wts = Sv.read t.store g in
-    log_read t ~txn:id ~granule:g ~version:wts;
+    Sched_log.log_read_opt t.log ~txn:id ~granule:g ~version:wts;
     Granted value
   in
   if not t.read_locks then grant ()
@@ -120,7 +110,7 @@ let write t txn g value =
        follow, and the certifier orders versions by their stamps *)
     let wts = Time.Clock.tick t.clock in
     Sv.write t.store g ~value ~wts;
-    log_write t ~txn:id ~granule:g ~version:wts;
+    Sched_log.log_write_opt t.log ~txn:id ~granule:g ~version:wts;
     Granted ()
   in
   match List.assoc_opt id lock.holders with
@@ -167,9 +157,7 @@ let abort t txn =
   List.iter
     (fun u -> Sv.write t.store u.granule ~value:u.old_value ~wts:u.old_wts)
     st.undo;
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   release t st;
   t.m.aborts <- t.m.aborts + 1

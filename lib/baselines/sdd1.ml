@@ -94,16 +94,6 @@ let begin_txn t ~class_id =
 
 let begin_adhoc ?(updates = false) t = begin_in_class t t.adhoc ~updates
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 (* Older active transactions in any of the given classes that satisfy
    [keep]. *)
 let older_actives t classes ~than ~self ~keep =
@@ -133,7 +123,7 @@ let read t txn g =
   | [] ->
     let value, wts = Sv.read t.store g in
     (* conflict analysis replaces registration: nothing is recorded *)
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:wts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:wts;
     Granted value
   | blockers ->
     t.m.blocks <- t.m.blocks + 1;
@@ -162,7 +152,7 @@ let write t txn g value =
       st.undo <- { granule = g; old_value; old_wts } :: st.undo;
     let wts = Time.Clock.tick t.clock in
     Sv.write t.store g ~value ~wts;
-    log_write t ~txn:txn.Txn.id ~granule:g ~version:wts;
+    Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:wts;
     Granted ()
   | blockers ->
     t.m.blocks <- t.m.blocks + 1;
@@ -184,9 +174,7 @@ let abort t txn =
   List.iter
     (fun u -> Sv.write t.store u.granule ~value:u.old_value ~wts:u.old_wts)
     st.undo;
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   finish t st;
   t.m.aborts <- t.m.aborts + 1

@@ -38,16 +38,6 @@ let begin_txn t =
   t.m.begins <- t.m.begins + 1;
   txn
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 let dirty_other t g id =
   match Granule.Tbl.find_opt t.dirty g with
   | Some w when w <> id -> Some w
@@ -73,7 +63,7 @@ let read t txn g =
         Sv.set_rts t.store g txn.Txn.init;
         t.m.read_registrations <- t.m.read_registrations + 1
       end;
-      log_read t ~txn:id ~granule:g ~version:cell.Sv.wts;
+      Sched_log.log_read_opt t.log ~txn:id ~granule:g ~version:cell.Sv.wts;
       Granted cell.Sv.value
     end
 
@@ -105,7 +95,7 @@ let write t txn g value =
           :: st.undo;
       Sv.write t.store g ~value ~wts:txn.Txn.init;
       Granule.Tbl.replace t.dirty g id;
-      log_write t ~txn:id ~granule:g ~version:txn.Txn.init;
+      Sched_log.log_write_opt t.log ~txn:id ~granule:g ~version:txn.Txn.init;
       Granted ()
     end
 
@@ -125,9 +115,7 @@ let abort t txn =
     (fun u -> Sv.write t.store u.granule ~value:u.old_value ~wts:u.old_wts)
     st.undo;
   clear_dirty t st;
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(Time.Clock.tick t.clock);
   Hashtbl.remove t.states txn.Txn.id;
   t.m.aborts <- t.m.aborts + 1

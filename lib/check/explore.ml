@@ -107,7 +107,8 @@ type trial = {
 type tstate =
   | Idle
   | Running of Txn.t * op list  (** remaining ops *)
-  | Waiting of Txn.t * op list * Txn.id list  (** head op blocked on ids *)
+  | Waiting of Txn.t * op list * Txn.id list
+      (** head op, or the commit once no op is left, blocked on ids *)
   | Done of [ `Committed | `Aborted ]
 
 type exec = {
@@ -149,6 +150,11 @@ let record e t txn action outcome =
   e.rev_schedule <- t :: e.rev_schedule;
   e.steps <- e.steps + 1
 
+let outcome_of = function
+  | Outcome.Granted _ -> `Ok
+  | Outcome.Blocked ids -> `Blocked ids
+  | Outcome.Rejected why -> `Rejected why
+
 (* Execute one step of program [t]; [t] must be enabled.  A step budget
    guards against a controller returning Blocked on already-finished
    transactions forever (none does; the guard turns such a bug into a
@@ -164,35 +170,34 @@ let step e t =
     Hashtbl.replace e.live txn.Txn.id t;
     e.states.(t) <- Running (txn, p.ops);
     record e t txn.Txn.id Begin `Ok
-  | Running (txn, []) ->
-    e.ctrl.Controller.commit txn;
-    Hashtbl.remove e.live txn.Txn.id;
-    e.states.(t) <- Done `Committed;
-    record e t txn.Txn.id Finish `Ok
-  | Running (txn, (op :: rest as ops)) | Waiting (txn, (op :: rest as ops), _)
-    ->
-    let outcome =
-      match op with
-      | Read g -> (
-        match e.ctrl.Controller.read txn g with
-        | Outcome.Granted _ -> `Ok
-        | Outcome.Blocked ids -> `Blocked ids
-        | Outcome.Rejected why -> `Rejected why)
-      | Write (g, v) -> (
-        match e.ctrl.Controller.write txn g v with
-        | Outcome.Granted () -> `Ok
-        | Outcome.Blocked ids -> `Blocked ids
-        | Outcome.Rejected why -> `Rejected why)
+  | Running (txn, ops) | Waiting (txn, ops, _) ->
+    (* the finish step asks for commit admission first: a controller
+       that delays its commit point parks the program like a blocked
+       access *)
+    let action, outcome =
+      match ops with
+      | [] ->
+        ( Finish,
+          match e.ctrl.Controller.try_commit with
+          | Some admit -> outcome_of (admit txn)
+          | None -> `Ok )
+      | (Read g as op) :: _ ->
+        (Access op, outcome_of (e.ctrl.Controller.read txn g))
+      | (Write (g, v) as op) :: _ ->
+        (Access op, outcome_of (e.ctrl.Controller.write txn g v))
     in
-    (match outcome with
-    | `Ok -> e.states.(t) <- Running (txn, rest)
-    | `Blocked ids -> e.states.(t) <- Waiting (txn, ops, ids)
-    | `Rejected _ ->
+    (match (outcome, ops) with
+    | `Ok, [] ->
+      e.ctrl.Controller.commit txn;
+      Hashtbl.remove e.live txn.Txn.id;
+      e.states.(t) <- Done `Committed
+    | `Ok, _ :: rest -> e.states.(t) <- Running (txn, rest)
+    | `Blocked ids, _ -> e.states.(t) <- Waiting (txn, ops, ids)
+    | `Rejected _, _ ->
       e.ctrl.Controller.abort txn;
       Hashtbl.remove e.live txn.Txn.id;
       e.states.(t) <- Done `Aborted);
-    record e t txn.Txn.id (Access op) outcome
-  | Waiting (_, [], _) -> assert false
+    record e t txn.Txn.id action outcome
 
 (* Finish the execution: abort whatever is still parked (a genuine
    deadlock, or leftovers of a truncated schedule) and certify. *)
@@ -253,10 +258,10 @@ type desc = Dbegin | Dfinish | Dread of Granule.t | Dwrite of Granule.t
 let desc_of e t =
   match e.states.(t) with
   | Idle -> Dbegin
-  | Running (_, []) -> Dfinish
+  | Running (_, []) | Waiting (_, [], _) -> Dfinish
   | Running (_, op :: _) | Waiting (_, op :: _, _) -> (
     match op with Read g -> Dread g | Write (g, _) -> Dwrite g)
-  | Waiting (_, [], _) | Done _ -> assert false
+  | Done _ -> assert false
 
 (* Two steps of different programs commute when both are data operations
    on different granules, or both are reads: every controller here

@@ -8,10 +8,12 @@
     decision point it branches over each runnable program, replaying the
     prefix into a fresh controller instance per branch (controllers are
     mutable and cannot be snapshotted).  Blocked operations park the
-    program until every blocker finishes; rejected operations abort it
-    (the paper's formalism has no restarts, and the certifier judges
-    committed work only); a global deadlock aborts every parked program
-    and the schedule completes with the committed subset.
+    program until every blocker finishes, and so does a commit the
+    controller's [try_commit] does not yet admit.  Rejected operations
+    and refused commits abort the program (the paper's formalism has no
+    restarts, and the certifier judges committed work only); a global
+    deadlock aborts every parked program and the schedule completes
+    with the committed subset.
 
     With [prune] on (the default), sleep sets [Godefroid 1996] cut the
     tree to one representative per Mazurkiewicz trace: two steps of
@@ -76,8 +78,8 @@ val hdd_observed : unit -> system
     the observability-invisibility property. *)
 
 val all_systems : system list
-(** [Harness.all] as systems: HDD, the full-strength baselines, the
-    Figure 3/4 cripples and NoCC. *)
+(** [Harness.all] as systems: HDD, the full-strength baselines
+    ([Prudent] among them), the Figure 3/4 cripples and NoCC. *)
 
 val system : string -> system
 (** Look up by {!Hdd_sim.Harness.spec_name}.  @raise Failure on an

@@ -256,16 +256,6 @@ let read_threshold t (txn : Txn.t) ~segment =
         Some (Activity.a_fn t.ctx ~from_class:i ~to_class:segment txn.Txn.init)
       else None)
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
 let cached_threshold (st : _ txn_state) ~segment compute =
   match List.assoc_opt segment st.thresholds with
   | Some v -> v
@@ -279,7 +269,7 @@ let cached_threshold (st : _ txn_state) ~segment compute =
 let snapshot_read t (txn : Txn.t) ~proto g threshold =
   match Store.committed_before t.store g ~ts:threshold with
   | Some v ->
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
     emit_read t txn proto g ~threshold ~version:v.Chain.ts;
     Granted v.Chain.value
   | None ->
@@ -309,7 +299,7 @@ let protocol_b_read t (txn : Txn.t) g =
   | Some (Chain.Version v) ->
     Chain.mark_read v ~at:txn.Txn.init;
     t.m.read_registrations <- t.m.read_registrations + 1;
-    log_read t ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
     emit_read t txn Trace.B g ~threshold:txn.Txn.init ~version:v.Chain.ts;
     Granted v.Chain.value
 
@@ -400,7 +390,7 @@ let mvto_write t (st : _ txn_state) txn g value =
           (fun ((g', _) as p) -> if Granule.equal g g' then (g', v) else p)
           st.written;
       t.m.writes <- t.m.writes + 1;
-      log_write t ~txn:txn.Txn.id ~granule:g ~version:ts;
+      Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:ts;
       emit_write t txn g ~ts;
       Granted ()
     | None ->
@@ -419,7 +409,7 @@ let mvto_write t (st : _ txn_state) txn g value =
         let v = Store.install t.store g ~ts ~writer:txn.Txn.id ~value in
         st.written <- (g, v) :: st.written;
         t.m.writes <- t.m.writes + 1;
-        log_write t ~txn:txn.Txn.id ~granule:g ~version:ts;
+        Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:ts;
         emit_write t txn g ~ts;
         Granted ()
       end
@@ -590,9 +580,7 @@ let abort t txn =
   let st = state_of t txn in
   let at = Time.Clock.tick t.clock in
   List.iter (fun (g, v) -> Store.discard_installed t.store g v) st.written;
-  (match t.log with
-  | Some log -> Sched_log.drop_txn log txn.Txn.id
-  | None -> ());
+  Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at;
   Hashtbl.remove t.states txn.Txn.id;
   t.m.aborts <- t.m.aborts + 1;

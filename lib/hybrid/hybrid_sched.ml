@@ -1,5 +1,7 @@
 module Store = Hdd_mvstore.Store
 module Chain = Hdd_mvstore.Chain
+module Table = Hdd_baselines.Prudent.Table
+module Cc_metrics = Hdd_baselines.Cc_metrics
 module Scheduler = Hdd_core.Scheduler
 module P = Hdd_core.Partition
 module T = Hdd_obs.Trace
@@ -7,41 +9,18 @@ open Hdd_core.Outcome
 
 (* Adaptive hybrid CC (DESIGN.md §18): the HDD scheduler runs every
    class as usual, but a class under contention can be escalated to
-   commit-order serialization — prudent-precedence ordering on its root
-   segment, versions stamped at commit instead of initiation.  Only
-   root-only-eligible classes (declared read set inside the own root
-   segment) may escalate: for those, every composed Protocol A
+   commit-order serialization — its root segment on Prudent's
+   precedence table, versions stamped at commit instead of initiation.
+   Only root-only-eligible classes (declared read set inside the own
+   root segment) may escalate: for those, every composed Protocol A
    threshold and every wall component is at most the initiation of any
    active escalated transaction, which is strictly below its commit
    stamp, so cross-class readers and read-only walls never see a
    half-escalated cut.  Mode flips apply lazily, when the changed
    classes have drained, and emit {!Hdd_obs.Trace.event.Escalation}. *)
 
-type gstate = {
-  mutable writer : Txn.id option;
-  mutable readers : Txn.id list;
-}
-
-type est = {
-  e_txn : Txn.t;
-  e_cls : int;
-  mutable e_reads : Granule.t list;
-  mutable e_writes : Granule.t list;
-  mutable e_buffer : (Granule.t * int) list;
-  mutable e_preds : Txn.id list;
-}
-
-type xmetrics = {
-  mutable x_reads : int;
-  mutable x_writes : int;
-  mutable x_read_registrations : int;
-  mutable x_blocks : int;
-  mutable x_rejects : int;
-}
-
 type t = {
   sched : int Scheduler.t;
-  store : int Store.t;
   clock : Time.Clock.clock;
   partition : P.t;
   trace : T.t option;
@@ -51,9 +30,7 @@ type t = {
   mutable pending : int array option;
   mutable esc_seq : int;
   active : int array;  (* active update transactions per class *)
-  granules : gstate Granule.Tbl.t;
-  states : (Txn.id, est) Hashtbl.t;
-  xm : xmetrics;
+  table : int Table.t;  (* the escalated transactions *)
 }
 
 let eligible_classes partition =
@@ -66,15 +43,11 @@ let eligible_classes partition =
       done;
       !ok)
 
-let create ?log ?trace ?wall_every_commits ~partition ~init () =
+let create ?log ?trace ~partition ~init () =
   let clock = Time.Clock.create () in
   let store = Store.create ~segments:(P.segment_count partition) ~init in
-  let sched =
-    Scheduler.create ?log ?trace ?wall_every_commits ~partition ~clock ~store
-      ()
-  in
+  let sched = Scheduler.create ?log ?trace ~partition ~clock ~store () in
   { sched;
-    store;
     clock;
     partition;
     trace;
@@ -84,11 +57,7 @@ let create ?log ?trace ?wall_every_commits ~partition ~init () =
     pending = None;
     esc_seq = 0;
     active = Array.make (P.segment_count partition) 0;
-    granules = Granule.Tbl.create 256;
-    states = Hashtbl.create 64;
-    xm =
-      { x_reads = 0; x_writes = 0; x_read_registrations = 0; x_blocks = 0;
-        x_rejects = 0 } }
+    table = Table.create store }
 
 let scheduler t = t.sched
 let modes t = Array.copy t.modes
@@ -148,10 +117,7 @@ let begin_update t ~class_id =
   ignore (apply_pending t);
   let txn = Scheduler.begin_update t.sched ~class_id in
   t.active.(class_id) <- t.active.(class_id) + 1;
-  if t.modes.(class_id) <> 0 then
-    Hashtbl.replace t.states txn.Txn.id
-      { e_txn = txn; e_cls = class_id; e_reads = []; e_writes = [];
-        e_buffer = []; e_preds = [] };
+  if t.modes.(class_id) <> 0 then Table.join t.table txn;
   txn
 
 let begin_read_only t = Scheduler.begin_read_only t.sched
@@ -166,129 +132,51 @@ let begin_adhoc_update t ~writes ~reads =
     (writes @ reads);
   Scheduler.begin_adhoc_update t.sched ~writes ~reads
 
-let gstate_of t g =
-  match Granule.Tbl.find_opt t.granules g with
-  | Some s -> s
-  | None ->
-    let s = { writer = None; readers = [] } in
-    Granule.Tbl.add t.granules g s;
-    s
+(* The Read record of an escalated read carries threshold = version + 1:
+   nothing committed can sit between a latest-committed version and its
+   successor timestamp, which is the shape the monitor's invariant 3
+   checks. *)
+let esc_read t (txn : Txn.t) g =
+  match Table.read t.table txn g with
+  | Table.Own v -> Granted v
+  | Table.Latest v ->
+    Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+    emit t
+      (T.Read
+         { txn = txn.Txn.id; protocol = T.B; segment = g.Granule.segment;
+           key = g.Granule.key; threshold = v.Chain.ts + 1;
+           version = v.Chain.ts });
+    Granted v.Chain.value
+  | Table.Missing -> Rejected "no committed version"
 
-let log_read t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_read log ~txn ~granule ~version
-
-let log_write t ~txn ~granule ~version =
-  match t.log with
-  | None -> ()
-  | Some log -> Sched_log.log_write log ~txn ~granule ~version
-
-let add_pred st id =
-  if not (List.mem id st.e_preds) then st.e_preds <- id :: st.e_preds
-
-let buffered st g =
-  List.find_map
-    (fun (g', v) -> if Granule.equal g g' then Some v else None)
-    st.e_buffer
-
-(* Escalated root-segment read: never waits — the latest committed
-   version, with a precedence edge recorded against any pending
-   overwriter (the writer now commit-waits for us).  The Read record
-   carries threshold = version + 1: nothing committed can sit between a
-   latest-committed version and its successor timestamp, which is the
-   shape the monitor's invariant 3 checks. *)
-let esc_read t st g =
-  let id = st.e_txn.Txn.id in
-  t.xm.x_reads <- t.xm.x_reads + 1;
-  match buffered st g with
-  | Some v -> Granted v
-  | None ->
-    let gs = gstate_of t g in
-    (match gs.writer with
-    | Some w when w <> id -> (
-      match Hashtbl.find_opt t.states w with
-      | Some wst -> add_pred wst id
-      | None -> ())
-    | _ -> ());
-    if not (List.mem id gs.readers) then begin
-      gs.readers <- id :: gs.readers;
-      st.e_reads <- g :: st.e_reads;
-      t.xm.x_read_registrations <- t.xm.x_read_registrations + 1
-    end;
-    (match Store.latest_committed t.store g with
-    | Some v ->
-      log_read t ~txn:id ~granule:g ~version:v.Chain.ts;
-      emit t
-        (T.Read
-           { txn = id; protocol = T.B; segment = g.Granule.segment;
-             key = g.Granule.key; threshold = v.Chain.ts + 1;
-             version = v.Chain.ts });
-      Granted v.Chain.value
-    | None ->
-      t.xm.x_rejects <- t.xm.x_rejects + 1;
-      Rejected "no committed version")
-
-let esc_write t st g value =
-  let id = st.e_txn.Txn.id in
-  t.xm.x_writes <- t.xm.x_writes + 1;
-  let gs = gstate_of t g in
-  match gs.writer with
-  | Some w when w <> id ->
-    t.xm.x_blocks <- t.xm.x_blocks + 1;
+let esc_write t (txn : Txn.t) g value =
+  match Table.write t.table txn g value with
+  | Blocked on as blocked ->
     emit t
       (T.Block
-         { txn = id; protocol = T.B; segment = g.Granule.segment;
-           key = g.Granule.key; on = [ w ] });
-    Blocked [ w ]
-  | Some _ ->
-    st.e_buffer <- (g, value) :: List.remove_assoc g st.e_buffer;
-    Granted ()
-  | None ->
-    gs.writer <- Some id;
-    st.e_writes <- g :: st.e_writes;
-    List.iter (fun r -> if r <> id then add_pred st r) gs.readers;
-    st.e_buffer <- (g, value) :: List.remove_assoc g st.e_buffer;
-    Granted ()
+         { txn = txn.Txn.id; protocol = T.B; segment = g.Granule.segment;
+           key = g.Granule.key; on });
+    blocked
+  | outcome -> outcome
+
+(* An escalated transaction's operation on its own root segment, the
+   only part of its work the table orders. *)
+let on_table t (txn : Txn.t) g =
+  txn.Txn.kind = Txn.Update g.Granule.segment && Table.mem t.table txn
 
 let read t txn g =
-  match Hashtbl.find_opt t.states txn.Txn.id with
-  | Some st when g.Granule.segment = st.e_cls -> esc_read t st g
-  | _ -> Scheduler.read t.sched txn g
+  if on_table t txn g then esc_read t txn g else Scheduler.read t.sched txn g
 
 let write t txn g value =
-  match Hashtbl.find_opt t.states txn.Txn.id with
-  | Some st when g.Granule.segment = st.e_cls -> esc_write t st g value
-  | _ -> Scheduler.write t.sched txn g value
+  if on_table t txn g then esc_write t txn g value
+  else Scheduler.write t.sched txn g value
 
 (* The commit-point admission check the driver polls: an escalated
    transaction may commit only once every recorded predecessor has
    finished.  Plain transactions are always admissible — the scheduler
    already enforced everything at operation time. *)
 let try_commit t txn =
-  match Hashtbl.find_opt t.states txn.Txn.id with
-  | None -> Granted ()
-  | Some st ->
-    let live = List.filter (Hashtbl.mem t.states) st.e_preds in
-    if live = [] then Granted ()
-    else begin
-      t.xm.x_blocks <- t.xm.x_blocks + 1;
-      Blocked live
-    end
-
-let release t st =
-  let id = st.e_txn.Txn.id in
-  List.iter
-    (fun g ->
-      let gs = gstate_of t g in
-      gs.readers <- List.filter (fun r -> r <> id) gs.readers)
-    st.e_reads;
-  List.iter
-    (fun g ->
-      let gs = gstate_of t g in
-      match gs.writer with Some w when w = id -> gs.writer <- None | _ -> ())
-    st.e_writes;
-  Hashtbl.remove t.states id
+  if Table.mem t.table txn then Table.admit t.table txn else Granted ()
 
 let finish_active t txn =
   match class_of txn with
@@ -296,32 +184,26 @@ let finish_active t txn =
   | None -> ()
 
 let commit t txn =
-  (match Hashtbl.find_opt t.states txn.Txn.id with
-  | Some st ->
+  if Table.mem t.table txn then begin
     (* version order = commit order: one fresh stamp for the whole
        write set, strictly above every active initiation — invisible
        to every outstanding threshold and wall by construction *)
     let stamp = Time.Clock.tick t.clock in
-    List.iter
-      (fun (g, value) ->
-        ignore (Store.install t.store g ~ts:stamp ~writer:txn.Txn.id ~value);
-        Store.commit_version t.store g ~ts:stamp;
-        log_write t ~txn:txn.Txn.id ~granule:g ~version:stamp;
+    Table.install t.table txn ~stamp (fun g ->
+        Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g
+          ~version:stamp;
         emit t
           (T.Write
              { txn = txn.Txn.id; segment = g.Granule.segment;
                key = g.Granule.key; ts = stamp }))
-      (List.rev st.e_buffer);
-    release t st
-  | None -> ());
+  end;
   Scheduler.commit t.sched txn;
   finish_active t txn;
   ignore (apply_pending t)
 
 let abort t txn =
-  (match Hashtbl.find_opt t.states txn.Txn.id with
-  | Some st -> release t st (* nothing installed: the buffer just drops *)
-  | None -> ());
+  (* nothing installed: the buffer just drops *)
+  if Table.mem t.table txn then Table.release t.table txn;
   Scheduler.abort t.sched txn;
   finish_active t txn;
   ignore (apply_pending t)
@@ -330,17 +212,18 @@ let abort t txn =
 
 let snapshot t () : Hdd_sim.Controller.counters =
   let m = Scheduler.metrics t.sched in
+  let x = Table.metrics t.table in
   { begins = m.Scheduler.begins;
     commits = m.Scheduler.commits;
     aborts = m.Scheduler.aborts;
     reads =
       m.Scheduler.reads_a + m.Scheduler.reads_b + m.Scheduler.reads_c
-      + t.xm.x_reads;
-    writes = m.Scheduler.writes + t.xm.x_writes;
-    read_registrations = m.Scheduler.read_registrations
-                         + t.xm.x_read_registrations;
-    blocks = m.Scheduler.blocks + t.xm.x_blocks;
-    rejects = m.Scheduler.rejects + t.xm.x_rejects }
+      + x.Cc_metrics.reads;
+    writes = m.Scheduler.writes + x.Cc_metrics.writes;
+    read_registrations =
+      m.Scheduler.read_registrations + x.Cc_metrics.read_registrations;
+    blocks = m.Scheduler.blocks + x.Cc_metrics.blocks;
+    rejects = m.Scheduler.rejects + x.Cc_metrics.rejects }
 
 let controller t : Hdd_sim.Controller.t =
   { name = "Hybrid";
@@ -359,11 +242,12 @@ let controller t : Hdd_sim.Controller.t =
 
 (* --- the closed policy loop --- *)
 
-let auto ?contention_window ?policy ?(decide_every = 16) t ~trace =
-  let contention =
-    Contention.create ?window:contention_window
-      ~classes:(P.segment_count t.partition) ()
-  in
+(* The policy decides after every fourth finished transaction. *)
+let decide_every = 4
+
+let auto ?policy t ~trace =
+  let classes = P.segment_count t.partition in
+  let contention = Contention.create ~classes () in
   Contention.attach contention trace;
   let pol = Policy.create ?config:policy ~eligible:t.eligible () in
   let finished = ref 0 in

@@ -4,15 +4,18 @@
     A non-escalated class runs exactly as in {!Hdd_core.Scheduler} —
     Protocol B on its root segment, lock-free Protocol A cross-reads,
     versions stamped at initiation.  An {e escalated} class runs its
-    root-segment operations under prudent-precedence ordering
-    ({!Hdd_baselines.Prudent}): reads never wait and take the latest
-    committed version while recording a precedence edge against any
-    pending overwriter, writes take an exclusive deferred slot, and the
-    commit point itself waits ({!try_commit}) until every recorded
-    predecessor has finished.  Escalated write sets are installed at a
-    single fresh {e commit} stamp, so the class trades MVTO's
-    late-write rejections for commit-waits — the right trade once the
-    abort rate under contention exceeds the cost of waiting.
+    root-segment operations on prudent-precedence ordering's one
+    implementation, {!Hdd_baselines.Prudent.Table}: reads never wait
+    and take the latest committed version while recording a precedence
+    edge against any pending overwriter, writes take an exclusive
+    deferred slot, and the commit point itself waits ({!try_commit})
+    until every recorded predecessor has finished.  Escalated write sets
+    are installed at a single fresh {e commit} stamp from this module's
+    clock, so the class trades MVTO's late-write rejections for
+    commit-waits — the right trade once the abort rate under contention
+    exceeds the cost of waiting.  What stays here is the hybrid's own:
+    eligibility, staged mode flips, the commit stamp and the trace
+    records of escalated operations.
 
     {b Eligibility.}  Only classes whose declared read set lies inside
     their own root segment ({!eligible_classes}) may escalate.  For
@@ -38,7 +41,6 @@ type t
 val create :
   ?log:Sched_log.t ->
   ?trace:Hdd_obs.Trace.t ->
-  ?wall_every_commits:int ->
   partition:Hdd_core.Partition.t ->
   init:(Granule.t -> int) ->
   unit ->
@@ -99,15 +101,13 @@ val controller : t -> Hdd_sim.Controller.t
 (** The simulator face, name ["Hybrid"], with [try_commit] wired. *)
 
 val auto :
-  ?contention_window:int ->
   ?policy:Policy.config ->
-  ?decide_every:int ->
   t ->
   trace:Hdd_obs.Trace.t ->
   Hdd_sim.Controller.t * Contention.t * Policy.t
-(** The closed adaptive loop: a {!Contention} fold attached to [trace],
-    a {!Policy} over the eligible classes, and the {!controller}
-    wrapped so that every [decide_every] (default 16) finished
-    transactions the policy decides and any change is staged via
-    {!request_modes}.  The trace passed here must be the same one the
-    hybrid emits to, or the policy watches someone else's workload. *)
+(** The closed adaptive loop: a {!Contention} fold (default window)
+    attached to [trace], a {!Policy} over the eligible classes, and the
+    {!controller} wrapped so that every fourth finished transaction the
+    policy decides and any change is staged via {!request_modes}.  The
+    trace passed here must be the same one the hybrid emits to, or the
+    policy watches someone else's workload. *)

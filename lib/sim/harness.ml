@@ -24,7 +24,8 @@ let spec_name = function
 
 let all_controlled = [ Hdd; Sdd1; Mv2pl; S2pl; Tso; Mvto ]
 
-let all = [ Hdd; Sdd1; Mv2pl; S2pl; S2plNoRl; Tso; TsoNoRts; Mvto; Nocc ]
+let all =
+  [ Hdd; Sdd1; Mv2pl; S2pl; S2plNoRl; Tso; TsoNoRts; Mvto; Prudent; Nocc ]
 
 let make ?log ?trace spec (wl : Workload.t) =
   let init = wl.Workload.init in

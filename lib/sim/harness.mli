@@ -12,9 +12,8 @@ type spec =
   | Mv2pl
   | Prudent
       (** prudent-precedence ordering — commit-waits require a driver
-          honouring [Controller.try_commit] ({!Runner} does); kept out
-          of {!all} so the schedule-space explorer, which drives
-          operations directly, never sweeps it *)
+          honouring [Controller.try_commit], as {!Runner} and the
+          schedule-space explorer do *)
   | Sdd1
   | Nocc
 

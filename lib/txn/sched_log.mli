@@ -26,6 +26,17 @@ val drop_txn : t -> Txn.id -> unit
 (** Erase the steps of an aborted transaction: the final schedule contains
     committed work only (the paper's formalism has no aborts). *)
 
+(** The same three into a controller's optional log: [None] records
+    nothing. *)
+
+val log_read_opt :
+  t option -> txn:Txn.id -> granule:Granule.t -> version:Time.t -> unit
+
+val log_write_opt :
+  t option -> txn:Txn.id -> granule:Granule.t -> version:Time.t -> unit
+
+val drop_txn_opt : t option -> Txn.id -> unit
+
 val steps : t -> step list
 (** In append order, aborted-and-dropped steps excluded. *)
 

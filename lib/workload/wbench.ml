@@ -75,7 +75,7 @@ let make_hybrid ~partition ~init () =
   let stock = Tpcc.stock_class ~branches:Tpcc.default_branches in
   let was_escalated = ref false in
   let controller, _contention, _policy =
-    Hybrid.auto ~policy:hybrid_policy ~decide_every:4 h ~trace
+    Hybrid.auto ~policy:hybrid_policy h ~trace
   in
   let controller =
     Hdd_sim.Controller.with_hooks

@@ -117,7 +117,7 @@ let test_pruning_preserves_behaviours () =
         (name ^ ": same anomaly presence")
         (min 1 full.Explore.anomalies)
         (min 1 pruned.Explore.anomalies))
-    [ "HDD"; "2PL"; "TSO-noRTS"; "NoCC" ]
+    [ "HDD"; "2PL"; "TSO-noRTS"; "Prudent"; "NoCC" ]
 
 (* --- tolerant replay --- *)
 
@@ -215,7 +215,7 @@ let baselines_failing seed =
   let case = random_case seed in
   List.filter
     (fun name -> not (certifies (Explore.system name) case))
-    [ "2PL"; "TSO"; "MVTO"; "MV2PL"; "SDD-1" ]
+    [ "2PL"; "TSO"; "MVTO"; "MV2PL"; "SDD-1"; "Prudent" ]
 
 let prop_hdd_random_schedules_serializable =
   QCheck2.Test.make

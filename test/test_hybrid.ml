@@ -24,6 +24,8 @@ module Contention = Hdd_hybrid.Contention
 module Policy = Hdd_hybrid.Policy
 module Control = Hdd_adapt.Control
 module Prudent = Hdd_baselines.Prudent
+module Explore = Hdd_check.Explore
+module Scenarios = Hdd_check.Scenarios
 module Runner = Hdd_sim.Runner
 module Controller = Hdd_sim.Controller
 module Tpcc = Hdd_workload.Tpcc
@@ -325,7 +327,7 @@ let test_auto_escalates_under_contention () =
         { Policy.default_config with
           Policy.escalate_above = 0.15;
           min_finished = 8 }
-      ~decide_every:4 h ~trace
+      h ~trace
   in
   let config =
     { Runner.default_config with Runner.mpl = 12; target_commits = 300 }
@@ -597,6 +599,43 @@ let test_control_drives_engine () =
   checki "engine counted exactly the controller's moves"
     (Control.moves ctl) t.E.t_stats.E.repartitions
 
+(* --- the escalated mode under the schedule-space explorer --- *)
+
+(* Every eligible class escalated before the first transaction begins,
+   so each escalated class's root-segment work runs on Prudent's
+   precedence table for the whole exploration. *)
+let escalated_hybrid =
+  { Explore.sys_name = "Hybrid-escalated";
+    build =
+      (fun ~log wl ->
+        let h =
+          Hy.create ~log ~partition:wl.Explore.partition ~init:wl.Explore.init
+            ()
+        in
+        Hy.request_modes h
+          (Array.map (fun ok -> if ok then 1 else 0) (Hy.eligible h));
+        Hy.controller h) }
+
+(* The ad-hoc scenario is left out: [begin_adhoc_update] refuses a
+   transaction that touches an escalated class, by design. *)
+let test_explore_escalated () =
+  List.iter
+    (fun (sc : Scenarios.t) ->
+      let wl = sc.Scenarios.workload in
+      let name = sc.Scenarios.sc_name in
+      checkb (name ^ ": a class escalates") true
+        (Array.mem true (Hy.eligible_classes wl.Explore.partition));
+      let s = Explore.explore escalated_hybrid wl in
+      checkb (name ^ ": not capped") false s.Explore.capped;
+      checki (name ^ ": anomalies") 0 s.Explore.anomalies)
+    [ Scenarios.fig1; Scenarios.fig34; Scenarios.wall ];
+  (* fig1's one class is eligible: the hybrid is then Prudent itself *)
+  let wl = Scenarios.fig1.Scenarios.workload in
+  let h = Explore.explore escalated_hybrid wl in
+  let p = Explore.explore (Explore.system "Prudent") wl in
+  checki "fig1: schedules as Prudent" p.Explore.schedules h.Explore.schedules;
+  checki "fig1: deadlocks as Prudent" p.Explore.deadlocks h.Explore.deadlocks
+
 let suite =
   [ Alcotest.test_case "engine: escalation equivalence (seeded)" `Slow
       test_escalation_equivalence;
@@ -643,4 +682,6 @@ let suite =
     Alcotest.test_case "control: hysteresis holds still" `Quick
       test_control_hysteresis;
     Alcotest.test_case "control: drives the engine" `Quick
-      test_control_drives_engine ]
+      test_control_drives_engine;
+    Alcotest.test_case "hybrid: escalated classes explored" `Quick
+      test_explore_escalated ]
