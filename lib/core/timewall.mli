@@ -13,7 +13,7 @@
 
     The serial scheduler's {!manager} anchors each wall at a fresh tick
     over its live registry.  The concurrent coordinators — the multicore
-    engine's wall domain and shard 0 of the sharded engine — call
+    engine's caller-side poll and shard 0 of the sharded engine — call
     {!attempt} instead, with their own {!Activity} lookups; the
     anchor, the composition, the stability check and the release
     bookkeeping live here once. *)

@@ -90,8 +90,10 @@ type shared = {
   gone : bool Atomic.t array;  (* per worker: exited (counts as parked) *)
   gen : int Atomic.t;  (* barrier generation, bumped at each map swap *)
   acked : int Atomic.t array;  (* last gen each worker republished under *)
-  stop : bool Atomic.t;  (* coordinator shutdown *)
   halt : bool Atomic.t;  (* timed mode: worker deadline *)
+  failed : exn option Atomic.t;
+  (* the first exception a worker or the caller raised: every wait
+     leaves once it is set, and the caller re-raises it *)
   (* --- hybrid CC (DESIGN.md §18) --- *)
   modes : int array Atomic.t;
   (* per-class CC mode: 0 = plain HDD (versions stamped with the
@@ -106,6 +108,19 @@ type shared = {
 }
 
 let owner sh class_id = Array.unsafe_get (Atomic.get sh.owner_map) class_id
+
+(* Raised in a worker that leaves a wait because another party failed;
+   the run re-raises that party's exception, never this one. *)
+exception Peer_failed
+
+let failed sh = Option.is_some (Atomic.get sh.failed)
+
+let leave_if_failed sh = if failed sh then raise Peer_failed
+
+(* The first exception wins; [halt] stops timed workers too. *)
+let fail sh e =
+  ignore (Atomic.compare_and_set sh.failed None (Some e));
+  Atomic.set sh.halt true
 
 type counters = {
   mutable n_committed : int;
@@ -231,12 +246,15 @@ let observe_gen w =
    parked flag is owned by this worker alone — set on entry, cleared on
    exit — and the coordinator waits for every flag to drop before it
    considers a barrier finished, so a flag it reads as set always means
-   "currently quiescent", never a leftover from the previous barrier. *)
+   "currently quiescent", never a leftover from the previous barrier.
+   A failed run ends the spin: the worker leaves still flagged parked,
+   and the coordinator counts it gone. *)
 let check_park w =
   if Atomic.get w.sh.park then begin
     publish_pub w;
     Atomic.set w.sh.parked.(w.me) true;
     while Atomic.get w.sh.park do
+      leave_if_failed w.sh;
       observe_gen w;
       service_repub w;
       Domain.cpu_relax ()
@@ -250,11 +268,13 @@ let check_park w =
    and keeps serving requests aimed at itself: two workers awaiting
    each other mid-transaction unblock each other (a publication is
    valid at any instant — the current transaction simply shows as
-   active). *)
+   active).  An owner that raised never publishes again, so the wait
+   leaves once the run has failed. *)
 let rec await_owner w ow m n =
   let pub = Atomic.get w.sh.pubs.(ow) in
   if pub.p_upto >= m then pub
   else begin
+    leave_if_failed w.sh;
     Atomic.set w.sh.repub.(ow) true;
     service_repub w;
     (* back off once the owner is clearly descheduled (oversubscribed
@@ -586,6 +606,9 @@ let wall_c_late by_class ~class_id ~at =
       the park flag, waiting for every parked flag to clear so a flag
       read as set always means "currently quiescent".
 
+   A gone worker counts as parked, acknowledged and released: it never
+   runs a transaction again, whether it drained its queues or raised.
+
    Transactions never span a barrier, so every mid-transaction
    invariant (single-writer stores and rings, stable ownership for a
    composed threshold) holds without further synchronization.
@@ -614,7 +637,7 @@ let run_barrier sh ~swap trace =
   let at = Gclock.tick sh.clock in
   (match trace with Some tr -> T.emit tr ~at ev | None -> ());
   Atomic.set sh.park false;
-  wait (all (fun i -> not (Atomic.get sh.parked.(i))))
+  wait (all (fun i -> Atomic.get sh.gone.(i) || not (Atomic.get sh.parked.(i))))
 
 (* Owner-map swap, run inside the barrier's quiesced window. *)
 let repartition_swap sh ~target ~kind () =
@@ -638,6 +661,38 @@ let escalation_swap sh ~target () =
 let rotated_map map workers =
   Array.map (fun o -> (o + 1) mod workers) map
 
+(* An owner map or mode vector a barrier installs has one entry per
+   class, each in [0, bound): checked before the swap can act on it. *)
+let check_vector sh what ~bound v =
+  if Array.length v <> sh.nseg then
+    invalid_arg
+      (Printf.sprintf "Engine: %s has %d entries for %d classes" what
+         (Array.length v) sh.nseg);
+  Array.iter
+    (fun x ->
+      if x < 0 || x >= bound then
+        invalid_arg
+          (Printf.sprintf "Engine: %s entry %d is outside [0, %d)" what x
+             bound))
+    v
+
+(* The wall coordinator runs on the caller's domain, so a run spawns
+   only its workers.  [coordinator] returns [poll], one coordinator
+   step that acts only once [poll_period] has passed since the last
+   step finished — the caller calls it wherever it would otherwise
+   wait — and [barriers], the repartition and escalation counts so
+   far.  Timing from a step's end keeps a slow barrier (milliseconds
+   on two cores) from making the next step act at once: the feeder
+   gets a full period to queue work between steps.
+   The first call always acts: made before the first push, it finds
+   every class idle, so the first wall and a plan's first step land
+   on every run.  Once the run has failed, [poll] does nothing. *)
+let poll_period = 1e-4
+
+(* How long the caller naps while a full mailbox or a running worker
+   holds it up in [run_script]. *)
+let retry_period = 20e-6
+
 let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
     ?(rotate_every_s = 0.) trace =
   let repartitions = ref 0 and escalations = ref 0 in
@@ -649,23 +704,24 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
        else infinity)
   in
   let stuck = ref 0 in
-  while not (Atomic.get sh.stop) do
+  let next_poll = ref neg_infinity in
+  let step now =
     (* repartition requests travel this path: one scripted plan step per
-       poll iteration, or a periodic whole-map rotation in timed mode *)
+       poll, or a periodic whole-map rotation in timed mode *)
     (match !plan with
     | (target, kind) :: rest ->
       plan := rest;
       run_barrier sh ~swap:(repartition_swap sh ~target ~kind) trace;
       incr repartitions
     | [] ->
-      if Unix.gettimeofday () >= !next_rotate then begin
-        next_rotate := Unix.gettimeofday () +. rotate_every_s;
+      if now >= !next_rotate then begin
+        next_rotate := now +. rotate_every_s;
         let target = rotated_map (Atomic.get sh.owner_map) sh.workers in
         run_barrier sh ~swap:(repartition_swap sh ~target ~kind:"migrate")
           trace;
         incr repartitions
       end);
-    (* scripted mode swaps: one escalation barrier per poll iteration *)
+    (* scripted mode swaps: one escalation barrier per poll *)
     (match !mode_plan with
     | target :: rest ->
       mode_plan := rest;
@@ -679,6 +735,7 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
     | Some f -> (
       match f (Array.copy sh.class_commits) with
       | Some target ->
+        check_vector sh "a controller's owner map" ~bound:sh.workers target;
         run_barrier sh ~swap:(repartition_swap sh ~target ~kind:"auto") trace;
         incr repartitions
       | None -> ())
@@ -721,10 +778,52 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
           Atomic.set sh.repub.(i) true
         done
       end
-    end;
-    Unix.sleepf (if sh.workers = 0 then 1e-3 else 1e-4)
-  done;
-  (!repartitions, !escalations)
+    end
+  in
+  let poll () =
+    let now = Unix.gettimeofday () in
+    if now >= !next_poll && not (failed sh) then begin
+      step now;
+      next_poll := Unix.gettimeofday () +. poll_period
+    end
+  in
+  (poll, fun () -> (!repartitions, !escalations))
+
+(* A worker domain.  However it leaves, [gone] goes up; a raise also
+   fails the run, so every other party leaves its waits. *)
+let spawn_worker sh w f =
+  Domain.spawn (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Atomic.set sh.gone.(w) true)
+        (fun () ->
+          try f ()
+          with e ->
+            fail sh e;
+            raise e))
+
+(* The caller's side of a run, once the workers are spawned: [feed]
+   drives the run, polling the coordinator as it waits; then the caller
+   polls on, [nap] apart, until every worker is gone, and joins them.
+   A raise in [feed], in a poll or in a worker ends the run: the first
+   exception is re-raised here, once no domain is left. *)
+let drive sh poll ~nap domains feed =
+  (try feed () with e -> fail sh e);
+  let rec wait_gone () =
+    (try poll () with e -> fail sh e);
+    if not (Array.for_all Atomic.get sh.gone) then begin
+      Unix.sleepf nap;
+      wait_gone ()
+    end
+  in
+  wait_gone ();
+  let joined =
+    Array.map
+      (fun d -> match Domain.join d with r -> Some r | exception _ -> None)
+      domains
+  in
+  match Atomic.get sh.failed with
+  | Some e -> raise e
+  | None -> Array.map Option.get joined
 
 (* --- engine setup shared by both modes --- *)
 
@@ -784,8 +883,8 @@ let setup ~partition ~init ~workers ~traced ~publish_every =
       gone = Array.init workers (fun _ -> Atomic.make false);
       gen = Atomic.make 0;
       acked = Array.init workers (fun _ -> Atomic.make 0);
-      stop = Atomic.make false;
       halt = Atomic.make false;
+      failed = Atomic.make None;
       modes = Atomic.make (Array.make nseg 0);
       esc_seq = Atomic.make 0;
       class_commits = Array.make nseg 0 }
@@ -812,7 +911,8 @@ let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
     lat_n = 0;
     timed }
 
-let stats_of counters (walls : TW.coordinator) (repartitions, escalations) =
+let stats_of counters (walls : TW.coordinator) barriers =
+  let repartitions, escalations = barriers () in
   let committed = ref 0 and aborted = ref 0 and pubs = ref 0 in
   let ra = ref 0 and rb = ref 0 and rc = ref 0 and wr = ref 0 in
   Array.iter
@@ -849,6 +949,11 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
       ~publish_every:config.publish_every
   in
   let sh = s.s_sh in
+  List.iter
+    (fun (target, _) ->
+      check_vector sh "a plan's owner map" ~bound:config.workers target)
+    plan;
+  List.iter (check_vector sh "a mode plan's vector" ~bound:2) mode_plan;
   let traces =
     Array.init config.workers (fun w ->
         if config.traced then
@@ -907,7 +1012,9 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
       else if drained_all () then ()
       else begin
         (* idle: a fresh publication costs nothing we need and keeps
-           waiters and the coordinator moving *)
+           waiters and the coordinator moving.  A queue whose owner
+           raised never drains, so a failed run ends the wait. *)
+        leave_if_failed sh;
         publish_pub ctx;
         Unix.sleepf 10e-6;
         loop ()
@@ -915,41 +1022,39 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     in
     loop ();
     publish_final ctx;
-    Atomic.set sh.gone.(w) true;
     (ctx.outcomes, ctx.c)
   in
   let domains =
-    Array.init config.workers (fun w -> Domain.spawn (fun () -> worker w))
+    Array.init config.workers (fun w -> spawn_worker sh w (fun () -> worker w))
   in
-  let coord =
-    Domain.spawn (fun () ->
-        coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace)
+  let poll, barriers =
+    coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace
   in
-  Array.iter
-    (fun d ->
-      ignore
-        (match d.d_kind with
-        | `Update c -> Mailbox.push cboxes.(c) d
-        | `Read_only ->
-          let o =
-            ((d.d_id mod config.workers) + config.workers)
-            mod config.workers
-          in
-          Mailbox.push roboxes.(o) d))
-    script;
-  Array.iter Mailbox.close cboxes;
-  Array.iter Mailbox.close roboxes;
-  (* a worker's exception (a read of a negative key, say) re-raises
-     here, once the coordinator has stopped, so no domain outlives the
-     run *)
-  let joined =
-    Array.map
-      (fun d -> match Domain.join d with r -> Ok r | exception e -> Error e)
-      domains
+  let box_of d =
+    match d.d_kind with
+    | `Update c -> cboxes.(c)
+    | `Read_only ->
+      roboxes.(((d.d_id mod config.workers) + config.workers)
+               mod config.workers)
   in
-  Atomic.set sh.stop true;
-  let barriers = Domain.join coord in
-  let results = Array.map (function Ok r -> r | Error e -> raise e) joined in
+  (* the feeding loop, the one place the caller waits on a full box:
+     it polls the coordinator before every push and between retries *)
+  let rec feed i =
+    if i < Array.length script && not (failed sh) then begin
+      poll ();
+      if Mailbox.push (box_of script.(i)) script.(i) then feed (i + 1)
+      else begin
+        Unix.sleepf retry_period;
+        feed i
+      end
+    end
+  in
+  let results =
+    drive sh poll ~nap:retry_period domains (fun () ->
+        feed 0;
+        Array.iter Mailbox.close cboxes;
+        Array.iter Mailbox.close roboxes)
+  in
   let outcomes =
     Array.to_list results
     |> List.concat_map (fun (o, _) -> o)
@@ -1053,21 +1158,25 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
       service_repub ctx
     done;
     publish_final ctx;
-    Atomic.set sh.gone.(w) true;
     (ctx.c, ctx.lat, ctx.lat_n)
   in
-  let domains = Array.init workers (fun w -> Domain.spawn (fun () -> worker w)) in
-  let coord =
-    Domain.spawn (fun () ->
-        coordinator sh s.s_walls ?control ~rotate_every_s None)
+  let domains =
+    Array.init workers (fun w -> spawn_worker sh w (fun () -> worker w))
+  in
+  let poll, barriers =
+    coordinator sh s.s_walls ?control ~rotate_every_s None
   in
   let t0 = Unix.gettimeofday () in
-  Unix.sleepf seconds;
-  Atomic.set sh.halt true;
-  let results = Array.map Domain.join domains in
+  let results =
+    drive sh poll ~nap:poll_period domains (fun () ->
+        let deadline = t0 +. seconds in
+        while Unix.gettimeofday () < deadline && not (failed sh) do
+          poll ();
+          Unix.sleepf poll_period
+        done;
+        Atomic.set sh.halt true)
+  in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Atomic.set sh.stop true;
-  let barriers = Domain.join coord in
   let metrics = Hdd_obs.Metrics.create () in
   let hist = Hdd_obs.Metrics.histogram metrics "commit_latency_us" in
   Array.iter

@@ -36,7 +36,14 @@
     owns, otherwise the class's activity board, falling back to the
     owner's publication as above.
 
-    A wall-coordinator domain polls every 100 µs.  Each attempt is
+    The wall coordinator runs on the caller's domain, so a run spawns
+    exactly [workers] domains: the caller polls it wherever it would
+    otherwise wait, and a poll acts once 100 µs have passed since the
+    previous step finished — in {!run_script} before
+    every push and while a full mailbox holds it up, in {!run_timed}
+    until the deadline, and in both until every worker has exited.  The
+    first poll comes before the first push, on an idle system, so the
+    first wall and a plan's first step always land.  Each attempt is
     {!Hdd_core.Timewall.attempt} with [q_i = I_old^i(upto_i)] — below
     [q_i] class [i] is quiescent and fully published.  Each worker
     precomputes its classes' [q] at publication time, so an attempt
@@ -124,13 +131,19 @@ val run_script :
 (** Execute the script: update descriptors are pushed in order into a
     bounded per-class mailbox drained by the class's current owner,
     read-only ones round-robin by id into per-worker mailboxes
-    (backpressure when full).  Returns when every descriptor has
-    finished and the coordinator has stopped.
+    (backpressure when full: the caller retries every 20 µs, polling
+    the coordinator between retries).  Returns when every descriptor
+    has finished and every worker has exited.
+
+    A worker that raises ends the run: its peers and the caller leave
+    their waits, and once every worker has exited the first exception
+    raised is re-raised here.
 
     [plan] is a list of live repartitions: each entry [(target, kind)]
     is a class-to-worker owner map (length = segment count, entries in
     [0, workers)) the coordinator installs behind a park barrier while
-    the run is in flight, one per coordinator poll, in order — see
+    the run is in flight, one per coordinator poll, in order (the first
+    before the first descriptor is pushed) — see
     DESIGN.md §17.  Every repartition emits a
     {!Hdd_obs.Trace.event.Repartition} record and counts in
     [stats.repartitions].  The default is no repartitions.
@@ -147,7 +160,9 @@ val run_script :
     either stamping discipline yields the same committed outcomes — the
     escalation-equivalence property in [test_hybrid.ml].
     @raise Invalid_argument on an update descriptor writing outside its
-    root segment or reading a segment its class may not read. *)
+    root segment or reading a segment its class may not read, and,
+    before any domain is spawned, on a [plan] map or [mode_plan] vector
+    without one in-range entry per class. *)
 
 (** {1 Timed self-generating runs (benchmark mode)} *)
 
@@ -179,8 +194,11 @@ val run_timed :
   unit ->
   timed
 (** Untraced closed-loop run: each worker generates and executes its own
-    transactions until the deadline.  Used by [hdd_cli bench parallel]
-    for the scaling curves.  [publish_every] defaults to 8.
+    transactions until the deadline, while the caller polls the
+    coordinator every 100 µs; it returns once every worker has exited,
+    re-raising the first exception a worker raised.  Used by
+    [hdd_cli bench parallel] for the scaling curves.  [publish_every]
+    defaults to 8.
 
     [rotate_every_s] > 0 makes the coordinator apply a live whole-map
     ownership rotation ({!rotated_map}) behind a park barrier every
@@ -193,7 +211,10 @@ val run_timed :
     target owner map, which the coordinator installs behind a park
     barrier (kind ["auto"], counted in [stats.repartitions]).  Rate
     limiting and hysteresis are the controller's responsibility — the
-    engine applies whatever it returns. *)
+    engine applies whatever it returns, except that a map without one
+    in-range entry per class fails the run with [Invalid_argument].  A
+    controller that raises fails the run the same way: the exception
+    is re-raised once every worker has exited. *)
 
 val alloc_probe : ?commits:int -> unit -> float
 (** Marginal heap bytes allocated per committed transaction on the

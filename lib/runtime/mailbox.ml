@@ -16,23 +16,15 @@ let create ~capacity =
 
 let capacity t = Array.length t.buf
 
-let rec push t x =
+let push t x =
   Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    false
-  end
-  else if t.len < capacity t then begin
+  let ok = (not t.closed) && t.len < capacity t in
+  if ok then begin
     t.buf.((t.head + t.len) mod capacity t) <- Some x;
-    t.len <- t.len + 1;
-    Mutex.unlock t.lock;
-    true
-  end
-  else begin
-    Mutex.unlock t.lock;
-    Unix.sleepf 20e-6;
-    push t x
-  end
+    t.len <- t.len + 1
+  end;
+  Mutex.unlock t.lock;
+  ok
 
 let try_pop t =
   Mutex.lock t.lock;

@@ -1,13 +1,13 @@
 (** Bounded multi-producer single-consumer mailboxes — the work-feed of
     the parallel runtime.
 
-    A mutex-protected ring.  Producers block (poll-sleep) while the box
-    is full — the backpressure that keeps a fast driver from ballooning
-    memory ahead of a slow owner domain — and consumers poll with
-    {!try_pop} so an idle owner can interleave housekeeping (activity
-    republication) with draining.  OCaml 5.1's stdlib has no timed
-    condition wait, hence the poll loops; the sleep quantum is small
-    against transaction service times. *)
+    A mutex-protected ring.  Nothing here waits: {!push} to a full box
+    reports it and returns, so the producer decides how to wait — the
+    engine's feeder polls the wall coordinator between retries — and
+    the bound is the backpressure that keeps a fast producer from
+    ballooning memory ahead of a slow owner domain.  Consumers poll
+    with {!try_pop} or {!pop_into}, so an idle owner can interleave
+    housekeeping (activity republication) with draining. *)
 
 type 'a t
 
@@ -15,8 +15,9 @@ val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
 val push : 'a t -> 'a -> bool
-(** Enqueue, blocking while full.  [false] iff the box was closed (the
-    item is dropped). *)
+(** Enqueue without waiting.  [false] when the box is full or closed:
+    the item is not queued.  A full box accepts again once a pop frees
+    a slot; a closed one never does. *)
 
 val try_pop : 'a t -> 'a option
 

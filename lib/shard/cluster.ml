@@ -100,6 +100,10 @@ let run_script_det ?fault ?(config = Node.default_config) ~partition ~init
 
 (* --- one domain per shard --- *)
 
+(* Raised in a shard that leaves a wait because a peer raised; the run
+   re-raises the peer's exception, never this one. *)
+exception Peer_failed
+
 let run_script_domains ?(config = Node.default_config) ~partition ~init
     ~shards ~script () =
   let nets = Transport.Loopback.create ~nodes:shards () in
@@ -107,37 +111,56 @@ let run_script_domains ?(config = Node.default_config) ~partition ~init
   Array.iter (fun d -> Queue.add d work.(assign ~shards d)) script;
   let done_count = Atomic.make 0 in
   let stop = Atomic.make false in
+  (* the first exception a shard raised: a raising shard counts as done,
+     and its peers' waits leave *)
+  let failed = Atomic.make None in
   let run i =
-    let node = Node.create ~config ~partition ~init ~net:nets.(i) () in
-    Node.set_on_wait node (fun () -> Unix.sleepf 2e-6);
-    let q = work.(i) in
-    let rec go () =
-      Node.pump node;
-      match Queue.take_opt q with
-      | Some d ->
-        Node.exec node d;
-        go ()
-      | None -> ()
-    in
-    go ();
-    Node.publish_final node;
-    Atomic.incr done_count;
-    (* keep serving publications and 2PC traffic until everyone is done *)
-    while not (Atomic.get stop) do
-      Node.pump node;
+    match
+      let node = Node.create ~config ~partition ~init ~net:nets.(i) () in
+      Node.set_on_wait node (fun () ->
+          if Option.is_some (Atomic.get failed) then raise Peer_failed;
+          Unix.sleepf 2e-6);
+      let q = work.(i) in
+      let rec go () =
+        Node.pump node;
+        match Queue.take_opt q with
+        | Some d ->
+          Node.exec node d;
+          go ()
+        | None -> ()
+      in
+      go ();
       Node.publish_final node;
-      Unix.sleepf 10e-6
-    done;
-    Node.pump node;
-    node
+      node
+    with
+    | exception e ->
+      ignore (Atomic.compare_and_set failed None (Some e));
+      Atomic.incr done_count;
+      raise e
+    | node ->
+      Atomic.incr done_count;
+      (* keep serving publications and 2PC traffic until everyone is done *)
+      while not (Atomic.get stop) do
+        Node.pump node;
+        Node.publish_final node;
+        Unix.sleepf 10e-6
+      done;
+      Node.pump node;
+      node
   in
   let doms = Array.init shards (fun i -> Domain.spawn (fun () -> run i)) in
   while Atomic.get done_count < shards do
     Unix.sleepf 50e-6
   done;
   Atomic.set stop true;
-  let nodes = Array.map Domain.join doms in
-  collect nodes
+  let joined =
+    Array.map
+      (fun d -> match Domain.join d with n -> Ok n | exception e -> Error e)
+      doms
+  in
+  match Atomic.get failed with
+  | Some e -> raise e
+  | None -> collect (Array.map (function Ok n -> n | Error e -> raise e) joined)
 
 (* --- one process per shard --- *)
 

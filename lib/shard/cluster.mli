@@ -11,7 +11,9 @@
       merged trace, byte for byte — which is what the golden traces
       and the netfault suite want.
     - {!run_script_domains}: one domain per shard over the mutexed
-      loopback hub; real parallelism, still one process.
+      loopback hub; real parallelism, still one process.  A shard that
+      raises ends the run: its peers leave their waits and stop, and
+      the first exception re-raises.
     - {!run_script_processes}: one forked OS process per shard, pipes
       to a star router in the parent, traces and outcomes shipped home
       as {!Wire.Trace_slice}/{!Wire.Outcome} messages.  What

@@ -33,6 +33,48 @@ let stress_profile seed =
      Hdd_runtime.Differential.Adhoc_read;
      Hdd_runtime.Differential.Mixed |].(seed / 3 mod 3)
 
+(* --- runs that must not hang --- *)
+
+(* Run [f] in a domain of its own and wait at most [seconds] for it, so
+   a run that hangs fails its test instead of stalling the suite.  A
+   hung domain is left behind; the process exit ends it. *)
+let within ~seconds f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some (match f () with v -> Ok v | exception e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r -> (
+      Domain.join d;
+      match r with Ok v -> v | Error e -> raise e)
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "no result within %g s: the run hangs" seconds;
+      Unix.sleepf 1e-3;
+      wait ()
+  in
+  wait ()
+
+(* A script whose first descriptor raises in its owner (class 0 reads
+   key -1), followed by [writes] writes alternating classes 0 and 1, on
+   [Differential.chain_partition 2]: class 0's queue never drains. *)
+let raising_script ~writes =
+  let module E = Hdd_runtime.Engine in
+  Array.init (writes + 1) (fun i ->
+      if i = 0 then
+        { E.d_id = 1; d_kind = `Update 0;
+          d_ops = [ E.Read (Granule.make ~segment:0 ~key:(-1)) ];
+          d_abort = false }
+      else
+        let c = (i - 1) land 1 in
+        { E.d_id = i + 1; d_kind = `Update c;
+          d_ops = [ E.Write (Granule.make ~segment:c ~key:i, i) ];
+          d_abort = false })
+
 (* --- golden-trace helpers --- *)
 
 let read_file path =

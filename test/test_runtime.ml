@@ -53,6 +53,18 @@ let test_mailbox_fifo () =
   checkb "pop_into kept order" true (buf = [| 1; 2; 3; 4 |]);
   checki "pop_into drains the rest" 2 (R.Mailbox.pop_into mb buf ~max:4);
   checki "pop_into on empty" 0 (R.Mailbox.pop_into mb buf ~max:4);
+  (* a push never waits: a full box refuses and keeps what it holds *)
+  for i = 1 to 8 do
+    checkb "push accepted up to capacity" true (R.Mailbox.push mb i)
+  done;
+  checkb "a full box refuses" false (R.Mailbox.push mb 9);
+  checki "nothing queued by the refused push" 8 (R.Mailbox.length mb);
+  check (Alcotest.option Alcotest.int) "pop from the full box" (Some 1)
+    (R.Mailbox.try_pop mb);
+  checkb "accepts again after a pop" true (R.Mailbox.push mb 9);
+  let all = Array.make 8 0 in
+  checki "eight queued" 8 (R.Mailbox.pop_into mb all ~max:8);
+  checkb "fifo across the refusal" true (all = [| 2; 3; 4; 5; 6; 7; 8; 9 |]);
   R.Mailbox.close mb;
   checkb "push to closed refused" false (R.Mailbox.push mb 99);
   checkb "drained" true (R.Mailbox.is_drained mb)
@@ -64,7 +76,9 @@ let test_mailbox_backpressure () =
   let producer =
     Domain.spawn (fun () ->
         for i = 1 to n do
-          ignore (R.Mailbox.push mb i)
+          while not (R.Mailbox.push mb i) do
+            Domain.cpu_relax ()
+          done
         done;
         R.Mailbox.close mb)
   in
@@ -907,6 +921,110 @@ let test_engine_negative_key () =
         [ ("A", `Update 0, 1); ("B", `Update 0, 0); ("C", `Read_only, 0) ])
     [ -1; -2; -1_000_000 ]
 
+(* --- runs that end --- *)
+
+(* A worker that raises ends the run.  The script's first descriptor
+   raises in worker 0 while 300 writes alternate between its class and
+   worker 1's: class 0's queue never drains, so the peer's idle wait
+   and the caller's pushes into the full box would wait forever without
+   the failure flag.  The worker's own exception comes back.  A raise on
+   the caller's side — a controller raising at its third poll of a 30 s
+   timed run — ends the run the same way, well inside the watchdog. *)
+let test_engine_worker_raise_ends_run () =
+  let partition = R.Differential.chain_partition 2 in
+  let config = R.Engine.default_config ~workers:2 in
+  let init = R.Differential.default_init in
+  (match
+     Fixtures.within ~seconds:20. (fun () ->
+         R.Engine.run_script ~partition ~init config
+           ~script:(Fixtures.raising_script ~writes:300))
+   with
+  | _ -> Alcotest.fail "no exception"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "the worker's exception" "Pstore: negative key" msg);
+  let polls = ref 0 in
+  let control _ =
+    incr polls;
+    if !polls = 3 then failwith "controller" else None
+  in
+  match
+    Fixtures.within ~seconds:20. (fun () ->
+        R.Engine.run_timed ~partition ~init ~workers:2 ~seconds:30. ~control
+          ~mix:
+            { R.Engine.ro_frac = 0.1; abort_frac = 0.05; cross_reads = 2;
+              own_ops = 2; keys_per_segment = 4 }
+          ~seed:5 ())
+  with
+  | _ -> Alcotest.fail "a raising controller: no exception"
+  | exception Failure msg ->
+    check Alcotest.string "the controller's exception" "controller" msg
+
+(* The coordinator polls on the caller's domain before the first push,
+   when every class is idle: a one-step plan or mode plan always lands
+   and a wall is always released, however fast the workers drain. *)
+let test_coordinator_acts_first () =
+  let partition = R.Differential.chain_partition 2 in
+  let script =
+    [| { R.Engine.d_id = 1; d_kind = `Update 0;
+         d_ops = [ R.Engine.Write (Granule.make ~segment:0 ~key:0, 1) ];
+         d_abort = false } |]
+  in
+  let config = { (R.Engine.default_config ~workers:2) with traced = false } in
+  let init = R.Differential.default_init in
+  let plan =
+    [ (R.Engine.rotated_map
+         (R.Engine.default_owner_map ~segments:2 ~workers:2) 2,
+       "migrate") ]
+  in
+  let missed = Array.make 3 0 in
+  let miss i = missed.(i) <- missed.(i) + 1 in
+  for _ = 1 to 200 do
+    let r = R.Engine.run_script ~partition ~init ~plan config ~script in
+    if r.R.Engine.stats.R.Engine.repartitions <> 1 then miss 0;
+    if r.R.Engine.stats.R.Engine.wall_releases < 1 then miss 2;
+    let r =
+      R.Engine.run_script ~partition ~init ~mode_plan:[ [| 1; 0 |] ] config
+        ~script
+    in
+    if r.R.Engine.stats.R.Engine.escalations <> 1 then miss 1;
+    if r.R.Engine.stats.R.Engine.wall_releases < 1 then miss 2
+  done;
+  checki "runs without the plan step" 0 missed.(0);
+  checki "runs without the mode step" 0 missed.(1);
+  checki "runs without a wall release" 0 missed.(2)
+
+(* A plan map or mode vector without one in-range entry per class is
+   refused with the engine's own message before the run starts.
+   Unchecked, a short map fails mid-barrier on a bare index error, a
+   map naming a missing worker strands its classes' queues, and a
+   short mode vector is read past its end. *)
+let test_engine_plan_checked () =
+  let partition = R.Differential.chain_partition 2 in
+  let config = R.Engine.default_config ~workers:2 in
+  let init = R.Differential.default_init in
+  let script = Array.sub (Fixtures.raising_script ~writes:300) 1 300 in
+  let refused what ?plan ?mode_plan () =
+    match
+      Fixtures.within ~seconds:20. (fun () ->
+          R.Engine.run_script ~partition ~init ?plan ?mode_plan config ~script)
+    with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      checkb
+        (Printf.sprintf "%s: refused by the engine (%s)" what msg)
+        true
+        (String.starts_with ~prefix:"Engine: " msg)
+  in
+  refused "a one-class plan map"
+    ~plan:[ ([| 1; 0 |], "migrate"); ([| 0 |], "migrate") ] ();
+  refused "a three-class plan map" ~plan:[ ([| 1; 0; 1 |], "migrate") ] ();
+  refused "worker 2 of 2" ~plan:[ ([| 0; 2 |], "migrate") ] ();
+  refused "worker -1" ~plan:[ ([| -1; 0 |], "migrate") ] ();
+  refused "a one-class mode vector" ~mode_plan:[ [| 1 |] ] ();
+  refused "a three-class mode vector" ~mode_plan:[ [| 0; 1; 0 |] ] ();
+  refused "mode 2" ~mode_plan:[ [| 0; 1 |]; [| 2; 0 |] ] ();
+  refused "mode -1" ~mode_plan:[ [| -1; 0 |] ] ()
+
 let suite =
   [ Alcotest.test_case "gclock: ticks unique across domains" `Quick
       test_gclock_unique;
@@ -957,4 +1075,10 @@ let suite =
     Alcotest.test_case "engine: negative-key reads raise" `Quick
       test_engine_negative_key;
     Alcotest.test_case "registry: snapshot reuse is exact on 1000 seeds"
-      `Quick test_registry_snapshot_reuse ]
+      `Quick test_registry_snapshot_reuse;
+    Alcotest.test_case "engine: a raising worker ends the run" `Quick
+      test_engine_worker_raise_ends_run;
+    Alcotest.test_case "engine: the coordinator acts before the first push"
+      `Quick test_coordinator_acts_first;
+    Alcotest.test_case "engine: malformed plans are refused" `Quick
+      test_engine_plan_checked ]

@@ -681,6 +681,22 @@ let test_stall_typed () =
       (String.starts_with ~prefix:"a publication of shard 1 covering"
          waiting_for)
 
+(* A shard that raises ends the domain-mode run: the script's first
+   descriptor raises on shard 0 while 50 writes alternate between the
+   two shards.  The raising shard counts as done, so the caller stops
+   the other and re-raises the shard's own exception. *)
+let test_domains_raise_ends_run () =
+  let partition = D.chain_partition 2 in
+  let script = Fixtures.raising_script ~writes:50 in
+  match
+    Fixtures.within ~seconds:20. (fun () ->
+        Sh.Cluster.run_script_domains ~partition ~init:D.default_init
+          ~shards:2 ~script ())
+  with
+  | _ -> Alcotest.fail "no exception"
+  | exception Invalid_argument msg ->
+    checks "the shard's exception" "Pstore: negative key" msg
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -712,4 +728,6 @@ let suite =
     Alcotest.test_case "codec: one pinned frame per message" `Quick
       test_codec_pinned;
     Alcotest.test_case "node: a stalled wait raises Stalled" `Quick
-      test_stall_typed ]
+      test_stall_typed;
+    Alcotest.test_case "cluster: a raising shard ends the domain run" `Quick
+      test_domains_raise_ends_run ]
