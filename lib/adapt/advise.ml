@@ -24,10 +24,6 @@ type repair = {
 
 let score r = r.benefit -. r.cost
 
-let pp_repair ppf r =
-  Format.fprintf ppf "%a (benefit %.2f, cost %.2f): %s" pp_move r.move
-    r.benefit r.cost r.why
-
 (* --- spec transforms --- *)
 
 let split_spec (spec : Spec.t) ~segment =

@@ -43,8 +43,6 @@ type repair = {
 val score : repair -> float
 (** [benefit -. cost]: the advisor sorts descending by this. *)
 
-val pp_repair : Format.formatter -> repair -> unit
-
 (** {1 Spec transforms} *)
 
 val split_spec : Hdd_core.Spec.t -> segment:int -> Hdd_core.Spec.t

@@ -21,17 +21,6 @@ type signal =
       error : P.error;
     }
 
-let pp_signal ppf = function
-  | Hotspot { class_id; share; commits } ->
-    Format.fprintf ppf "hotspot: class %d holds %.0f%% of %d commits"
-      class_id (100. *. share) commits
-  | Tst_break { edge = a, b; wsegs; rsegs; error } ->
-    Format.fprintf ppf
-      "tst-break at edge (%d, %d): footprint w=[%s] r=[%s] — %s" a b
-      (String.concat ";" (List.map string_of_int wsegs))
-      (String.concat ";" (List.map string_of_int rsegs))
-      (P.error_to_string error)
-
 type t = {
   cfg : config;
   spec : Spec.t;
@@ -87,8 +76,6 @@ let feed t (r : T.record) =
   | _ -> ()
 
 let observe t records = List.iter (feed t) records
-
-let window_commits t = Queue.length t.window
 
 let commits_by_class t =
   Array.to_list (Array.mapi (fun c n -> (c, n)) t.counts)

@@ -52,8 +52,6 @@ type signal =
       error : Hdd_core.Partition.error;
     }
 
-val pp_signal : Format.formatter -> signal -> unit
-
 type t
 
 val create : ?config:config -> spec:Hdd_core.Spec.t -> unit -> t
@@ -64,9 +62,6 @@ val feed : t -> Hdd_obs.Trace.record -> unit
 
 val observe : t -> Hdd_obs.Trace.record list -> unit
 (** [feed] a whole merged trace, in order. *)
-
-val window_commits : t -> int
-(** Committed transactions currently in the window. *)
 
 val commits_by_class : t -> (int * int) list
 (** Per-class commit counts in the window, descending. *)

@@ -46,7 +46,6 @@ let spec t = t.spec
 let partition t = t.partition
 let scheduler t = t.sched
 let epoch t = t.epoch
-let locate t g = t.remap g
 
 let value t g =
   let g = t.remap g in

@@ -23,8 +23,8 @@
     [fresh_store = false] — worker ownership is the multicore engine's
     business ({!Hdd_runtime.Engine.run_script}'s [plan]).
 
-    Granule addresses survive repairs through {!locate}: callers keep
-    using original addresses; the executor composes the remapping
+    Granule addresses survive repairs: callers keep using original
+    addresses ({!value}); the executor composes the remapping
     (merge collapses segments, split moves keys at or above the pivot
     into the child). *)
 
@@ -47,10 +47,6 @@ val scheduler : t -> int Hdd_core.Scheduler.t
 
 val epoch : t -> int
 (** Published repartition epoch: 0 at creation, +1 per {!apply}. *)
-
-val locate : t -> Granule.t -> Granule.t
-(** Current address of an original granule, through every repair so
-    far. *)
 
 val value : t -> Granule.t -> int
 (** Latest committed value of an original granule (bootstrap/carried

@@ -12,13 +12,3 @@ type t = {
 let create () =
   { begins = 0; commits = 0; aborts = 0; reads = 0; writes = 0;
     read_registrations = 0; blocks = 0; rejects = 0 }
-
-let reset t =
-  t.begins <- 0;
-  t.commits <- 0;
-  t.aborts <- 0;
-  t.reads <- 0;
-  t.writes <- 0;
-  t.read_registrations <- 0;
-  t.blocks <- 0;
-  t.rejects <- 0

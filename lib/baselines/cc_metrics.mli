@@ -15,4 +15,3 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit

@@ -145,32 +145,28 @@ module Table = struct
     release t txn
 end
 
-type 'a t = {
-  clock : Time.Clock.clock;
-  table : 'a Table.t;
-  m : Cc_metrics.t;  (** the table's, with begins, commits and aborts *)
-  log : Sched_log.t option;
-  mutable next_id : int;
-}
+type 'a t = { tx : unit Txn_table.t; table : 'a Table.t }
 
+(* the transaction table counts begins, commits and aborts into the
+   precedence table's own record *)
 let create ?log ~clock ~segments ~init () =
   let table = Table.create (Store.create ~segments ~init) in
-  { clock; table; m = Table.metrics table; log; next_id = 1 }
+  { tx =
+      Txn_table.create ?log ~metrics:(Table.metrics table) ~name:"Prudent"
+        ~clock ();
+    table }
 
-let metrics t = t.m
+let metrics t = Txn_table.metrics t.tx
 let store t = Table.store t.table
 
 let begin_txn t ~read_only =
-  let id = t.next_id in
-  t.next_id <- id + 1;
   let kind = if read_only then Txn.Read_only else Txn.Update 0 in
-  let txn = Txn.make ~id ~kind ~init:(Time.Clock.tick t.clock) in
+  let txn = Txn_table.begin_txn t.tx ~kind () in
   Table.join t.table txn;
-  t.m.begins <- t.m.begins + 1;
   txn
 
-let read_version t (txn : Txn.t) g (v : _ Chain.version) =
-  Sched_log.log_read_opt t.log ~txn:txn.Txn.id ~granule:g ~version:v.Chain.ts;
+let read_version t txn g (v : _ Chain.version) =
+  Txn_table.log_read t.tx txn g v.Chain.ts;
   Granted v.Chain.value
 
 (* Read-only transactions read a snapshot at their initiation and never
@@ -182,33 +178,27 @@ let read t txn g =
     | Table.Latest v -> read_version t txn g v
     | Table.Missing -> Rejected "no committed version"
   else begin
-    t.m.reads <- t.m.reads + 1;
+    Txn_table.reading t.tx txn;
     match Store.committed_before (store t) g ~ts:txn.Txn.init with
     | Some v -> read_version t txn g v
-    | None ->
-      t.m.rejects <- t.m.rejects + 1;
-      Rejected "snapshot version collected"
+    | None -> Txn_table.reject t.tx "snapshot version collected"
   end
 
 let write t txn g value =
   if Txn.is_update txn then Table.write t.table txn g value
   else begin
-    t.m.writes <- t.m.writes + 1;
-    t.m.rejects <- t.m.rejects + 1;
-    Rejected "read-only transaction may not write"
+    Txn_table.writing t.tx txn;
+    Txn_table.reject t.tx "read-only transaction may not write"
   end
 
 let try_commit t txn = Table.admit t.table txn
 
 let commit t txn =
-  let at = Time.Clock.tick t.clock in
+  let at = Txn_table.tick t.tx in
   Table.install t.table txn ~stamp:at (fun g ->
-      Sched_log.log_write_opt t.log ~txn:txn.Txn.id ~granule:g ~version:at);
-  Txn.commit txn ~at;
-  t.m.commits <- t.m.commits + 1
+      Txn_table.log_write t.tx txn g at);
+  Txn_table.commit t.tx txn ~at
 
 let abort t txn =
-  Sched_log.drop_txn_opt t.log txn.Txn.id;
-  Txn.abort txn ~at:(Time.Clock.tick t.clock);
-  Table.release t.table txn;
-  t.m.aborts <- t.m.aborts + 1
+  Txn_table.abort t.tx txn;
+  Table.release t.table txn

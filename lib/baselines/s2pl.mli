@@ -9,8 +9,10 @@
     transaction here never blocks while holding nothing it must give up,
     so driver-side detection is complete).
 
-    Writes are applied in place with an undo log, which strictness makes
-    safe: no other transaction ever observes an uncommitted value. *)
+    Writes are applied in place with an undo image ({!Hdd_mvstore.Sv_store}),
+    which strictness makes safe: no other transaction ever observes an
+    uncommitted value.  The locks are {!Lock_table}'s, which MV2PL drives
+    too. *)
 
 type 'a t
 
@@ -29,8 +31,8 @@ val create :
 val metrics : 'a t -> Cc_metrics.t
 
 val begin_txn : 'a t -> read_only:bool -> Txn.t
-(** 2PL does not distinguish read-only transactions; the flag is recorded
-    on the {!Txn.t} for reporting only. *)
+(** 2PL does not distinguish read-only transactions: the flag is ignored,
+    and every transaction is a class-0 update record ([Txn.Update 0]). *)
 
 val read : 'a t -> Txn.t -> Granule.t -> 'a Hdd_core.Outcome.t
 val write : 'a t -> Txn.t -> Granule.t -> 'a -> unit Hdd_core.Outcome.t

@@ -384,11 +384,3 @@ let pp_trial wl ppf trial =
     (String.concat ", " (List.map (label wl) trial.t_aborted))
     (if trial.t_deadlock then "  (deadlock)" else "")
     Certifier.pp_verdict trial.t_verdict
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%s on %s: %d schedules (%d pruned%s), %d serializable, %d anomalies, \
-     %d deadlocks, %d with rejections"
-    s.sum_system s.sum_workload s.schedules s.pruned
-    (if s.capped then ", CAPPED" else "")
-    s.serializable s.anomalies s.deadlocks s.rejections

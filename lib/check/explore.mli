@@ -140,4 +140,3 @@ val explore :
 
 val pp_event : workload -> Format.formatter -> event -> unit
 val pp_trial : workload -> Format.formatter -> trial -> unit
-val pp_summary : Format.formatter -> summary -> unit

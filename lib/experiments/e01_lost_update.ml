@@ -6,157 +6,105 @@
    update lost — and the certifier flags the schedule.  Every controller
    in the repository prevents the loss. *)
 
-module B = Hdd_baselines
 module Outcome = Hdd_core.Outcome
 module Certifier = Hdd_core.Certifier
 module Table = Hdd_util.Table
+module Controller = Hdd_sim.Controller
+module Adapters = Hdd_sim.Adapters
+open Outcome
 
 let account = Granule.make ~segment:0 ~key:0
 
-let grant = function
-  | Outcome.Granted v -> `Value v
-  | Outcome.Blocked ids -> `Blocked ids
-  | Outcome.Rejected why -> `Rejected why
-
-(* Drive the Figure 1 interleaving through a generic controller; blocked
-   or rejected steps are resolved the way the controller dictates (wait
-   for the blocker, or restart the loser). *)
-let figure1_interleaving ~read ~write ~begin_txn ~commit ~abort =
-  let t1 = begin_txn () in
-  let t2 = begin_txn () in
-  let b1 = read t1 account in
-  let b2 = read t2 account in
+(* Drive the Figure 1 interleaving through a controller; blocked or
+   rejected steps are resolved the way the controller dictates (wait for
+   the blocker, or restart the loser). *)
+let figure1_interleaving (c : Controller.t) =
+  let t1 = c.begin_txn (Controller.Update 0) in
+  let t2 = c.begin_txn (Controller.Update 0) in
+  let b1 = c.read t1 account in
+  let b2 = c.read t2 account in
   match (b1, b2) with
-  | `Value b1v, `Value b2v ->
+  | Granted b1v, Granted b2v ->
     (* both reads were admitted concurrently: attempt both writes *)
-    let w1 = write t1 account (b1v + 50) in
+    let w1 = c.write t1 account (b1v + 50) in
     let finish1 =
       match w1 with
-      | `Value () ->
-        commit t1;
+      | Granted () ->
+        c.commit t1;
         `Committed
-      | `Rejected _ ->
-        abort t1;
+      | Rejected _ ->
+        c.abort t1;
         `Restarted
-      | `Blocked _ -> `Blocked
+      | Blocked _ -> `Blocked
     in
-    let w2 = write t2 account (b2v - 50) in
+    let w2 = c.write t2 account (b2v - 50) in
     let finish2 =
       match w2 with
-      | `Value () ->
-        commit t2;
+      | Granted () ->
+        c.commit t2;
         `Committed
-      | `Rejected _ ->
-        abort t2;
+      | Rejected _ ->
+        c.abort t2;
         `Restarted
-      | `Blocked _ ->
+      | Blocked _ ->
         (* t1 has finished by now in every controller here; retry once *)
-        (match write t2 account (b2v - 50) with
-        | `Value () ->
-          commit t2;
+        (match c.write t2 account (b2v - 50) with
+        | Granted () ->
+          c.commit t2;
           `Committed
-        | `Rejected _ ->
-          abort t2;
+        | Rejected _ ->
+          c.abort t2;
           `Restarted
-        | `Blocked _ ->
-          abort t2;
+        | Blocked _ ->
+          c.abort t2;
           `Stuck)
     in
     (finish1, finish2)
-  | `Value _, (`Blocked _ | `Rejected _) ->
+  | Granted _, (Blocked _ | Rejected _) ->
     (* t2's read already refused: the interleaving is impossible *)
-    (match write t1 account 150 with
-    | `Value () -> commit t1
-    | _ -> abort t1);
+    (match c.write t1 account 150 with
+    | Granted () -> c.commit t1
+    | _ -> c.abort t1);
     (match b2 with
-    | `Rejected _ -> abort t2
+    | Rejected _ -> c.abort t2
     | _ ->
       (* blocked: t1 finished, redo the whole of t2 serially *)
-      (match read t2 account with
-      | `Value v -> (
-        match write t2 account (v - 50) with
-        | `Value () -> commit t2
-        | _ -> abort t2)
-      | _ -> abort t2));
+      (match c.read t2 account with
+      | Granted v -> (
+        match c.write t2 account (v - 50) with
+        | Granted () -> c.commit t2
+        | _ -> c.abort t2)
+      | _ -> c.abort t2));
     (`Committed, `Serialized)
   | _ -> (`Stuck, `Stuck)
 
 (* Re-run a restarted transaction (with its own delta) to completion so
    the business outcome is comparable across controllers. *)
-let settle ~read ~write ~begin_txn ~commit ~delta = function
+let settle (c : Controller.t) ~delta = function
   | `Restarted ->
-    let t = begin_txn () in
-    (match read t account with
-    | `Value v -> (
-      match write t account (v + delta) with
-      | `Value () -> commit t
+    let t = c.begin_txn (Controller.Update 0) in
+    (match c.read t account with
+    | Granted v -> (
+      match c.write t account (v + delta) with
+      | Granted () -> c.commit t
       | _ -> ())
     | _ -> ())
   | _ -> ()
 
-let controllers () =
+let balance (c : Controller.t) =
+  let t = c.begin_txn (Controller.Update 0) in
+  match c.read t account with
+  | Granted v ->
+    c.commit t;
+    v
+  | _ -> min_int
+
+let controllers =
   let init _ = 100 in
-  let clock () = Time.Clock.create () in
-  [ ("NoCC",
-     fun log ->
-       let c = B.Nocc.create ~log ~clock:(clock ()) ~init () in
-       ((fun () -> B.Nocc.begin_txn c),
-        (fun t g -> grant (B.Nocc.read c t g)),
-        (fun t g v -> grant (B.Nocc.write c t g v)),
-        (fun t -> B.Nocc.commit c t),
-        (fun t -> B.Nocc.abort c t),
-        (fun () ->
-          let t = B.Nocc.begin_txn c in
-          match grant (B.Nocc.read c t account) with
-          | `Value v ->
-            B.Nocc.commit c t;
-            v
-          | _ -> min_int)));
-    ("2PL",
-     fun log ->
-       let c = B.S2pl.create ~log ~clock:(clock ()) ~init () in
-       ((fun () -> B.S2pl.begin_txn c ~read_only:false),
-        (fun t g -> grant (B.S2pl.read c t g)),
-        (fun t g v -> grant (B.S2pl.write c t g v)),
-        (fun t -> B.S2pl.commit c t),
-        (fun t -> B.S2pl.abort c t),
-        (fun () ->
-          let t = B.S2pl.begin_txn c ~read_only:false in
-          match grant (B.S2pl.read c t account) with
-          | `Value v ->
-            B.S2pl.commit c t;
-            v
-          | _ -> min_int)));
-    ("TSO",
-     fun log ->
-       let c = B.Tso.create ~log ~clock:(clock ()) ~init () in
-       ((fun () -> B.Tso.begin_txn c),
-        (fun t g -> grant (B.Tso.read c t g)),
-        (fun t g v -> grant (B.Tso.write c t g v)),
-        (fun t -> B.Tso.commit c t),
-        (fun t -> B.Tso.abort c t),
-        (fun () ->
-          let t = B.Tso.begin_txn c in
-          match grant (B.Tso.read c t account) with
-          | `Value v ->
-            B.Tso.commit c t;
-            v
-          | _ -> min_int)));
-    ("MVTO",
-     fun log ->
-       let c = B.Mvto.create ~log ~clock:(clock ()) ~segments:1 ~init () in
-       ((fun () -> B.Mvto.begin_txn c),
-        (fun t g -> grant (B.Mvto.read c t g)),
-        (fun t g v -> grant (B.Mvto.write c t g v)),
-        (fun t -> B.Mvto.commit c t),
-        (fun t -> B.Mvto.abort c t),
-        (fun () ->
-          let t = B.Mvto.begin_txn c in
-          match grant (B.Mvto.read c t account) with
-          | `Value v ->
-            B.Mvto.commit c t;
-            v
-          | _ -> min_int))) ]
+  [ (fun log -> Adapters.nocc ~log ~init ());
+    (fun log -> Adapters.s2pl ~log ~init ());
+    (fun log -> Adapters.tso ~log ~init ());
+    (fun log -> Adapters.mvto ~log ~segments:1 ~init ()) ]
 
 let run () =
   let table =
@@ -166,15 +114,14 @@ let run () =
   in
   let checks = ref [] in
   List.iter
-    (fun (name, build) ->
+    (fun build ->
       let log = Sched_log.create () in
-      let begin_txn, read, write, commit, abort, balance = build log in
-      let f1, f2 =
-        figure1_interleaving ~read ~write ~begin_txn ~commit ~abort
-      in
-      settle ~read ~write ~begin_txn ~commit ~delta:50 f1;
-      settle ~read ~write ~begin_txn ~commit ~delta:(-50) f2;
-      let final = balance () in
+      let c = build log in
+      let name = c.Controller.name in
+      let f1, f2 = figure1_interleaving c in
+      settle c ~delta:50 f1;
+      settle c ~delta:(-50) f2;
+      let final = balance c in
       let serializable = Certifier.serializable log in
       let lost = final <> 100 in
       Table.add_row table
@@ -190,7 +137,7 @@ let run () =
           (name ^ " preserves the balance and serializability",
            (not lost) && serializable)
           :: !checks)
-    (controllers ());
+    controllers;
   { Exp_types.id = "E1";
     title = "Lost update under concurrent deposit/withdraw";
     source = "Figure 1, §1.1";

@@ -239,6 +239,11 @@ let observe_gen w =
     Atomic.set w.sh.acked.(w.me) g
   end
 
+(* The [n]th turn of a wait loop: spin 64 turns, then sleep.  Once the
+   awaited domain is clearly descheduled (oversubscribed cores),
+   spinning hot starves the very domain being waited for. *)
+let backoff n = if n < 64 then Domain.cpu_relax () else Unix.sleepf 20e-6
+
 (* The repartition barrier, worker side.  Called between transactions
    only: a parked worker is quiescent with everything published.  While
    parked it keeps serving republication requests (a waiter mid-cross-
@@ -247,17 +252,21 @@ let observe_gen w =
    exit — and the coordinator waits for every flag to drop before it
    considers a barrier finished, so a flag it reads as set always means
    "currently quiescent", never a leftover from the previous barrier.
-   A failed run ends the spin: the worker leaves still flagged parked,
+   A parked worker backs off: on a host with no core to spare, spinning
+   hot would starve the caller's domain, which runs the barrier.  A
+   failed run ends the wait: the worker leaves still flagged parked,
    and the coordinator counts it gone. *)
 let check_park w =
   if Atomic.get w.sh.park then begin
     publish_pub w;
     Atomic.set w.sh.parked.(w.me) true;
+    let n = ref 0 in
     while Atomic.get w.sh.park do
       leave_if_failed w.sh;
       observe_gen w;
       service_repub w;
-      Domain.cpu_relax ()
+      backoff !n;
+      incr n
     done;
     Atomic.set w.sh.parked.(w.me) false
   end;
@@ -277,9 +286,7 @@ let rec await_owner w ow m n =
     leave_if_failed w.sh;
     Atomic.set w.sh.repub.(ow) true;
     service_repub w;
-    (* back off once the owner is clearly descheduled (oversubscribed
-       cores): spinning hot starves the very domain we wait for *)
-    if n < 64 then Domain.cpu_relax () else Unix.sleepf 20e-6;
+    backoff n;
     await_owner w ow m (n + 1)
   end
 

@@ -4,10 +4,12 @@ module TW = Hdd_core.Timewall
 module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
 
-type config = { traced : bool; stall_limit : int; publish_every : int }
+type config = { traced : bool; publish_every : int }
 
-let default_config =
-  { traced = true; stall_limit = 2_000_000; publish_every = 1 }
+let default_config = { traced = true; publish_every = 1 }
+
+(* wait iterations before a wait is declared a stall *)
+let stall_limit = 2_000_000
 
 (* The latest accepted publication of a remote shard. *)
 type rpub = {
@@ -50,7 +52,6 @@ type t = {
   c : counters;
   mutable outcomes : (Txn.id * bool) list;
   mutable on_wait : unit -> unit;
-  stall_limit : int;
   publish_every : int;
   mutable since_pub : int;  (** commits since the last publication *)
   (* process-mode work dispatch *)
@@ -251,7 +252,7 @@ let await t ~why check =
     let n = ref 0 in
     while not (check ()) do
       incr n;
-      if !n > t.stall_limit then
+      if !n > stall_limit then
         raise (Stalled { shard = t.me; waiting_for = why () });
       publish t;
       t.on_wait ();
@@ -552,7 +553,6 @@ let create ?(config = default_config) ~partition ~init ~net () =
         n_reads_c = 0; n_writes = 0; n_stale_waits = 0 };
     outcomes = [];
     on_wait = (fun () -> ());
-    stall_limit = config.stall_limit;
     publish_every = Int.max 1 config.publish_every;
     since_pub = 0;
     work = Queue.create ();

@@ -30,10 +30,6 @@
 
 type config = {
   traced : bool;
-  stall_limit : int;
-      (** wait iterations before a wait is declared a stall (a bug —
-          the protocol is deadlock-free) and the node raises
-          {!Stalled} *)
   publish_every : int;
       (** publish activity once per this many finished update
           transactions (clamped to >= 1; default 1 = per commit).
@@ -46,8 +42,10 @@ type config = {
 val default_config : config
 
 exception Stalled of { shard : int; waiting_for : string }
-(** A wait ran [stall_limit] iterations without its condition coming
-    true.  [shard] is the waiting node; [waiting_for] names what it
+(** A wait ran 2,000,000 iterations without its condition coming true
+    (a bug — the protocol is deadlock-free).  Each iteration republishes,
+    runs the [on_wait] hook and pumps, so the bound takes about a second
+    or more.  [shard] is the waiting node; [waiting_for] names what it
     waited for, e.g. ["a publication of shard 1 covering 3"].  The
     reason is built only when the wait trips, so a wait that never
     stalls formats nothing. *)

@@ -51,7 +51,7 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
   let nets = Transport.Loopback.create ~nodes:shards () in
   let stop = Atomic.make false in
   let done_count = Atomic.make 0 in
-  let config = { Node.default_config with traced = false; publish_every } in
+  let config = { Node.traced = false; publish_every } in
   let run me =
     let node =
       Node.create ~config ~partition ~init:D.default_init ~net:nets.(me) ()

@@ -30,11 +30,6 @@ type counters = {
   k_wall_lag_max : int;
 }
 
-let counters_zero =
-  { k_committed = 0; k_aborted = 0; k_reads_a = 0; k_reads_b = 0;
-    k_reads_c = 0; k_writes = 0; k_stale_waits = 0; k_wall_releases = 0;
-    k_wall_lag_sum = 0; k_wall_lag_max = 0 }
-
 type msg =
   | Pub of pub
   | Delta of delta

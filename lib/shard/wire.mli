@@ -94,5 +94,3 @@ val write_packet : Hdd_util.Binc.writer -> packet -> unit
 val equal : packet -> packet -> bool
 (** Structural equality (field-by-field; snapshots compare by their
     {!Registry.snap_parts}).  For the round-trip property suite. *)
-
-val counters_zero : counters

@@ -1,16 +1,6 @@
 module B = Hdd_baselines
 module Scheduler = Hdd_core.Scheduler
 
-let of_cc_metrics (m : B.Cc_metrics.t) : Controller.counters =
-  { begins = m.B.Cc_metrics.begins;
-    commits = m.B.Cc_metrics.commits;
-    aborts = m.B.Cc_metrics.aborts;
-    reads = m.B.Cc_metrics.reads;
-    writes = m.B.Cc_metrics.writes;
-    read_registrations = m.B.Cc_metrics.read_registrations;
-    blocks = m.B.Cc_metrics.blocks;
-    rejects = m.B.Cc_metrics.rejects }
-
 let hdd_detailed ?log ?trace ?wall_every_commits ?gc_every_commits ?gc_on_wall
     ~partition ~init () =
   let clock = Time.Clock.create () in
@@ -55,104 +45,79 @@ let hdd ?log ?trace ?wall_every_commits ~partition ~init () =
   in
   controller
 
+(* Every baseline controller through one helper: its name, operations
+   and counters.  Each adapter gives its controller a clock of its own. *)
+let baseline name ?try_commit ~begin_txn ~read ~write ~commit ~abort
+    (m : B.Cc_metrics.t) =
+  let snapshot () : Controller.counters =
+    { begins = m.begins; commits = m.commits; aborts = m.aborts;
+      reads = m.reads; writes = m.writes;
+      read_registrations = m.read_registrations; blocks = m.blocks;
+      rejects = m.rejects }
+  in
+  { Controller.name; begin_txn; read; write; commit; abort; try_commit;
+    snapshot }
+
+let read_only k = k = Controller.Read_only
+
 let s2pl ?log ?read_locks ~init () =
   let clock = Time.Clock.create () in
   let c = B.S2pl.create ?log ?read_locks ~clock ~init () in
-  { Controller.name =
-      (match read_locks with Some false -> "2PL-noRL" | _ -> "2PL");
-    begin_txn =
-      (function
-      | Controller.Update _ | Controller.Adhoc _ ->
-        B.S2pl.begin_txn c ~read_only:false
-      | Controller.Read_only -> B.S2pl.begin_txn c ~read_only:true);
-    read = B.S2pl.read c;
-    write = B.S2pl.write c;
-    commit = B.S2pl.commit c;
-    abort = B.S2pl.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.S2pl.metrics c)) }
+  baseline
+    (match read_locks with Some false -> "2PL-noRL" | _ -> "2PL")
+    ~begin_txn:(fun k -> B.S2pl.begin_txn c ~read_only:(read_only k))
+    ~read:(B.S2pl.read c) ~write:(B.S2pl.write c) ~commit:(B.S2pl.commit c)
+    ~abort:(B.S2pl.abort c) (B.S2pl.metrics c)
 
 let tso ?log ?read_timestamps ~init () =
   let clock = Time.Clock.create () in
   let c = B.Tso.create ?log ?read_timestamps ~clock ~init () in
-  { Controller.name =
-      (match read_timestamps with Some false -> "TSO-noRTS" | _ -> "TSO");
-    begin_txn = (fun _ -> B.Tso.begin_txn c);
-    read = B.Tso.read c;
-    write = B.Tso.write c;
-    commit = B.Tso.commit c;
-    abort = B.Tso.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.Tso.metrics c)) }
+  baseline
+    (match read_timestamps with Some false -> "TSO-noRTS" | _ -> "TSO")
+    ~begin_txn:(fun _ -> B.Tso.begin_txn c)
+    ~read:(B.Tso.read c) ~write:(B.Tso.write c) ~commit:(B.Tso.commit c)
+    ~abort:(B.Tso.abort c) (B.Tso.metrics c)
 
 let mvto ?log ~segments ~init () =
   let clock = Time.Clock.create () in
   let c = B.Mvto.create ?log ~clock ~segments ~init () in
-  { Controller.name = "MVTO";
-    begin_txn = (fun _ -> B.Mvto.begin_txn c);
-    read = B.Mvto.read c;
-    write = B.Mvto.write c;
-    commit = B.Mvto.commit c;
-    abort = B.Mvto.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.Mvto.metrics c)) }
+  baseline "MVTO"
+    ~begin_txn:(fun _ -> B.Mvto.begin_txn c)
+    ~read:(B.Mvto.read c) ~write:(B.Mvto.write c) ~commit:(B.Mvto.commit c)
+    ~abort:(B.Mvto.abort c) (B.Mvto.metrics c)
 
 let mv2pl ?log ~segments ~init () =
   let clock = Time.Clock.create () in
   let c = B.Mv2pl.create ?log ~clock ~segments ~init () in
-  { Controller.name = "MV2PL";
-    begin_txn =
-      (function
-      | Controller.Update _ | Controller.Adhoc _ ->
-        B.Mv2pl.begin_txn c ~read_only:false
-      | Controller.Read_only -> B.Mv2pl.begin_txn c ~read_only:true);
-    read = B.Mv2pl.read c;
-    write = B.Mv2pl.write c;
-    commit = B.Mv2pl.commit c;
-    abort = B.Mv2pl.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.Mv2pl.metrics c)) }
+  baseline "MV2PL"
+    ~begin_txn:(fun k -> B.Mv2pl.begin_txn c ~read_only:(read_only k))
+    ~read:(B.Mv2pl.read c) ~write:(B.Mv2pl.write c) ~commit:(B.Mv2pl.commit c)
+    ~abort:(B.Mv2pl.abort c) (B.Mv2pl.metrics c)
 
 let prudent ?log ~segments ~init () =
   let clock = Time.Clock.create () in
   let c = B.Prudent.create ?log ~clock ~segments ~init () in
-  { Controller.name = "Prudent";
-    begin_txn =
-      (function
-      | Controller.Update _ | Controller.Adhoc _ ->
-        B.Prudent.begin_txn c ~read_only:false
-      | Controller.Read_only -> B.Prudent.begin_txn c ~read_only:true);
-    read = B.Prudent.read c;
-    write = B.Prudent.write c;
-    commit = B.Prudent.commit c;
-    abort = B.Prudent.abort c;
-    try_commit = Some (B.Prudent.try_commit c);
-    snapshot = (fun () -> of_cc_metrics (B.Prudent.metrics c)) }
+  baseline "Prudent" ~try_commit:(B.Prudent.try_commit c)
+    ~begin_txn:(fun k -> B.Prudent.begin_txn c ~read_only:(read_only k))
+    ~read:(B.Prudent.read c) ~write:(B.Prudent.write c)
+    ~commit:(B.Prudent.commit c) ~abort:(B.Prudent.abort c)
+    (B.Prudent.metrics c)
 
 let sdd1 ?log ~partition ~init () =
   let clock = Time.Clock.create () in
   let c = B.Sdd1.create ?log ~clock ~partition ~init () in
-  { Controller.name = "SDD-1";
-    begin_txn =
-      (function
+  baseline "SDD-1"
+    ~begin_txn:(function
       | Controller.Update class_id -> B.Sdd1.begin_txn c ~class_id
       | Controller.Read_only -> B.Sdd1.begin_adhoc c
-      | Controller.Adhoc _ -> B.Sdd1.begin_adhoc ~updates:true c);
-    read = B.Sdd1.read c;
-    write = B.Sdd1.write c;
-    commit = B.Sdd1.commit c;
-    abort = B.Sdd1.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.Sdd1.metrics c)) }
+      | Controller.Adhoc _ -> B.Sdd1.begin_adhoc ~updates:true c)
+    ~read:(B.Sdd1.read c) ~write:(B.Sdd1.write c) ~commit:(B.Sdd1.commit c)
+    ~abort:(B.Sdd1.abort c) (B.Sdd1.metrics c)
 
 let nocc ?log ~init () =
   let clock = Time.Clock.create () in
   let c = B.Nocc.create ?log ~clock ~init () in
-  { Controller.name = "NoCC";
-    begin_txn = (fun _ -> B.Nocc.begin_txn c);
-    read = B.Nocc.read c;
-    write = B.Nocc.write c;
-    commit = B.Nocc.commit c;
-    abort = B.Nocc.abort c;
-    try_commit = None;
-    snapshot = (fun () -> of_cc_metrics (B.Nocc.metrics c)) }
+  baseline "NoCC"
+    ~begin_txn:(fun _ -> B.Nocc.begin_txn c)
+    ~read:(B.Nocc.read c) ~write:(B.Nocc.write c) ~commit:(B.Nocc.commit c)
+    ~abort:(B.Nocc.abort c) (B.Nocc.metrics c)

@@ -61,6 +61,5 @@ let pop t =
     Some (top.time, top.payload)
   end
 
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
 let size t = t.len
 let is_empty t = t.len = 0

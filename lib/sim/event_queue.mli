@@ -7,6 +7,5 @@ type 'a t
 val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
-val peek_time : 'a t -> float option
 val size : 'a t -> int
 val is_empty : 'a t -> bool

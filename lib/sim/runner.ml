@@ -373,13 +373,3 @@ let run_open ?trace ?on_response ~arrival_rate config workload c =
   run_impl ?trace ?on_response
     ~mode:(Open (fun rng -> Dist.exponential rng ~rate:arrival_rate))
     config workload c
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s on %s: %d committed, %d restarts (%d deadlocks, %d gave up, \
-     backoff %.1f, worst streak %d), vtime %.1f, tput %.3f, resp mean %.2f \
-     p95 %.2f, regs %d, blocks %d, rejects %d@]"
-    r.controller r.workload r.committed r.restarts r.deadlocks r.gave_up
-    r.total_backoff r.max_restart_streak r.vtime r.throughput r.mean_response
-    r.p95_response r.counters.Controller.read_registrations
-    r.counters.Controller.blocks r.counters.Controller.rejects

@@ -73,5 +73,3 @@ val run_arrivals :
 (** Like {!run_open} but with an arbitrary interarrival sampler — the
     hook for bursty (MMPP) and think-time-driven arrival processes from
     the workload suite.  Negative samples are clamped to 0. *)
-
-val pp_result : Format.formatter -> result -> unit

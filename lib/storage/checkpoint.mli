@@ -65,7 +65,7 @@ val write :
 (** Write checkpoint [seq]: data file (temp + checksum + rename), then
     the pruned manifest (temp + rename).  [versions] is the wall-cut
     committed dump ({!Hdd_mvstore.Store.dump_at_wall}); [pending] the
-    engine's in-flight table ({!Replay.pending_dump}).
+    engine's in-flight table, [(txn, class_id, init, writes)] by id.
     @raise Fault.Crash or {!Fault.Io_error} from a scripted fault at any
     of the four points; the transient case leaves no manifest entry, so
     the checkpoint simply didn't happen. *)

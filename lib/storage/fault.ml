@@ -109,8 +109,6 @@ let crashed p = p.is_crashed
 let fired p = p.fired_events
 let reached p = p.reached_points
 let bytes_appended p = p.bytes
-let frames_appended p = p.frames
-let syncs p = p.sync_count
 
 let fire p ev = p.fired_events <- ev :: p.fired_events
 

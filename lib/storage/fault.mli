@@ -165,8 +165,3 @@ val reached : plan -> point list
 val bytes_appended : plan -> int
 (** Bytes that reached the inner sink (the on-disk length, for an
     initially empty file). *)
-
-val frames_appended : plan -> int
-(** Frames fully appended through the wrapper. *)
-
-val syncs : plan -> int

@@ -80,12 +80,6 @@ let apply t (r : Codec.record) =
 
 let apply_all t records = List.iter (apply t) records
 
-let pending_dump t =
-  Hashtbl.fold
-    (fun txn p acc -> (txn, p.class_id, p.init, p.writes) :: acc)
-    t.pending []
-  |> List.sort compare
-
 let restore_pending t entries =
   List.iter
     (fun (txn, class_id, init, writes) ->

@@ -53,13 +53,10 @@ val install_writes : t -> txn:Txn.id -> (Granule.t * Time.t * int) list -> unit
 (** Install a committed transaction's buffered writes (newest first),
     first occurrence per granule winning, idempotently. *)
 
-val pending_dump : t -> (Txn.id * int * Time.t * (Granule.t * Time.t * int) list) list
-(** The in-flight table, sorted by id: [(txn, class_id, init, writes)] —
-    what a checkpoint persists so commits in the log tail can replay. *)
-
 val restore_pending :
   t -> (Txn.id * int * Time.t * (Granule.t * Time.t * int) list) list -> unit
-(** Rebuild the in-flight table from a checkpoint's {!pending_dump}. *)
+(** Rebuild the in-flight table from a checkpoint's [pending] entries,
+    [(txn, class_id, init, writes)]. *)
 
 val lost_uncommitted : t -> int
 (** Transactions begun but neither committed nor aborted. *)

@@ -120,7 +120,6 @@ let shipper ?faults ?(retry = Retry.default) ?(rng = Prng.create 0x5319)
 
 let shipped s = s.shipped
 let sends s = s.sends
-let ship_livelocked s = Retry.livelocked s.rmon
 
 let read_slice path ~from ~upto =
   if not (Sys.file_exists path) then Bytes.create 0

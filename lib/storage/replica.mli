@@ -99,4 +99,3 @@ val ship : shipper -> upto:int -> wall:Time.t array -> (unit, exn) result
 
 val shipped : shipper -> int
 val sends : shipper -> int
-val ship_livelocked : shipper -> bool

@@ -54,8 +54,6 @@ let create ?trace ~classes () =
   if classes <= 0 then invalid_arg "Registry.create: classes must be > 0";
   { logs = Array.init classes (fun _ -> fresh_log ()); trace }
 
-let class_count t = Array.length t.logs
-
 let log_of t class_id =
   if class_id < 0 || class_id >= Array.length t.logs then
     invalid_arg (Printf.sprintf "Registry: class %d out of range" class_id);
@@ -212,8 +210,6 @@ let finish_active t ~class_id ~endt =
   log.a_init <- max_int;
   log.gen <- log.gen + 1
 
-let active_init t ~class_id = (log_of t class_id).a_init
-
 (* Iterate the records of a class with init <= m, oldest first; [f] returns
    [true] to keep going. *)
 let iter_upto log m f =
@@ -313,11 +309,6 @@ let active_count t ~class_id =
   sync log;
   List.length log.pending + (if log.a_init <> max_int then 1 else 0)
 
-let oldest_active t ~class_id =
-  let log = log_of t class_id in
-  sync log;
-  match log.pending with [] -> None | r :: _ -> Some r
-
 let transactions t ~class_id =
   let log = log_of t class_id in
   List.init (log.len - log.base) (fun i -> log.records.(log.base + i))
@@ -366,8 +357,6 @@ let freeze log =
   end
 
 let snapshot t = { views = Array.map freeze t.logs }
-
-let snap_classes snap = Array.length snap.views
 
 let view_of snap class_id =
   if class_id < 0 || class_id >= Array.length snap.views then

@@ -35,8 +35,6 @@ val create : ?trace:Hdd_obs.Trace.t -> classes:int -> unit -> t
     emits a [Registry_prune] record carrying the prune depth (records and
     windows dropped). *)
 
-val class_count : t -> int
-
 val register : t -> Txn.t -> unit
 (** Record an update transaction at initiation, in its declared class.
     @raise Invalid_argument on a read-only transaction, an out-of-range
@@ -63,10 +61,6 @@ val finish_active : t -> class_id:int -> endt:Time.t -> unit
     Allocation-free at steady state: the window index compacts in place
     once {!prune} keeps up.
     @raise Invalid_argument if no packed active or [endt <= init]. *)
-
-val active_init : t -> class_id:int -> Time.t
-(** Initiation time of the class's packed active, or [max_int] when
-    none — the engine's coordinator-free quiescence probe. *)
 
 val i_old : t -> class_id:int -> at:Time.t -> Time.t
 (** The paper's [I_old^{class}(m)]. *)
@@ -97,10 +91,6 @@ val generation : t -> class_id:int -> int
 
 val active_count : t -> class_id:int -> int
 (** Transactions of the class currently active. *)
-
-val oldest_active : t -> class_id:int -> Txn.t option
-(** The active transaction of the class with the smallest initiation
-    time, if any — the O(1) cursor behind {!i_old}. *)
 
 val transactions : t -> class_id:int -> Txn.t list
 (** Retained records, oldest first. *)
@@ -141,8 +131,6 @@ val snapshot : t -> snapshot
     capture reuses that capture's view; any other class costs
     O(actives + windows) copies.  Only the registry's owner may call
     it, as for every other mutation of the registry. *)
-
-val snap_classes : snapshot -> int
 
 val snap_generation : snapshot -> class_id:int -> int
 (** The class's {!generation} at capture time. *)

@@ -41,8 +41,3 @@ let steps t =
   List.filter (fun s -> not (Hashtbl.mem t.dropped s.txn)) (List.rev t.steps)
 
 let length t = t.count
-
-let pp_step ppf s =
-  Format.fprintf ppf "<t%d,%s,%a^%a>" s.txn
-    (match s.action with Read -> "r" | Write -> "w")
-    Granule.pp s.granule Time.pp s.version

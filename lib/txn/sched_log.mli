@@ -41,4 +41,3 @@ val steps : t -> step list
 (** In append order, aborted-and-dropped steps excluded. *)
 
 val length : t -> int
-val pp_step : Format.formatter -> step -> unit

@@ -25,9 +25,6 @@ let is_active t = t.status = Active
 let is_committed t =
   match t.status with Committed _ -> true | Active | Aborted _ -> false
 
-let is_aborted t =
-  match t.status with Aborted _ -> true | Active | Committed _ -> false
-
 let end_time t =
   match t.status with
   | Active -> None

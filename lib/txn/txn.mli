@@ -34,7 +34,6 @@ val is_update : t -> bool
 val class_of : t -> int option
 val is_active : t -> bool
 val is_committed : t -> bool
-val is_aborted : t -> bool
 
 val end_time : t -> Time.t option
 (** Commit or abort instant; [None] while active. *)

@@ -654,24 +654,28 @@ let test_codec_pinned () =
       | Error e -> Alcotest.failf "%s: %s" name e)
     (pinned_packets ()) pinned_hex
 
-(* A wait that trips [stall_limit] raises the typed [Stalled], naming
-   the waiting shard and what it waited for: here a publication of a
-   peer that never pumps, so never publishes. *)
+(* A wait that trips the node's stall bound raises the typed [Stalled],
+   naming the waiting shard and what it waited for: here a publication
+   of a peer that never pumps, so never publishes.  The wait hook drops
+   what the waiting node republishes to that peer on every iteration,
+   so the peer's inbox stays empty. *)
 let test_stall_typed () =
   let partition = D.chain_partition 2 in
-  let config = { Sh.Node.default_config with stall_limit = 1_000 } in
+  let nets = Sh.Transport.Loopback.create ~nodes:2 () in
   let nodes =
     Array.map
-      (fun net ->
-        Sh.Node.create ~config ~partition ~init:D.default_init ~net ())
-      (Sh.Transport.Loopback.create ~nodes:2 ())
+      (fun net -> Sh.Node.create ~partition ~init:D.default_init ~net ())
+      nets
   in
-  Sh.Node.set_on_wait nodes.(0) (fun () -> ());
+  let rec drop () =
+    match nets.(1).Sh.Transport.poll () with Some _ -> drop () | None -> ()
+  in
+  Sh.Node.set_on_wait nodes.(0) drop;
   let d =
     { E.d_id = 1; d_kind = `Update 0;
       d_ops = [ E.Read (Granule.make ~segment:1 ~key:0) ]; d_abort = false }
   in
-  match Sh.Node.exec nodes.(0) d with
+  match Fixtures.within ~seconds:20. (fun () -> Sh.Node.exec nodes.(0) d) with
   | () -> Alcotest.fail "the wait never stalled"
   | exception Sh.Node.Stalled { shard; waiting_for } ->
     checki "the waiting shard" 0 shard;
