@@ -166,11 +166,11 @@ let name_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
 
 (* --- commands --- *)
 
+let spec_file =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
+         ~doc:"Partition description file.")
+
 let validate_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-           ~doc:"Partition description file.")
-  in
   let run file =
     let spec = spec_of_file file in
     match Partition.build spec with
@@ -190,13 +190,9 @@ let validate_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "validate" ~doc:"Validate a partition description")
-    Term.(const run $ file)
+    Term.(const run $ spec_file)
 
 let legalize_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-           ~doc:"Partition description file.")
-  in
   let run file =
     let spec = spec_of_file file in
     let r = Hdd_core.Legalize.legalize spec in
@@ -220,7 +216,7 @@ let legalize_cmd =
   Cmd.v
     (Cmd.info "legalize"
        ~doc:"Merge segments until a partition is TST-hierarchical (§7.2.1)")
-    Term.(const run $ file)
+    Term.(const run $ spec_file)
 
 let decompose_cmd =
   let file =
@@ -778,7 +774,7 @@ let shard_cmd =
                  JSON (load in chrome://tracing or Perfetto).")
   in
   let run shards seed txns profile processes trace_out =
-    let partition, script = Sh.Shard_diff.stress_case ~seed ~txns ~profile in
+    let partition, script = D.stress_case ~seed ~txns ~profile in
     let init = D.default_init in
     let run =
       if processes then

@@ -40,9 +40,6 @@ type repair = {
   why : string;
 }
 
-val score : repair -> float
-(** [benefit -. cost]: the advisor sorts descending by this. *)
-
 (** {1 Spec transforms} *)
 
 val split_spec : Hdd_core.Spec.t -> segment:int -> Hdd_core.Spec.t

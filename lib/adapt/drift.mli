@@ -63,9 +63,6 @@ val feed : t -> Hdd_obs.Trace.record -> unit
 val observe : t -> Hdd_obs.Trace.record list -> unit
 (** [feed] a whole merged trace, in order. *)
 
-val commits_by_class : t -> (int * int) list
-(** Per-class commit counts in the window, descending. *)
-
 val observed_spec : t -> Hdd_core.Spec.t
 (** The declared spec plus one transaction type per promoted ad-hoc
     footprint — the spec whose DHG is the rolling dynamic hierarchy. *)

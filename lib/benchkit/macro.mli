@@ -49,12 +49,9 @@ val tracked : Jsonlite.t -> (string * float) list
 val pp : Format.formatter -> Jsonlite.t -> unit
 (** The headline figures of a {!run} report. *)
 
-val obs_limit : float
-(** 0.03: the always-on profile may cost at most 3% of closed-loop
-    throughput. *)
-
 val obs_gates : Jsonlite.t -> string list
 (** Empty when an {!obs_overhead} report's [disabled_overhead_frac] is
-    at most {!obs_limit}. *)
+    at most 0.03: the always-on profile may cost at most 3% of
+    closed-loop throughput. *)
 
 val pp_obs : Format.formatter -> Jsonlite.t -> unit

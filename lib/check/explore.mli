@@ -61,7 +61,6 @@ type system = {
   build : log:Sched_log.t -> workload -> Controller.t;
 }
 
-val system_of_spec : Hdd_sim.Harness.spec -> system
 val hdd : system
 
 val hdd_traced : ?wall_every_commits:int -> Hdd_obs.Trace.t -> system

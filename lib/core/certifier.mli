@@ -31,8 +31,4 @@ val equivalent_serial_order : Sched_log.t -> Txn.id list option
     equivalent serial schedule (dependants after the transactions they
     depend on); [None] when not serializable. *)
 
-val pp_cycle : Format.formatter -> int list -> unit
-(** Render a witness cycle as [t3 -> t1 -> t3] (the first node repeated
-    to close the loop). *)
-
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -19,7 +19,6 @@ type error =
   | Not_semi_tree of int * int
       (** two distinct undirected critical paths join these segments *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 type t = private {

@@ -53,19 +53,16 @@ val gc_wall : 'a t -> wall:Time.t array -> int
     @raise Invalid_argument if the vector length differs from
     {!segment_count}. *)
 
-val committed_versions : 'a t -> Granule.t -> (Time.t * 'a) list
-(** The committed versions of one granule, oldest first — the
-    serialization view used by checkpoints and state-equality checks.
-    Pending versions are invisible (not yet part of the committed
-    database) and so is the bootstrap version (timestamp zero): it is
-    derivable from [init], not logged history, and chains re-create it
-    on demand, so including it would make dumps depend on which side
-    happened to materialize a chain. *)
-
 val dump : 'a t -> (Granule.t * (Time.t * 'a) list) list
-(** {!committed_versions} of every granule that has one, in granule
-    order — a canonical committed-state snapshot, directly comparable
-    with [=] between two stores over the same partition. *)
+(** The committed versions of every granule that has one, oldest first,
+    in granule order — a canonical committed-state snapshot, directly
+    comparable with [=] between two stores over the same partition, and
+    the serialization view checkpoints use.  Pending versions are
+    invisible (not yet part of the committed database) and so is the
+    bootstrap version (timestamp zero): it is derivable from [init], not
+    logged history, and chains re-create it on demand, so including it
+    would make dumps depend on which side happened to materialize a
+    chain. *)
 
 val trim_dump :
   wall:Time.t array ->

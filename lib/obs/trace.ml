@@ -246,14 +246,15 @@ let records t =
       let seq = t.emitted - kept + k in
       decode t (seq mod t.capacity) ~seq)
 
-let merged ts =
-  let all = List.concat_map records ts in
+let merge rls =
   List.sort
     (fun a b ->
       match compare a.at b.at with
       | 0 -> ( match compare a.dom b.dom with 0 -> compare a.seq b.seq | c -> c)
       | c -> c)
-    all
+    (List.concat rls)
+
+let merged ts = merge (List.map records ts)
 
 let emitted t = t.emitted
 let dropped t = Int.max 0 (t.emitted - t.capacity)

@@ -152,12 +152,14 @@ val subscribe : t -> (record -> unit) -> unit
 val records : t -> record list
 (** Retained records, oldest first. *)
 
+val merge : record list list -> record list
+(** Records of several rings (or shards), sorted by [(at, dom, seq)].
+    With every emitted event ticking the shared logical clock, [at]
+    values are unique and the merge is a total order consistent with
+    the clock's happens-before. *)
+
 val merged : t list -> record list
-(** Merge-on-drain: the retained records of several (typically
-    per-domain) rings, sorted by [(at, dom, seq)].  With the parallel
-    runtime ticking the shared logical clock once per emitted event,
-    [at] values are unique across domains and the merge is a total
-    order consistent with the clock's happens-before. *)
+(** {!merge} over the retained records of several rings. *)
 
 val emitted : t -> int
 (** Total records emitted, evicted ones included. *)

@@ -27,13 +27,6 @@
 
 type t
 
-val stride : int
-
-val idle : int
-val starting : int
-val busy : int
-val ending : int
-
 val create : classes:int -> t
 
 (** Writer side — only the owning domain may call these for a class. *)

@@ -403,8 +403,7 @@ let escalation_plan ~segments n =
       if i = n - 1 then Array.make segments 0
       else Array.init segments (fun c -> (c + i) land 1))
 
-let stress_one ?(publish_every = 8) ?(repartitions = 0) ?(escalations = 0)
-    ~seed ~workers ~txns ~profile () =
+let stress_case ~seed ~txns ~profile =
   let prng = Prng.create (seed * 2 + 1) in
   let partition =
     if seed land 1 = 0 then chain_partition (4 + Prng.int prng 5)
@@ -416,9 +415,11 @@ let stress_one ?(publish_every = 8) ?(repartitions = 0) ?(escalations = 0)
     | Adhoc_read -> (0.5, 0.05)
     | Mixed -> (0.25, 0.15)
   in
-  let script =
-    gen_script ~partition ~seed ~txns ~ro_frac ~abort_frac ()
-  in
+  (partition, gen_script ~partition ~seed ~txns ~ro_frac ~abort_frac ())
+
+let stress_one ?(publish_every = 8) ?(repartitions = 0) ?(escalations = 0)
+    ~seed ~workers ~txns ~profile () =
+  let partition, script = stress_case ~seed ~txns ~profile in
   let config = { (Engine.default_config ~workers) with publish_every } in
   let plan =
     rotation_plan ~segments:(P.segment_count partition) ~workers repartitions

@@ -121,16 +121,22 @@ val tree_partition : int -> Hdd_core.Partition.t
 
 type profile = Abort_heavy | Adhoc_read | Mixed
 
+val stress_case :
+  seed:int -> txns:int -> profile:profile -> Hdd_core.Partition.t * Engine.desc array
+(** The (hierarchy, script) a stress run draws from its seed, for the
+    engine, the shard cluster and [hdd_cli shard] alike: a chain for an
+    even seed, a tree (exercising the wall coordinator's [C_late]
+    down-steps) for an odd one; [Abort_heavy] ~40% aborts, [Adhoc_read]
+    ~50% read-only transactions over arbitrary segments, [Mixed] in
+    between. *)
+
 val stress_one :
   ?publish_every:int ->
   ?repartitions:int ->
   ?escalations:int ->
   seed:int -> workers:int -> txns:int -> profile:profile -> unit -> report
-(** One randomized stress run: the seed picks a chain or tree hierarchy
-    (trees exercise the wall coordinator's [C_late] down-steps), the
-    profile sets the mix — [Abort_heavy] ~40% aborts, [Adhoc_read] ~50%
-    read-only transactions over arbitrary segments, [Mixed] in
-    between.  [publish_every] is the engine's publication batch K
+(** One randomized stress run of {!stress_case} on the engine.
+    [publish_every] is the engine's publication batch K
     (default 8): outcomes must be identical at every value, which is
     exactly what the batching property in the test suite asserts.
     [repartitions] (default 0) injects that many live whole-map

@@ -3,9 +3,9 @@ module Pstore = Hdd_mvstore.Pstore
 module P = Hdd_core.Partition
 module TW = Hdd_core.Timewall
 
-type op = Read of Granule.t | Write of Granule.t * int
+type op = Executor.op = Read of Granule.t | Write of Granule.t * int
 
-type desc = {
+type desc = Executor.desc = {
   d_id : Txn.id;
   d_kind : [ `Update of int | `Read_only ];
   d_ops : op list;
@@ -87,13 +87,12 @@ type shared = {
   epoch : int Atomic.t;  (* partition epoch; bumped per repartition *)
   park : bool Atomic.t;  (* barrier request: quiesce between txns *)
   parked : bool Atomic.t array;  (* per worker: quiescent and published *)
-  gone : bool Atomic.t array;  (* per worker: exited (counts as parked) *)
   gen : int Atomic.t;  (* barrier generation, bumped at each map swap *)
   acked : int Atomic.t array;  (* last gen each worker republished under *)
-  halt : bool Atomic.t;  (* timed mode: worker deadline *)
-  failed : exn option Atomic.t;
-  (* the first exception a worker or the caller raised: every wait
-     leaves once it is set, and the caller re-raises it *)
+  crew : Crew.t;
+  (* the workers' run loop: a gone worker counts as parked; a halt is
+     timed mode's deadline; once the run has failed every wait leaves
+     and the caller re-raises the first exception *)
   (* --- hybrid CC (DESIGN.md §18) --- *)
   modes : int array Atomic.t;
   (* per-class CC mode: 0 = plain HDD (versions stamped with the
@@ -109,56 +108,16 @@ type shared = {
 
 let owner sh class_id = Array.unsafe_get (Atomic.get sh.owner_map) class_id
 
-(* Raised in a worker that leaves a wait because another party failed;
-   the run re-raises that party's exception, never this one. *)
-exception Peer_failed
-
-let failed sh = Option.is_some (Atomic.get sh.failed)
-
-let leave_if_failed sh = if failed sh then raise Peer_failed
-
-(* The first exception wins; [halt] stops timed workers too. *)
-let fail sh e =
-  ignore (Atomic.compare_and_set sh.failed None (Some e));
-  Atomic.set sh.halt true
-
-type counters = {
-  mutable n_committed : int;
-  mutable n_aborted : int;
-  mutable n_reads_a : int;
-  mutable n_reads_b : int;
-  mutable n_reads_c : int;
-  mutable n_writes : int;
-  mutable n_pubs : int;
-}
-
-let fresh_counters () =
-  { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
-    n_reads_c = 0; n_writes = 0; n_pubs = 0 }
-
 type wctx = {
   sh : shared;
   me : int;
   registry : Registry.t;
   mutable own_classes : int array;  (* refreshed at repartition barriers *)
   mutable my_gen : int;  (* last barrier generation observed *)
-  trace : T.t option;
-  c : counters;
-  mutable outcomes : (Txn.id * bool) list;
-  keep_outcomes : bool;
-  mutable since_pub : int;  (* finished transactions since last publication *)
   mutable last_pruned_m : Time.t;
-  (* write buffer, reused across transactions: one pending write per
-     key (ts = init), flushed into the packed store on commit *)
-  mutable wb_keys : int array;
-  mutable wb_vals : int array;
-  mutable wb_len : int;
   (* scratch for activity-board reads: [state; a_init; i1; e1; i2; e2] *)
   ab : int array;
-  (* commit latencies, timed mode; flat float array, not a list *)
-  mutable lat : float array;
-  mutable lat_n : int;
-  timed : bool;
+  x : Executor.state;
 }
 
 (* Publication: store views first, activity second — any window the
@@ -188,8 +147,7 @@ let publish_upto w upto =
   done;
   Atomic.set sh.pubs.(w.me)
     { p_snap = Registry.snapshot w.registry; p_upto = upto; p_q = q };
-  w.since_pub <- 0;
-  w.c.n_pubs <- w.c.n_pubs + 1
+  Executor.published w.x
 
 let publish_pub w = publish_upto w (Gclock.now w.sh.clock)
 
@@ -262,7 +220,7 @@ let check_park w =
     Atomic.set w.sh.parked.(w.me) true;
     let n = ref 0 in
     while Atomic.get w.sh.park do
-      leave_if_failed w.sh;
+      Crew.leave_if_failed w.sh.crew;
       observe_gen w;
       service_repub w;
       backoff !n;
@@ -283,7 +241,7 @@ let rec await_owner w ow m n =
   let pub = Atomic.get w.sh.pubs.(ow) in
   if pub.p_upto >= m then pub
   else begin
-    leave_if_failed w.sh;
+    Crew.leave_if_failed w.sh.crew;
     Atomic.set w.sh.repub.(ow) true;
     service_repub w;
     backoff n;
@@ -338,247 +296,67 @@ let rec read_remote_a w seg key th n =
     read_remote_a w seg key th (n + 16)
   end
 
-let op_at w =
-  match w.trace with Some _ -> Gclock.tick w.sh.clock | None -> 0
+(* The engine as the executor's substrate: the shared clock, the
+   activity boards around the window ticks, the ring-and-view remote
+   read, the epoch wall, and the version ring that makes a commit
+   visible before its window closes. *)
+module Substrate = struct
+  type t = wctx
 
-(* --- zero-allocation commit path helpers ---
-   Top-level recursion instead of local closures, int results instead
-   of tuples/options, trace events constructed only under [Some tr]:
-   the Protocol B commit path allocates nothing at steady state, gated
-   by the Gc-delta test over {!alloc_probe} (DESIGN.md §16). *)
+  let name = "Engine"
+  let tick w = Gclock.tick w.sh.clock
+  let owns w seg = owner w.sh seg = w.me
+  (* modes swap only behind the park barrier, which no transaction
+     spans, so the executor's one read per transaction holds throughout *)
+  let escalated w cls = Array.unsafe_get (Atomic.get w.sh.modes) cls <> 0
 
-let rec wb_find keys len key i =
-  if i >= len then -1
-  else if Array.unsafe_get keys i = key then i
-  else wb_find keys len key (i + 1)
-
-let wb_put w key v =
-  let i = wb_find w.wb_keys w.wb_len key 0 in
-  if i >= 0 then w.wb_vals.(i) <- v
-  else begin
-    if w.wb_len = Array.length w.wb_keys then begin
-      let cap = Int.max 8 (2 * w.wb_len) in
-      let ks = Array.make cap 0 and vs = Array.make cap 0 in
-      Array.blit w.wb_keys 0 ks 0 w.wb_len;
-      Array.blit w.wb_vals 0 vs 0 w.wb_len;
-      w.wb_keys <- ks;
-      w.wb_vals <- vs
-    end;
-    w.wb_keys.(w.wb_len) <- key;
-    w.wb_vals.(w.wb_len) <- v;
-    w.wb_len <- w.wb_len + 1
-  end
-
-let lat_push w v =
-  if w.lat_n = Array.length w.lat then begin
-    let bigger = Array.make (Int.max 64 (2 * w.lat_n)) 0. in
-    Array.blit w.lat 0 bigger 0 w.lat_n;
-    w.lat <- bigger
-  end;
-  w.lat.(w.lat_n) <- v;
-  w.lat_n <- w.lat_n + 1
-
-let rec run_update_ops w d cls init esc ops =
-  match ops with
-  | [] -> ()
-  | op :: rest ->
-    (match op with
-    | Write (g, v) ->
-      if g.Granule.segment <> cls then
-        invalid_arg
-          (Printf.sprintf "Engine: T%d writing outside root segment D%d" cls
-             g.Granule.segment);
-      wb_put w g.Granule.key v;
-      w.c.n_writes <- w.c.n_writes + 1;
-      (* escalated classes stamp versions at commit, so their Write
-         records are deferred to the commit path where the stamp is
-         known; plain classes emit the init-stamped record in place *)
-      (match w.trace with
-      | Some tr when not esc ->
-        T.emit tr ~at:(op_at w)
-          (T.Write
-             { txn = d.d_id; segment = g.Granule.segment; key = g.Granule.key;
-               ts = init })
-      | Some _ | None -> ())
-    | Read g ->
-      let seg = g.Granule.segment in
-      if seg = cls then begin
-        (* Protocol B, domain-local: this domain runs class [cls] one
-           transaction at a time, so the committed versions below
-           [init] are the whole MVTO story — no pending versions to
-           block on, no younger readers to reject for.  Own writes of
-           this transaction are in the write buffer, not the store, and
-           carry ts = init, which a read at [init] excludes anyway. *)
-        let vts =
-          Pstore.latest_before w.sh.seg_stores.(seg) ~key:g.Granule.key
-            ~ts:init
-        in
-        w.c.n_reads_b <- w.c.n_reads_b + 1;
-        match w.trace with
-        | Some tr ->
-          T.emit tr ~at:(op_at w)
-            (T.Read
-               { txn = d.d_id; protocol = T.B; segment = seg;
-                 key = g.Granule.key; threshold = init; version = vts })
-        | None -> ()
-      end
-      else begin
-        if not (P.may_read w.sh.partition ~class_id:cls ~segment:seg) then
-          invalid_arg
-            (Printf.sprintf "Engine: T%d may not read D%d" cls seg);
-        let th =
-          Hdd_core.Activity.compose a_i_old w w.sh.partition ~from_class:cls
-            ~to_class:seg init
-        in
-        (* own segments are served from the live local store — always
-           complete; remote segments from the published view spliced
-           with the owner's version ring *)
-        let vts =
-          if owner w.sh seg = w.me then
-            Pstore.latest_before w.sh.seg_stores.(seg) ~key:g.Granule.key
-              ~ts:th
-          else read_remote_a w seg g.Granule.key th 0
-        in
-        w.c.n_reads_a <- w.c.n_reads_a + 1;
-        match w.trace with
-        | Some tr ->
-          T.emit tr ~at:(op_at w)
-            (T.Read
-               { txn = d.d_id; protocol = T.A; segment = seg;
-                 key = g.Granule.key; threshold = th; version = vts })
-        | None -> ()
-      end);
-    run_update_ops w d cls init esc rest
-
-let exec_update w d cls =
-  let sh = w.sh in
-  (* one mode read per transaction: modes only swap behind the park
-     barrier, and transactions never span a barrier, so the whole
-     transaction runs under the value read here *)
-  let esc = Array.unsafe_get (Atomic.get sh.modes) cls <> 0 in
-  let t0 = if w.timed then Unix.gettimeofday () else 0. in
   (* board transition before the init tick: a reader that still sees
      [idle] is guaranteed our init lands above its own initiation *)
-  Actboard.begin_txn sh.acts cls;
-  let init = Gclock.tick sh.clock in
-  Registry.register_active w.registry ~class_id:cls ~id:d.d_id ~init;
-  Actboard.set_busy sh.acts cls ~init;
-  (match w.trace with
-  | Some tr ->
-    T.emit tr ~at:init (T.Begin { txn = d.d_id; kind = T.Update cls; init })
-  | None -> ());
-  w.wb_len <- 0;
-  run_update_ops w d cls init esc d.d_ops;
-  if d.d_abort then begin
-    Actboard.set_ending sh.acts cls;
-    let a = Gclock.tick sh.clock in
-    Registry.finish_active w.registry ~class_id:cls ~endt:a;
-    Actboard.set_idle sh.acts cls ~init ~endt:a;
-    (match w.trace with
-    | Some tr -> T.emit tr ~at:a (T.Abort { txn = d.d_id; at = a })
-    | None -> ());
-    w.c.n_aborted <- w.c.n_aborted + 1;
-    if w.keep_outcomes then w.outcomes <- (d.d_id, false) :: w.outcomes
-  end
-  else begin
-    (* install committed versions into the packed local store and the
-       segment's version ring — the ring entries become visible in one
-       atomic head store, and strictly before the closing window does:
-       any reader that can name these versions can also find them *)
-    let store = sh.seg_stores.(cls) in
-    let ring = sh.rings.(cls) in
-    let h0 = Vring.head ring in
-    (* escalated classes serialize by commit order: versions carry a
-       fresh commit stamp instead of the initiation.  The class is
-       domain-sequential either way, so the next transaction's init
-       still lands above this stamp and own Protocol B reads at init
-       stay complete; cross readers are safe because any composed
-       threshold is at most the init of an active escalated
-       transaction, which is below its commit stamp (DESIGN.md §18). *)
-    let ts = if esc then Gclock.tick sh.clock else init in
-    for i = 0 to w.wb_len - 1 do
-      let key = Array.unsafe_get w.wb_keys i in
-      let value = Array.unsafe_get w.wb_vals i in
-      Pstore.add_commit store ~key ~ts ~value;
-      Vring.stage ring (h0 + i) ~ts ~key ~value
-    done;
-    Vring.advance ring (h0 + w.wb_len);
-    (* deferred Write records: the commit stamp is only known here *)
-    (match w.trace with
-    | Some tr when esc ->
-      for i = 0 to w.wb_len - 1 do
-        T.emit tr ~at:(op_at w)
-          (T.Write
-             { txn = d.d_id; segment = cls; key = Array.unsafe_get w.wb_keys i;
-               ts })
-      done
-    | Some _ | None -> ());
-    (* board transition before the end tick: a reader still seeing
-       [busy] is guaranteed our end lands above its own initiation *)
-    Actboard.set_ending sh.acts cls;
+  let open_window w ~class_id ~id =
+    let sh = w.sh in
+    Actboard.begin_txn sh.acts class_id;
+    let init = Gclock.tick sh.clock in
+    Registry.register_active w.registry ~class_id ~id ~init;
+    Actboard.set_busy sh.acts class_id ~init;
+    init
+
+  (* board transition before the end tick: a reader still seeing
+     [busy] is guaranteed our end lands above its own initiation *)
+  let close_window w ~class_id ~init =
+    let sh = w.sh in
+    Actboard.set_ending sh.acts class_id;
     let e = Gclock.tick sh.clock in
-    Registry.finish_active w.registry ~class_id:cls ~endt:e;
-    Actboard.set_idle sh.acts cls ~init ~endt:e;
-    (match w.trace with
-    | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.d_id; at = e })
-    | None -> ());
-    w.c.n_committed <- w.c.n_committed + 1;
-    sh.class_commits.(cls) <- sh.class_commits.(cls) + 1;
-    if w.timed then lat_push w (Unix.gettimeofday () -. t0);
-    if w.keep_outcomes then w.outcomes <- (d.d_id, true) :: w.outcomes
-  end;
-  (* batched publication: once per K finished transactions; in between,
-     only when a waiter or the coordinator asks *)
-  w.since_pub <- w.since_pub + 1;
-  if w.since_pub >= sh.publish_every then publish_pub w
-  else service_repub w
+    Registry.finish_active w.registry ~class_id ~endt:e;
+    Actboard.set_idle sh.acts class_id ~init ~endt:e;
+    e
 
-let rec run_ro_ops w d (wall : TW.wall) ops =
-  match ops with
-  | [] -> ()
-  | op :: rest ->
-    (match op with
-    | Write _ -> invalid_arg "Engine: read-only transaction writes"
-    | Read g ->
-      let seg = g.Granule.segment in
-      let th = wall.TW.components.(seg) in
-      let vts =
-        Pstore.view_latest_before
-          (Atomic.get w.sh.stores.(seg))
-          ~key:g.Granule.key ~ts:th
-      in
-      w.c.n_reads_c <- w.c.n_reads_c + 1;
-      match w.trace with
-      | Some tr ->
-        T.emit tr ~at:(op_at w)
-          (T.Read
-             { txn = d.d_id; protocol = T.C; segment = seg;
-               key = g.Granule.key; threshold = th; version = vts })
-      | None -> ());
-    run_ro_ops w d wall rest
+  let a_i_old = a_i_old
+  let read_remote w ~seg ~key ~th = read_remote_a w seg key th 0
+  let wall w = Epochwall.read w.sh.wall
 
-let exec_ro w d =
-  let sh = w.sh in
-  (* wall first, initiation tick second: released_at < init, always;
-     the epoch-wall read is one epoch load and one slot load, no retry *)
-  let wall = Epochwall.read sh.wall in
-  let init = Gclock.tick sh.clock in
-  (match w.trace with
-  | Some tr ->
-    T.emit tr ~at:init (T.Begin { txn = d.d_id; kind = T.Read_only; init })
-  | None -> ());
-  run_ro_ops w d wall d.d_ops;
-  let e = Gclock.tick sh.clock in
-  (match w.trace with
-  | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.d_id; at = e })
-  | None -> ());
-  w.c.n_committed <- w.c.n_committed + 1;
-  if w.keep_outcomes then w.outcomes <- (d.d_id, true) :: w.outcomes
+  let read_walled w ~seg ~key ~th =
+    Pstore.view_latest_before (Atomic.get w.sh.stores.(seg)) ~key ~ts:th
 
-let exec w d =
-  match d.d_kind with
-  | `Update cls -> exec_update w d cls
-  | `Read_only -> exec_ro w d
+  (* the ring entries become visible in one atomic head store, strictly
+     before the closing window does *)
+  let install w (x : Executor.state) ~class_id ~ts =
+    let sh = w.sh in
+    let ring = sh.rings.(class_id) in
+    let h0 = Vring.head ring in
+    for i = 0 to x.wb_len - 1 do
+      Vring.stage ring (h0 + i) ~ts ~key:(Array.unsafe_get x.wb_keys i)
+        ~value:(Array.unsafe_get x.wb_vals i)
+    done;
+    Vring.advance ring (h0 + x.wb_len);
+    sh.class_commits.(class_id) <- sh.class_commits.(class_id) + 1
+
+  let publish = publish_pub
+  let between = service_repub
+end
+
+module X = Executor.Make (Substrate)
+
+let exec w d = X.exec w w.x d
 
 (* --- the wall coordinator --- *)
 
@@ -626,7 +404,8 @@ let wall_c_late by_class ~class_id ~at =
    map swap, a {!Trace.event.Escalation} for a mode vector swap. *)
 let run_barrier sh ~swap trace =
   Atomic.set sh.park true;
-  let quiet i = Atomic.get sh.parked.(i) || Atomic.get sh.gone.(i) in
+  let gone i = Crew.gone sh.crew i in
+  let quiet i = Atomic.get sh.parked.(i) || gone i in
   let rec wait p =
     if not (p ()) then begin
       Unix.sleepf 5e-6;
@@ -640,11 +419,11 @@ let run_barrier sh ~swap trace =
   wait (all quiet);
   let ev = swap () in
   let g = 1 + Atomic.fetch_and_add sh.gen 1 in
-  wait (all (fun i -> Atomic.get sh.gone.(i) || Atomic.get sh.acked.(i) >= g));
+  wait (all (fun i -> gone i || Atomic.get sh.acked.(i) >= g));
   let at = Gclock.tick sh.clock in
   (match trace with Some tr -> T.emit tr ~at ev | None -> ());
   Atomic.set sh.park false;
-  wait (all (fun i -> Atomic.get sh.gone.(i) || not (Atomic.get sh.parked.(i))))
+  wait (all (fun i -> gone i || not (Atomic.get sh.parked.(i))))
 
 (* Owner-map swap, run inside the barrier's quiesced window. *)
 let repartition_swap sh ~target ~kind () =
@@ -789,48 +568,12 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
   in
   let poll () =
     let now = Unix.gettimeofday () in
-    if now >= !next_poll && not (failed sh) then begin
+    if now >= !next_poll && not (Crew.failed sh.crew) then begin
       step now;
       next_poll := Unix.gettimeofday () +. poll_period
     end
   in
   (poll, fun () -> (!repartitions, !escalations))
-
-(* A worker domain.  However it leaves, [gone] goes up; a raise also
-   fails the run, so every other party leaves its waits. *)
-let spawn_worker sh w f =
-  Domain.spawn (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Atomic.set sh.gone.(w) true)
-        (fun () ->
-          try f ()
-          with e ->
-            fail sh e;
-            raise e))
-
-(* The caller's side of a run, once the workers are spawned: [feed]
-   drives the run, polling the coordinator as it waits; then the caller
-   polls on, [nap] apart, until every worker is gone, and joins them.
-   A raise in [feed], in a poll or in a worker ends the run: the first
-   exception is re-raised here, once no domain is left. *)
-let drive sh poll ~nap domains feed =
-  (try feed () with e -> fail sh e);
-  let rec wait_gone () =
-    (try poll () with e -> fail sh e);
-    if not (Array.for_all Atomic.get sh.gone) then begin
-      Unix.sleepf nap;
-      wait_gone ()
-    end
-  in
-  wait_gone ();
-  let joined =
-    Array.map
-      (fun d -> match Domain.join d with r -> Some r | exception _ -> None)
-      domains
-  in
-  match Atomic.get sh.failed with
-  | Some e -> raise e
-  | None -> Array.map Option.get joined
 
 (* --- engine setup shared by both modes --- *)
 
@@ -887,11 +630,9 @@ let setup ~partition ~init ~workers ~traced ~publish_every =
       epoch = Atomic.make 0;
       park = Atomic.make false;
       parked = Array.init workers (fun _ -> Atomic.make false);
-      gone = Array.init workers (fun _ -> Atomic.make false);
       gen = Atomic.make 0;
       acked = Array.init workers (fun _ -> Atomic.make 0);
-      halt = Atomic.make false;
-      failed = Atomic.make None;
+      crew = Crew.create workers;
       modes = Atomic.make (Array.make nseg 0);
       esc_seq = Atomic.make 0;
       class_commits = Array.make nseg 0 }
@@ -904,41 +645,22 @@ let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
     registry;
     own_classes = own_classes_of_map (Atomic.get sh.owner_map) me;
     my_gen = Atomic.get sh.gen;
-    trace;
-    c = fresh_counters ();
-    outcomes = [];
-    keep_outcomes;
-    since_pub = 0;
     last_pruned_m = Time.zero;
-    wb_keys = Array.make 8 0;
-    wb_vals = Array.make 8 0;
-    wb_len = 0;
     ab = Array.make 6 0;
-    lat = (if timed then Array.make 1024 0. else [||]);
-    lat_n = 0;
-    timed }
+    x =
+      Executor.state ~partition:sh.partition ~stores:sh.seg_stores ~trace
+        ~keep_outcomes ~publish_every:sh.publish_every ~timed }
 
-let stats_of counters (walls : TW.coordinator) barriers =
+let stats_of (xs : Executor.state array) (walls : TW.coordinator) barriers =
   let repartitions, escalations = barriers () in
-  let committed = ref 0 and aborted = ref 0 and pubs = ref 0 in
-  let ra = ref 0 and rb = ref 0 and rc = ref 0 and wr = ref 0 in
-  Array.iter
-    (fun c ->
-      committed := !committed + c.n_committed;
-      aborted := !aborted + c.n_aborted;
-      ra := !ra + c.n_reads_a;
-      rb := !rb + c.n_reads_b;
-      rc := !rc + c.n_reads_c;
-      wr := !wr + c.n_writes;
-      pubs := !pubs + c.n_pubs)
-    counters;
-  { committed = !committed;
-    aborted = !aborted;
-    reads_a = !ra;
-    reads_b = !rb;
-    reads_c = !rc;
-    writes = !wr;
-    publications = !pubs;
+  let sum f = Array.fold_left (fun n (x : Executor.state) -> n + f x.c) 0 xs in
+  { committed = sum (fun c -> c.n_committed);
+    aborted = sum (fun c -> c.n_aborted);
+    reads_a = sum (fun c -> c.n_reads_a);
+    reads_b = sum (fun c -> c.n_reads_b);
+    reads_c = sum (fun c -> c.n_reads_c);
+    writes = sum (fun c -> c.n_writes);
+    publications = sum (fun c -> c.n_pubs);
     wall_releases = walls.releases;
     wall_lag_sum = walls.lag_sum;
     wall_lag_max = walls.lag_max;
@@ -1021,7 +743,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
         (* idle: a fresh publication costs nothing we need and keeps
            waiters and the coordinator moving.  A queue whose owner
            raised never drains, so a failed run ends the wait. *)
-        leave_if_failed sh;
+        Crew.leave_if_failed sh.crew;
         publish_pub ctx;
         Unix.sleepf 10e-6;
         loop ()
@@ -1029,10 +751,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     in
     loop ();
     publish_final ctx;
-    (ctx.outcomes, ctx.c)
-  in
-  let domains =
-    Array.init config.workers (fun w -> spawn_worker sh w (fun () -> worker w))
+    ctx.x
   in
   let poll, barriers =
     coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace
@@ -1047,7 +766,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   (* the feeding loop, the one place the caller waits on a full box:
      it polls the coordinator before every push and between retries *)
   let rec feed i =
-    if i < Array.length script && not (failed sh) then begin
+    if i < Array.length script && not (Crew.failed sh.crew) then begin
       poll ();
       if Mailbox.push (box_of script.(i)) script.(i) then feed (i + 1)
       else begin
@@ -1057,14 +776,14 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     end
   in
   let results =
-    drive sh poll ~nap:retry_period domains (fun () ->
+    Crew.run sh.crew ~poll ~nap:retry_period worker ~feed:(fun () ->
         feed 0;
         Array.iter Mailbox.close cboxes;
         Array.iter Mailbox.close roboxes)
   in
   let outcomes =
     Array.to_list results
-    |> List.concat_map (fun (o, _) -> o)
+    |> List.concat_map (fun (x : Executor.state) -> x.outcomes)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let records =
@@ -1076,7 +795,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   in
   { records;
     outcomes;
-    stats = stats_of (Array.map snd results) s.s_walls barriers }
+    stats = stats_of results s.s_walls barriers }
 
 (* --- timed self-generating mode (benchmark) --- *)
 
@@ -1149,7 +868,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
         ~keep_outcomes:false ~timed:true
     in
     let next = ref (w + 1) in
-    while not (Atomic.get sh.halt) do
+    while not (Crew.halted sh.crew) do
       (* a live migration lands here: park, re-own, resume — the owned
          class set may have changed, so it is re-read every iteration *)
       check_park ctx;
@@ -1165,35 +884,31 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
       service_repub ctx
     done;
     publish_final ctx;
-    (ctx.c, ctx.lat, ctx.lat_n)
-  in
-  let domains =
-    Array.init workers (fun w -> spawn_worker sh w (fun () -> worker w))
+    ctx.x
   in
   let poll, barriers =
     coordinator sh s.s_walls ?control ~rotate_every_s None
   in
   let t0 = Unix.gettimeofday () in
   let results =
-    drive sh poll ~nap:poll_period domains (fun () ->
+    Crew.run sh.crew ~poll ~nap:poll_period worker ~feed:(fun () ->
         let deadline = t0 +. seconds in
-        while Unix.gettimeofday () < deadline && not (failed sh) do
+        while Unix.gettimeofday () < deadline && not (Crew.failed sh.crew) do
           poll ();
           Unix.sleepf poll_period
         done;
-        Atomic.set sh.halt true)
+        Crew.halt sh.crew)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let metrics = Hdd_obs.Metrics.create () in
   let hist = Hdd_obs.Metrics.histogram metrics "commit_latency_us" in
   Array.iter
-    (fun (_, lat, lat_n) ->
-      for i = 0 to lat_n - 1 do
-        Hdd_obs.Metrics.observe hist (lat.(i) *. 1e6)
+    (fun (x : Executor.state) ->
+      for i = 0 to x.lat_n - 1 do
+        Hdd_obs.Metrics.observe hist (x.lat.(i) *. 1e6)
       done)
     results;
-  { t_stats =
-      stats_of (Array.map (fun (c, _, _) -> c) results) s.s_walls barriers;
+  { t_stats = stats_of results s.s_walls barriers;
     t_elapsed_s = elapsed;
     t_latency = metrics }
 
@@ -1218,7 +933,7 @@ let probe_maintain ctx =
 let rec probe_run ctx descs i n =
   if i < n then begin
     if i land 255 = 0 then probe_maintain ctx;
-    exec_update ctx (Array.unsafe_get descs (i land 7)) 0;
+    exec ctx (Array.unsafe_get descs (i land 7));
     probe_run ctx descs (i + 1) n
   end
 

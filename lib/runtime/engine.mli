@@ -7,53 +7,44 @@
     locks, never blocks and never rejects — intra-class concurrency is
     the coordination the paper's decomposition removes, and giving it up
     buys lock-freedom; the parallelism that remains, cross-class, is
-    exactly what the paper makes free.  On commit an owner appends committed
-    versions to a packed-int {!Hdd_mvstore.Pstore} per root segment —
-    the zero-allocation commit path, gated by {!alloc_probe} — and once
-    per [publish_every] finished transactions (or on request) stores a
-    frozen copy of each changed key into its segments' published tables
-    and sets each with one [Atomic.set], followed by its
-    {!Registry.snapshot} together with an [upto] bound (the global
-    clock value at capture: the snapshot answers [I_old]/[C_late]
-    exactly for arguments at or below it — store before activity, so
-    any reader that derives a threshold from the activity publication
-    finds every version below that threshold already in the view it
-    fetches afterwards) and its quiescence summary (DESIGN.md §16).
+    exactly what the paper makes free.
 
-    A Protocol A read by class [i] of segment [j] composes
-    [I_old] along the critical path over published snapshots — waiting,
-    if a snapshot's [upto] lags the argument, for the owner's next
-    republication (the waiter posts a republication request the owner
-    serves between transactions, and keeps serving requests aimed at
-    itself, so two waiters always unblock each other; classes the
-    reading worker itself owns are answered from its live registry with
-    no wait at all) — then loads the segment's published view and
-    serves the latest committed version below the threshold: the same historical fact the serial scheduler computes,
-    because [I_old(m)] is fixed once the clock passes [m].
+    Each transaction runs through the {!Executor}, for which the engine
+    is the substrate: the shared {!Gclock}, the {!Actboard} transitions
+    around the window ticks, and a commit's versions staged in the
+    segment's {!Vring} before its window closes — the zero-allocation
+    commit path, gated by {!alloc_probe}.  Once per [publish_every]
+    finished transactions (or on request) an owner stores a frozen copy
+    of each changed key into its segments' published tables, then its
+    {!Registry.snapshot} with an [upto] bound (the clock at capture: the
+    snapshot answers [I_old]/[C_late] exactly at or below it; store
+    before activity, so a threshold derived from the snapshot finds its
+    versions published) and its quiescence summary (DESIGN.md §16).
 
-    The threshold itself is {!Hdd_core.Activity.compose}; the engine
-    supplies only its lookup: the live registry for classes the worker
-    owns, otherwise the class's activity board, falling back to the
-    owner's publication as above.
+    Protocol A's lookup answers the worker's own classes from its live
+    registry and others from their activity boards, falling back to the
+    owner's publication — waiting, if its [upto] lags the argument, for
+    a republication the waiter requests while serving requests aimed at
+    itself, so two waiters always unblock each other.  A remote read
+    splices the owner's published view with its version ring: the same
+    historical fact the serial scheduler computes, because [I_old(m)] is
+    fixed once the clock passes [m].
 
     The wall coordinator runs on the caller's domain, so a run spawns
-    exactly [workers] domains: the caller polls it wherever it would
-    otherwise wait, and a poll acts once 100 µs have passed since the
-    previous step finished — in {!run_script} before
-    every push and while a full mailbox holds it up, in {!run_timed}
-    until the deadline, and in both until every worker has exited.  The
-    first poll comes before the first push, on an idle system, so the
-    first wall and a plan's first step always land.  Each attempt is
-    {!Hdd_core.Timewall.attempt} with [q_i = I_old^i(upto_i)] — below
-    [q_i] class [i] is quiescent and fully published.  Each worker
-    precomputes its classes' [q] at publication time, so an attempt
-    folds per-worker summaries instead of rescanning every class's
-    history; the engine's wall lookups answer each class from its
-    owner's publication and raise {!Hdd_core.Timewall.Stale} where it
-    does not cover the argument.  Released walls go out through a
-    wait-free {!Epochwall} (the {!Seqwall} seqlock stays as the
-    ablation partner).  Read-only transactions load the wall before
-    ticking their initiation, so a released wall always satisfies
+    exactly [workers] domains, on one {!Crew}: the caller polls the
+    coordinator wherever it would otherwise wait, and a poll acts once
+    100 µs have passed since the previous step finished — in
+    {!run_script} before every push and while a full mailbox holds it
+    up, in {!run_timed} until the deadline, and in both until every
+    worker has exited.  The first poll comes before the first push, on
+    an idle system, so the first wall and a plan's first step always
+    land.  Each attempt is {!Hdd_core.Timewall.attempt} with
+    [q_i = I_old^i(upto_i)], folded from per-worker summaries; the wall
+    lookups answer each class from its owner's publication and raise
+    {!Hdd_core.Timewall.Stale} where it does not cover the argument.
+    Released walls go out through a wait-free {!Epochwall} (the
+    {!Seqwall} seqlock stays as the ablation partner).  Read-only
+    transactions load the wall before ticking their initiation, so
     [released_at < init].
 
     Correctness is checked differentially ({!Differential}): merged
@@ -61,11 +52,11 @@
     through the invariant {!Hdd_obs.Monitor}, and compared against the
     serial {!Hdd_core.Scheduler} oracle. *)
 
-type op =
+type op = Executor.op =
   | Read of Granule.t
   | Write of Granule.t * int  (** update transactions: own root segment only *)
 
-type desc = {
+type desc = Executor.desc = {
   d_id : Txn.id;  (** unique, > 0; stable across parallel and serial runs *)
   d_kind : [ `Update of int | `Read_only ];
   d_ops : op list;

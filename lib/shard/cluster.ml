@@ -1,5 +1,6 @@
 module T = Hdd_obs.Trace
 module E = Hdd_runtime.Engine
+module Crew = Hdd_runtime.Crew
 
 type script = E.desc array
 
@@ -7,17 +8,6 @@ let assign ~shards (d : E.desc) =
   match d.E.d_kind with
   | `Update c -> c mod shards
   | `Read_only -> d.E.d_id mod shards
-
-let merge_records rls =
-  List.sort
-    (fun (a : T.record) b ->
-      match compare a.T.at b.T.at with
-      | 0 -> (
-        match compare a.T.dom b.T.dom with
-        | 0 -> compare a.T.seq b.T.seq
-        | c -> c)
-      | c -> c)
-    (List.concat rls)
 
 let stats_of_counters ks =
   List.fold_left
@@ -40,17 +30,15 @@ let stats_of_counters ks =
       wall_lag_max = 0; repartitions = 0; escalations = 0 }
     ks
 
+(* A run from every shard's outcomes, trace records and counters. *)
+let run_of outcomes records counters =
+  { E.records = T.merge records;
+    outcomes = List.sort (fun (a, _) (b, _) -> compare a b) (List.concat outcomes);
+    stats = stats_of_counters counters }
+
 let collect nodes =
-  let outcomes =
-    Array.to_list nodes
-    |> List.concat_map Node.outcomes
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let records = merge_records (Array.to_list nodes |> List.map Node.records) in
-  { E.records;
-    outcomes;
-    stats =
-      stats_of_counters (Array.to_list nodes |> List.map Node.counters) }
+  let each f = List.map f (Array.to_list nodes) in
+  run_of (each Node.outcomes) (each Node.records) (each Node.counters)
 
 (* --- deterministic single-thread mode --- *)
 
@@ -100,69 +88,41 @@ let run_script_det ?fault ?(config = Node.default_config) ~partition ~init
 
 (* --- one domain per shard --- *)
 
-(* Raised in a shard that leaves a wait because a peer raised; the run
-   re-raises the peer's exception, never this one. *)
-exception Peer_failed
-
 let run_script_domains ?(config = Node.default_config) ~partition ~init
     ~shards ~script () =
   let nets = Transport.Loopback.create ~nodes:shards () in
   let work = Array.init shards (fun _ -> Queue.create ()) in
   Array.iter (fun d -> Queue.add d work.(assign ~shards d)) script;
-  let done_count = Atomic.make 0 in
-  let stop = Atomic.make false in
-  (* the first exception a shard raised: a raising shard counts as done,
-     and its peers' waits leave *)
-  let failed = Atomic.make None in
+  let crew = Crew.create shards in
   let run i =
-    match
-      let node = Node.create ~config ~partition ~init ~net:nets.(i) () in
-      Node.set_on_wait node (fun () ->
-          if Option.is_some (Atomic.get failed) then raise Peer_failed;
-          Unix.sleepf 2e-6);
-      let q = work.(i) in
-      let rec go () =
-        Node.pump node;
-        match Queue.take_opt q with
-        | Some d ->
-          Node.exec node d;
-          go ()
-        | None -> ()
-      in
-      go ();
-      Node.publish_final node;
-      node
-    with
-    | exception e ->
-      ignore (Atomic.compare_and_set failed None (Some e));
-      Atomic.incr done_count;
-      raise e
-    | node ->
-      Atomic.incr done_count;
-      (* keep serving publications and 2PC traffic until everyone is done *)
-      while not (Atomic.get stop) do
+    let node = Node.create ~config ~partition ~init ~net:nets.(i) () in
+    Node.set_on_wait node (fun () ->
+        Crew.leave_if_failed crew;
+        Unix.sleepf 2e-6);
+    let q = work.(i) in
+    let rec go () =
+      Node.pump node;
+      match Queue.take_opt q with
+      | Some d ->
+        Node.exec node d;
+        go ()
+      | None -> ()
+    in
+    go ();
+    Node.publish_final node;
+    (* keep serving publications and 2PC traffic until everyone is done *)
+    Crew.linger crew (fun () ->
         Node.pump node;
         Node.publish_final node;
-        Unix.sleepf 10e-6
-      done;
-      Node.pump node;
-      node
+        Unix.sleepf 10e-6);
+    Node.pump node;
+    node
   in
-  let doms = Array.init shards (fun i -> Domain.spawn (fun () -> run i)) in
-  while Atomic.get done_count < shards do
-    Unix.sleepf 50e-6
-  done;
-  Atomic.set stop true;
-  let joined =
-    Array.map
-      (fun d -> match Domain.join d with n -> Ok n | exception e -> Error e)
-      doms
-  in
-  match Atomic.get failed with
-  | Some e -> raise e
-  | None -> collect (Array.map (function Ok n -> n | Error e -> raise e) joined)
+  collect (Crew.run crew ~nap:50e-6 ~feed:ignore run)
 
 (* --- one process per shard --- *)
+
+exception Shard_died of { shard : int; reason : string }
 
 let child_main ~config ~partition ~init ~net i =
   let node = Node.create ~config ~partition ~init ~net () in
@@ -229,11 +189,12 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
             Transport.Pipe.endpoint ~me:i ~nodes:shards
               ~read_fd:(fst down.(i)) ~write_fd:(snd up.(i))
           in
-          (try child_main ~config ~partition ~init ~net i
-           with e ->
-             prerr_endline
-               (Printf.sprintf "shard %d died: %s" i (Printexc.to_string e)));
-          exit 0
+          (match child_main ~config ~partition ~init ~net i with
+          | () -> exit 0
+          | exception e ->
+            prerr_endline
+              (Printf.sprintf "shard %d died: %s" i (Printexc.to_string e));
+            exit 2)
         | pid -> pid)
   in
   (* parent keeps write ends of down and read ends of up *)
@@ -251,11 +212,30 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
   let fbs = Array.init shards (fun _ -> Transport.Framebuf.create ()) in
   let chunk = Bytes.create 65536 in
   let outcomes = ref [] and slices = ref [] and counters = ref [] in
-  let byes = ref 0 in
+  (* per shard: said Bye, sent its Outcome, sent its Trace_slice *)
+  let bye = Array.make shards false in
+  let reported = Array.make shards false in
+  let sliced = Array.make shards false in
   let fd_of = Array.map fst up in
+  let teardown () =
+    Array.iter (fun (_, w) -> Unix.close w) down;
+    Array.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+    Array.iter (fun (r, _) -> Unix.close r) up;
+    ignore (Sys.signal Sys.sigpipe sigpipe)
+  in
+  (* a dead child ends the run: stop and reap every child, then name it *)
+  let died shard reason =
+    Array.iter
+      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      pids;
+    teardown ();
+    raise (Shard_died { shard; reason })
+  in
   (* one routing round: forward child->child frames, keep the frames
      addressed to us.  Draining while dispatching keeps the pipes from
-     filling up and deadlocking on large scripts. *)
+     filling up and deadlocking on large scripts.  A child closes its
+     pipe only by exiting, so an end of file before its Outcome is its
+     death. *)
   let eof = Array.make shards false in
   let service timeout =
     let live =
@@ -271,7 +251,10 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
         let i = ref 0 in
         Array.iteri (fun j f -> if f = fd then i := j) fd_of;
         match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> eof.(!i) <- true
+        | 0 ->
+          eof.(!i) <- true;
+          if not reported.(!i) then
+            died !i "exited before reporting its outcome"
         | n ->
           Transport.Framebuf.feed fbs.(!i) chunk ~len:n;
           let rec route () =
@@ -281,11 +264,13 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
               (if pkt.Wire.dst = parent then
                  match pkt.Wire.msg with
                  | Wire.Outcome { outcomes = o; counters = k; _ } ->
+                   reported.(!i) <- true;
                    outcomes := o :: !outcomes;
                    counters := k :: !counters
                  | Wire.Trace_slice { records; _ } ->
+                   sliced.(!i) <- true;
                    slices := records :: !slices
-                 | Wire.Bye _ -> incr byes
+                 | Wire.Bye _ -> bye.(!i) <- true
                  | _ -> ()
                else send_down pkt.Wire.dst pkt);
               route ()
@@ -305,22 +290,26 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     (fun i _ ->
       send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Drain })
     pids;
-  let wait_for what cond =
+  (* wait until no shard owes [what]; 30 s without traffic names the
+     first shard that still owes it *)
+  let wait_for what owed =
     let idle = ref 0 in
-    while not (cond ()) do
-      if service 1.0 then idle := 0
-      else begin
-        incr idle;
-        if !idle > 30 then
-          failwith
-            (Printf.sprintf
-               "Cluster: shard process unresponsive waiting for %s (30s \
-                without traffic)"
-               what)
-      end
-    done
+    let owing () = List.find_opt owed (List.init shards Fun.id) in
+    let rec go () =
+      match owing () with
+      | None -> ()
+      | Some shard ->
+        if service 1.0 then idle := 0
+        else begin
+          incr idle;
+          if !idle > 30 then
+            died shard (Printf.sprintf "sent nothing for 30 s; owes %s" what)
+        end;
+        go ()
+    in
+    go ()
   in
-  wait_for "drain acknowledgements" (fun () -> !byes >= shards);
+  wait_for "its drain acknowledgement" (fun i -> not bye.(i));
   (* goodbyes; only now do the children ship outcomes and traces, so a
      wall the coordinator released while serving stragglers is on
      record before the trace crosses the pipe *)
@@ -329,13 +318,6 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
       send_down i
         { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Bye { shard = -1 } })
     pids;
-  wait_for "traces and outcomes" (fun () ->
-      List.length !slices >= shards && List.length !outcomes >= shards);
-  Array.iter (fun (_, w) -> Unix.close w) down;
-  Array.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  Array.iter (fun (r, _) -> Unix.close r) up;
-  ignore (Sys.signal Sys.sigpipe sigpipe);
-  { E.records = merge_records !slices;
-    outcomes =
-      List.concat !outcomes |> List.sort (fun (a, _) (b, _) -> compare a b);
-    stats = stats_of_counters !counters }
+  wait_for "its trace and outcome" (fun i -> not (sliced.(i) && reported.(i)));
+  teardown ();
+  run_of !outcomes !slices !counters

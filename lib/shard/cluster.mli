@@ -17,13 +17,12 @@
     - {!run_script_processes}: one forked OS process per shard, pipes
       to a star router in the parent, traces and outcomes shipped home
       as {!Wire.Trace_slice}/{!Wire.Outcome} messages.  What
-      [hdd_cli shard --processes] runs. *)
+      [hdd_cli shard --processes] runs.
+
+    Update descriptors go to their class's owner ([class mod shards]),
+    read-only ones round-robin by id. *)
 
 type script = Hdd_runtime.Engine.desc array
-
-val assign : shards:int -> Hdd_runtime.Engine.desc -> int
-(** Update classes go to their owner ([class mod shards]); read-only
-    descriptors round-robin by id. *)
 
 val run_script_det :
   ?fault:Netfault.plan ->
@@ -45,6 +44,14 @@ val run_script_domains :
   unit ->
   Hdd_runtime.Engine.run
 
+exception Shard_died of { shard : int; reason : string }
+(** A shard process of {!run_script_processes} died: it closed its pipe
+    before reporting its outcome (a child that raises prints
+    ["shard i died: ..."] and exits with status 2), or the router heard
+    nothing from any child for 30 s while [shard] still owed a
+    message.  The other children are killed and every child is reaped
+    before this is raised. *)
+
 val run_script_processes :
   ?config:Node.config ->
   partition:Hdd_core.Partition.t ->
@@ -53,10 +60,4 @@ val run_script_processes :
   script:script ->
   unit ->
   Hdd_runtime.Engine.run
-
-val merge_records :
-  Hdd_obs.Trace.record list list -> Hdd_obs.Trace.record list
-(** Gclock-merge: sort by (at, dom, seq) — the same order
-    {!Hdd_obs.Trace.merged} uses, for slices that crossed the wire. *)
-
-val stats_of_counters : Wire.counters list -> Hdd_runtime.Engine.stats
+(** @raise Shard_died naming the first shard that died. *)

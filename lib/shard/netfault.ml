@@ -23,7 +23,6 @@ type plan = {
 }
 
 let plan events = { events; next = 0; fired = [] }
-let none () = plan []
 
 type action = Deliver | Skip | Twice | Hold of int
 

@@ -38,7 +38,6 @@ type plan
     send and records which events fired. *)
 
 val plan : event list -> plan
-val none : unit -> plan
 
 (** Transport-side interface. *)
 

@@ -3,6 +3,7 @@ module P = Hdd_core.Partition
 module TW = Hdd_core.Timewall
 module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
+module X = Hdd_runtime.Executor
 
 type config = { traced : bool; publish_every : int }
 
@@ -19,18 +20,7 @@ type rpub = {
   r_snap : Registry.snapshot;
 }
 
-type counters = {
-  mutable n_committed : int;
-  mutable n_aborted : int;
-  mutable n_reads_a : int;
-  mutable n_reads_b : int;
-  mutable n_reads_c : int;
-  mutable n_writes : int;
-  mutable n_stale_waits : int;
-}
-
 type t = {
-  partition : P.t;
   nseg : int;
   shards : int;
   me : int;
@@ -38,9 +28,9 @@ type t = {
   net : Transport.t;
   clock : Sclock.t;
   registry : Registry.t;
-  store : Pstore.t array;
-      (** per segment: own segments authoritative, remote ones a
-          delta-replicated cache *)
+  x : X.state;
+      (** the executor state; its stores hold own segments
+          authoritatively and remote ones as a delta-replicated cache *)
   applied : int array;  (** delta messages applied, per segment *)
   sent_marks : int array;  (** delta messages broadcast, per own segment *)
   mutable pub_seq : int;
@@ -48,12 +38,7 @@ type t = {
   mutable wall : TW.wall;
   walls : TW.coordinator;  (** released from on shard 0 only *)
   mutable last_seen : Time.t;  (** clock value at the last wall attempt *)
-  trace : T.t option;
-  c : counters;
-  mutable outcomes : (Txn.id * bool) list;
   mutable on_wait : unit -> unit;
-  publish_every : int;
-  mutable since_pub : int;  (** commits since the last publication *)
   (* process-mode work dispatch *)
   work : E.desc Queue.t;
   mutable drain_seen : bool;
@@ -67,25 +52,24 @@ type t = {
   read_replies : (int, (Time.t * int) list) Hashtbl.t;
 }
 
-let me t = t.me
 let now t = Sclock.now t.clock
 let set_on_wait t f = t.on_wait <- f
 let owner t class_id = class_id mod t.shards
-let outcomes t = List.rev t.outcomes
-let trace t = t.trace
-let records t = match t.trace with None -> [] | Some tr -> T.records tr
+let outcomes t = List.rev t.x.outcomes
+let records t = match t.x.trace with None -> [] | Some tr -> T.records tr
 let take_work t = Queue.take_opt t.work
 let drained t = t.drain_seen
 let bye_seen t = t.bye
 
 let counters t =
-  { Wire.k_committed = t.c.n_committed;
-    k_aborted = t.c.n_aborted;
-    k_reads_a = t.c.n_reads_a;
-    k_reads_b = t.c.n_reads_b;
-    k_reads_c = t.c.n_reads_c;
-    k_writes = t.c.n_writes;
-    k_stale_waits = t.c.n_stale_waits;
+  let c = t.x.c in
+  { Wire.k_committed = c.n_committed;
+    k_aborted = c.n_aborted;
+    k_reads_a = c.n_reads_a;
+    k_reads_b = c.n_reads_b;
+    k_reads_c = c.n_reads_c;
+    k_writes = c.n_writes;
+    k_stale_waits = c.n_stale_waits;
     k_wall_releases = t.walls.releases;
     k_wall_lag_sum = t.walls.lag_sum;
     k_wall_lag_max = t.walls.lag_max }
@@ -93,7 +77,7 @@ let counters t =
 (* --- publications --- *)
 
 let publish_upto t upto =
-  t.since_pub <- 0;
+  X.published t.x;
   t.pub_seq <- t.pub_seq + 1;
   Transport.broadcast t.net ~stamp:(Sclock.now t.clock)
     (Wire.Pub
@@ -114,14 +98,14 @@ let publish_final t = publish_upto t max_int
 let apply_delta t (d : Wire.delta) =
   (* per key, deltas arrive in ascending timestamp order: one owner
      commits them in that order and the transport is FIFO *)
-  let store = t.store.(d.Wire.dl_segment) in
+  let store = t.x.stores.(d.Wire.dl_segment) in
   List.iter
     (fun (key, ts, value) -> Pstore.add_commit store ~key ~ts ~value)
     d.Wire.dl_versions;
   t.applied.(d.Wire.dl_segment) <- t.applied.(d.Wire.dl_segment) + 1
 
 let serve_local t ~segment ~key ~th =
-  match Pstore.latest_before_pair t.store.(segment) ~key ~ts:th with
+  match Pstore.latest_before_pair t.x.stores.(segment) ~key ~ts:th with
   | Some (vts, v) -> [ (vts, v) ]
   | None -> []
 
@@ -248,7 +232,7 @@ exception Stalled of { shard : int; waiting_for : string }
    and runs only if it stalls. *)
 let await t ~why check =
   if not (check ()) then begin
-    t.c.n_stale_waits <- t.c.n_stale_waits + 1;
+    t.x.c.n_stale_waits <- t.x.c.n_stale_waits + 1;
     let n = ref 0 in
     while not (check ()) do
       incr n;
@@ -307,6 +291,73 @@ let await_store t ~seg ~th =
            | Ok _ -> true
            | Error _ -> false))
 
+(* --- transaction execution --- *)
+
+(* The node as the executor's substrate: its strided clock, its live
+   registry, received publications for remote activity, the delta cache
+   behind [await_store] for remote and walled reads, and one [Delta]
+   broadcast per commit.  A node runs each of its classes one
+   transaction at a time, so it registers through the registry's packed
+   single-active path. *)
+module Substrate = struct
+  type nonrec t = t
+
+  let name = "Shard node"
+  let tick t = Sclock.tick t.clock
+  let owns t seg = owner t seg = t.me
+  let escalated _ _ = false
+
+  let open_window t ~class_id ~id =
+    let init = Sclock.tick t.clock in
+    Registry.register_active t.registry ~class_id ~id ~init;
+    init
+
+  let close_window t ~class_id ~init:_ =
+    let e = Sclock.tick t.clock in
+    Registry.finish_active t.registry ~class_id ~endt:e;
+    e
+
+  let a_i_old = a_i_old
+
+  let read_remote t ~seg ~key ~th =
+    await_store t ~seg ~th;
+    Pstore.latest_before t.x.stores.(seg) ~key ~ts:th
+
+  let wall t = t.wall
+
+  (* th = 0 can only serve the bootstrap value — nothing to wait for *)
+  let read_walled t ~seg ~key ~th =
+    if owner t seg <> t.me && th > Time.zero then await_store t ~seg ~th;
+    Pstore.latest_before t.x.stores.(seg) ~key ~ts:th
+
+  (* replicate before publishing: by the time any publication shows
+     this transaction finished, its versions are already on the wire
+     (FIFO), so a reader passing the marks check holds them.  An update
+     writes only its root segment, so one delta carries the commit. *)
+  let install t (x : X.state) ~class_id ~ts =
+    if x.wb_len > 0 then begin
+      Transport.broadcast t.net ~stamp:(Sclock.now t.clock)
+        (Wire.Delta
+           { dl_shard = t.me;
+             dl_segment = class_id;
+             dl_versions =
+               List.init x.wb_len (fun i -> (x.wb_keys.(i), ts, x.wb_vals.(i)))
+           });
+      t.sent_marks.(class_id) <- t.sent_marks.(class_id) + 1
+    end
+
+  (* deltas ship at every commit; batching delays only how soon peers
+     see refreshed activity, and [await] republishes unconditionally *)
+  let publish = publish
+  let between _ = ()
+end
+
+module Exec = X.Make (Substrate)
+
+let exec t d = Exec.exec t t.x d
+
+(* --- the 2PC-read baseline --- *)
+
 let bootstrap t g = (Time.zero, t.init_fn g)
 
 let serve t ~segment ~key ~th =
@@ -314,164 +365,8 @@ let serve t ~segment ~key ~th =
   | (vts, v) :: _ -> (vts, v)
   | [] -> bootstrap t (Granule.make ~segment ~key)
 
-(* --- transaction execution --- *)
-
-let exec_update t (d : E.desc) cls =
-  let init = Sclock.tick t.clock in
-  let txn = Txn.make ~id:d.E.d_id ~kind:(Txn.Update cls) ~init in
-  Registry.register_in t.registry ~class_id:cls txn;
-  (match t.trace with
-  | Some tr ->
-    T.emit tr ~at:init (T.Begin { txn = d.E.d_id; kind = T.Update cls; init })
-  | None -> ());
-  let pending = ref [] in
-  List.iter
-    (fun op ->
-      match op with
-      | E.Write (g, v) ->
-        if g.Granule.segment <> cls then
-          invalid_arg
-            (Printf.sprintf "Shard node: T%d writing outside root segment D%d"
-               cls g.Granule.segment);
-        pending :=
-          (g, v)
-          :: List.filter (fun (g', _) -> not (Granule.equal g g')) !pending;
-        t.c.n_writes <- t.c.n_writes + 1;
-        (match t.trace with
-        | Some tr ->
-          T.emit tr ~at:(Sclock.tick t.clock)
-            (T.Write
-               { txn = d.E.d_id; segment = g.Granule.segment;
-                 key = g.Granule.key; ts = init })
-        | None -> ())
-      | E.Read g ->
-        let seg = g.Granule.segment in
-        if seg = cls then begin
-          (* Protocol B: this node runs class [cls] one transaction at
-             a time against its own authoritative store *)
-          let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th:init in
-          t.c.n_reads_b <- t.c.n_reads_b + 1;
-          match t.trace with
-          | Some tr ->
-            T.emit tr ~at:(Sclock.tick t.clock)
-              (T.Read
-                 { txn = d.E.d_id; protocol = T.B; segment = seg;
-                   key = g.Granule.key; threshold = init; version = vts })
-          | None -> ()
-        end
-        else begin
-          if not (P.may_read t.partition ~class_id:cls ~segment:seg) then
-            invalid_arg
-              (Printf.sprintf "Shard node: T%d may not read D%d" cls seg);
-          let th =
-            Hdd_core.Activity.compose a_i_old t t.partition ~from_class:cls
-              ~to_class:seg init
-          in
-          if owner t seg <> t.me then await_store t ~seg ~th;
-          let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
-          t.c.n_reads_a <- t.c.n_reads_a + 1;
-          match t.trace with
-          | Some tr ->
-            T.emit tr ~at:(Sclock.tick t.clock)
-              (T.Read
-                 { txn = d.E.d_id; protocol = T.A; segment = seg;
-                   key = g.Granule.key; threshold = th; version = vts })
-          | None -> ()
-        end)
-    d.E.d_ops;
-  if d.E.d_abort then begin
-    let a = Sclock.tick t.clock in
-    Txn.abort txn ~at:a;
-    (match t.trace with
-    | Some tr -> T.emit tr ~at:a (T.Abort { txn = d.E.d_id; at = a })
-    | None -> ());
-    t.c.n_aborted <- t.c.n_aborted + 1;
-    t.outcomes <- (d.E.d_id, false) :: t.outcomes
-  end
-  else begin
-    let e = Sclock.tick t.clock in
-    Txn.commit txn ~at:e;
-    let touched = ref [] in
-    List.iter
-      (fun ((g : Granule.t), v) ->
-        let seg = g.segment in
-        Pstore.add_commit t.store.(seg) ~key:g.key ~ts:init ~value:v;
-        let batch =
-          match List.assoc_opt seg !touched with Some b -> b | None -> []
-        in
-        touched :=
-          (seg, (g.key, init, v) :: batch)
-          :: List.remove_assoc seg !touched)
-      !pending;
-    (* replicate before publishing: by the time any publication shows
-       this transaction finished, its versions are already on the wire
-       (FIFO), so a reader passing the marks check holds them *)
-    List.iter
-      (fun (seg, versions) ->
-        Transport.broadcast t.net ~stamp:(Sclock.now t.clock)
-          (Wire.Delta
-             { dl_shard = t.me; dl_segment = seg;
-               dl_versions = List.rev versions });
-        t.sent_marks.(seg) <- t.sent_marks.(seg) + 1)
-      !touched;
-    (match t.trace with
-    | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.E.d_id; at = e })
-    | None -> ());
-    t.c.n_committed <- t.c.n_committed + 1;
-    t.outcomes <- (d.E.d_id, true) :: t.outcomes
-  end;
-  (* batched publication: amortize the snapshot + broadcast over K
-     transactions.  Deltas (the versions themselves) already shipped
-     above regardless of K; what batching delays is only how soon peers
-     see this shard's refreshed activity intervals, and [await]'s
-     unconditional republication bounds that delay whenever anyone is
-     actually waiting on us. *)
-  t.since_pub <- t.since_pub + 1;
-  if t.since_pub >= t.publish_every then publish t
-
-let exec_ro t (d : E.desc) =
-  (* wall first, initiation tick second: released_at < init, always *)
-  let wall = t.wall in
-  let init = Sclock.tick t.clock in
-  (match t.trace with
-  | Some tr ->
-    T.emit tr ~at:init (T.Begin { txn = d.E.d_id; kind = T.Read_only; init })
-  | None -> ());
-  List.iter
-    (fun op ->
-      match op with
-      | E.Write _ -> invalid_arg "Shard node: read-only transaction writes"
-      | E.Read g ->
-        let seg = g.Granule.segment in
-        let th = TW.threshold wall ~class_id:seg in
-        (* th = 0 can only serve the bootstrap value — nothing to wait for *)
-        if owner t seg <> t.me && th > Time.zero then await_store t ~seg ~th;
-        let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
-        t.c.n_reads_c <- t.c.n_reads_c + 1;
-        match t.trace with
-        | Some tr ->
-          T.emit tr ~at:(Sclock.tick t.clock)
-            (T.Read
-               { txn = d.E.d_id; protocol = T.C; segment = seg;
-                 key = g.Granule.key; threshold = th; version = vts })
-        | None -> ())
-    d.E.d_ops;
-  let e = Sclock.tick t.clock in
-  (match t.trace with
-  | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.E.d_id; at = e })
-  | None -> ());
-  t.c.n_committed <- t.c.n_committed + 1;
-  t.outcomes <- (d.E.d_id, true) :: t.outcomes
-
-let exec t (d : E.desc) =
-  match d.E.d_kind with
-  | `Update cls -> exec_update t d cls
-  | `Read_only -> exec_ro t d
-
-(* --- the 2PC-read baseline --- *)
-
 let read_2pc t ~segment ~key =
-  t.c.n_reads_a <- t.c.n_reads_a + 1;
+  t.x.c.n_reads_a <- t.x.c.n_reads_a + 1;
   if owner t segment = t.me then
     serve t ~segment ~key ~th:max_int
   else begin
@@ -506,9 +401,9 @@ let commit_local t ~segment ~key ~value =
   if owner t segment <> t.me then
     invalid_arg "Node.commit_local: not an owned segment";
   let ts = Sclock.tick t.clock in
-  Pstore.add_commit t.store.(segment) ~key ~ts ~value;
-  t.c.n_writes <- t.c.n_writes + 1;
-  t.c.n_committed <- t.c.n_committed + 1
+  Pstore.add_commit t.x.stores.(segment) ~key ~ts ~value;
+  t.x.c.n_writes <- t.x.c.n_writes + 1;
+  t.x.c.n_committed <- t.x.c.n_committed + 1
 
 (* --- creation --- *)
 
@@ -531,15 +426,18 @@ let create ?(config = default_config) ~partition ~init ~net () =
      but a C-read at threshold 0 would have to serve version 0, which
      the monitors rightly reject as not-below-threshold.) *)
   let wall0 = TW.initial walls ~m:1 ~released_at:Time.zero in
-  { partition;
-    nseg;
+  { nseg;
     shards;
     me;
     init_fn = init;
     net;
     clock;
     registry = Registry.create ?trace ~classes:nseg ();
-    store = Array.init nseg (fun _ -> Pstore.create ());
+    x =
+      X.state ~partition ~stores:(Array.init nseg (fun _ -> Pstore.create ()))
+        ~trace ~keep_outcomes:true
+        ~publish_every:(Int.max 1 config.publish_every)
+        ~timed:false;
     applied = Array.make nseg 0;
     sent_marks = Array.make nseg 0;
     pub_seq = 0;
@@ -547,14 +445,7 @@ let create ?(config = default_config) ~partition ~init ~net () =
     wall = wall0;
     walls;
     last_seen = -1;
-    trace;
-    c =
-      { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
-        n_reads_c = 0; n_writes = 0; n_stale_waits = 0 };
-    outcomes = [];
     on_wait = (fun () -> ());
-    publish_every = Int.max 1 config.publish_every;
-    since_pub = 0;
     work = Queue.create ();
     drain_seen = false;
     bye = false;

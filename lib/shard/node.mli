@@ -2,23 +2,22 @@
     the segments of every class congruent to its id modulo the shard
     count (DESIGN.md §15).
 
-    The node is the wire-protocol twin of the multicore runtime's
-    worker ({!Hdd_runtime.Engine}): Protocol B runs against the node's
-    own authoritative stores; Protocol A composes [I_old] thresholds
-    along the critical path exactly as PR 5 does, except remote classes
-    are answered from the latest {e received} activity publication
-    instead of an [Atomic] load; Protocol C reads off the latest
-    received wall.  Remote segments are served from a delta-replicated
-    cache, and a read waits until the owner's publication shows the
-    class {e quiescent below the threshold} and every delta the
-    publication counts has been applied — which is why lost, late,
-    duplicated or reordered publications can only ever add waiting,
-    never admit an inconsistent read.
+    The node runs the multicore worker's own transaction executor
+    ({!Hdd_runtime.Executor}) over its own substrate: the strided
+    {!Sclock}, registration through the registry's single-active path
+    ([register_active]), remote activity from the latest {e received}
+    publication instead of an [Atomic] load, and one {!Wire.Delta} per
+    committing update — an update writes only its root segment — sent
+    before the publication that reports the commit.  Protocol C reads
+    off the latest received wall.  Remote segments are served from a
+    delta-replicated cache, and a read waits until the owner's
+    publication shows the class {e quiescent below the threshold} and
+    every delta the publication counts has been applied — which is why
+    lost, late, duplicated or reordered publications can only ever add
+    waiting, never admit an inconsistent read.
 
-    The threshold and the wall are {!Hdd_core.Activity.compose} and
-    {!Hdd_core.Timewall.attempt}, the same code as the engine's; the
-    node supplies only its lookups, its own live registry or a received
-    publication.  Shard 0 doubles as the wall coordinator: it attempts a
+    Shard 0 doubles as the wall coordinator
+    ({!Hdd_core.Timewall.attempt}, as in the engine): it attempts a
     release whenever its clock has moved since the last attempt and
     broadcasts each released wall.
 
@@ -64,7 +63,6 @@ val create :
     released at 0, all components 1 — sound because a stale wall only
     under-serves). *)
 
-val me : t -> int
 val now : t -> Time.t
 val set_on_wait : t -> (unit -> unit) -> unit
 
@@ -107,5 +105,4 @@ val bye_seen : t -> bool
 
 val outcomes : t -> (Txn.id * bool) list
 val records : t -> Hdd_obs.Trace.record list
-val trace : t -> Hdd_obs.Trace.t option
 val counters : t -> Wire.counters

@@ -2,7 +2,6 @@ module D = Hdd_runtime.Differential
 module E = Hdd_runtime.Engine
 module P = Hdd_core.Partition
 module Spec = Hdd_core.Spec
-module Prng = Hdd_util.Prng
 
 type mode = [ `Det | `Domains | `Processes ]
 
@@ -26,26 +25,8 @@ let check_det ?fault ?config ~partition ~init ~shards ~seed ~script () =
   in
   D.check_run ~partition ~init ~script run
 
-(* Mirror of {!Hdd_runtime.Differential.stress_one}, with the cluster in
-   place of the multicore engine: the same seed draws the same hierarchy
-   and the same script, so a disagreement between the two harnesses is
-   itself a signal. *)
-let stress_case ~seed ~txns ~profile =
-  let prng = Prng.create ((seed * 2) + 1) in
-  let partition =
-    if seed land 1 = 0 then D.chain_partition (4 + Prng.int prng 5)
-    else D.tree_partition (3 + Prng.int prng 3)
-  in
-  let ro_frac, abort_frac =
-    match profile with
-    | D.Abort_heavy -> (0.1, 0.4)
-    | D.Adhoc_read -> (0.5, 0.05)
-    | D.Mixed -> (0.25, 0.15)
-  in
-  (partition, D.gen_script ~partition ~seed ~txns ~ro_frac ~abort_frac ())
-
 let stress_one ?(mode = `Det) ~seed ~shards ~txns ~profile () =
-  let partition, script = stress_case ~seed ~txns ~profile in
+  let partition, script = D.stress_case ~seed ~txns ~profile in
   check ~mode ~partition ~init:D.default_init ~shards ~seed ~script ()
 
 (* --- curated scenarios for the golden traces --- *)

@@ -39,16 +39,6 @@ val check_det :
     the publication traffic — the fault suite's entry point: faults may
     add waiting, never a failed check. *)
 
-val stress_case :
-  seed:int ->
-  txns:int ->
-  profile:Hdd_runtime.Differential.profile ->
-  Hdd_core.Partition.t * Cluster.script
-(** The (hierarchy, script) pair {!stress_one} derives from a seed — even
-    seeds draw a chain partition, odd seeds a tree — exposed so callers
-    that need the raw run (the CLI's trace export) replay exactly the
-    stress population. *)
-
 val stress_one :
   ?mode:mode ->
   seed:int ->
@@ -58,8 +48,8 @@ val stress_one :
   unit ->
   Hdd_runtime.Differential.report
 (** The sharded twin of {!Hdd_runtime.Differential.stress_one}: the same
-    seed draws the same hierarchy (chain or tree) and the same script,
-    executed on [shards] nodes instead of worker domains. *)
+    {!Hdd_runtime.Differential.stress_case}, executed on [shards] nodes
+    instead of worker domains. *)
 
 (** {1 Curated scenarios}
 

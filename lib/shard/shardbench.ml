@@ -1,5 +1,6 @@
 module D = Hdd_runtime.Differential
 module E = Hdd_runtime.Engine
+module Crew = Hdd_runtime.Crew
 module J = Hdd_benchkit.Jsonlite
 
 type side = {
@@ -49,14 +50,15 @@ let max_samples = 1 lsl 16
 let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
   let partition = D.chain_partition (shards + 1) in
   let nets = Transport.Loopback.create ~nodes:shards () in
-  let stop = Atomic.make false in
-  let done_count = Atomic.make 0 in
+  let crew = Crew.create shards in
   let config = { Node.traced = false; publish_every } in
   let run me =
     let node =
       Node.create ~config ~partition ~init:D.default_init ~net:nets.(me) ()
     in
-    Node.set_on_wait node (fun () -> Unix.sleepf 1e-6);
+    Node.set_on_wait node (fun () ->
+        Crew.leave_if_failed crew;
+        Unix.sleepf 1e-6);
     let lat = Array.make max_samples 0. in
     let nlat = ref 0 in
     let deadline = Unix.gettimeofday () +. seconds in
@@ -95,23 +97,16 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
       end;
       now := t1
     done;
-    Atomic.incr done_count;
     (* keep serving peers (publications, lock and read requests) until
        every loop is past its deadline *)
-    while not (Atomic.get stop) do
-      Node.pump node;
-      Node.publish_final node;
-      Unix.sleepf 2e-6
-    done;
+    Crew.linger crew (fun () ->
+        Node.pump node;
+        Node.publish_final node;
+        Unix.sleepf 2e-6);
     Node.pump node;
     (node, Array.sub lat 0 !nlat)
   in
-  let doms = Array.init shards (fun i -> Domain.spawn (fun () -> run i)) in
-  while Atomic.get done_count < shards do
-    Unix.sleepf 100e-6
-  done;
-  Atomic.set stop true;
-  let joined = Array.map Domain.join doms in
+  let joined = Crew.run crew ~nap:100e-6 ~feed:ignore run in
   let nodes = Array.map fst joined in
   let lats = Array.concat (Array.to_list (Array.map snd joined)) in
   let sum f = Array.fold_left (fun a n -> a + f (Node.counters n)) 0 nodes in

@@ -85,12 +85,6 @@ val encode : packet -> bytes
 val decode : bytes -> pos:int -> (packet * int, string) result
 (** Cut and decode one frame at [pos]; never raises. *)
 
-val read_packet : Hdd_util.Binc.reader -> packet
-(** The raw payload reader, for composing into larger frames.
-    @raise Hdd_util.Binc.Error on malformed bytes. *)
-
-val write_packet : Hdd_util.Binc.writer -> packet -> unit
-
 val equal : packet -> packet -> bool
 (** Structural equality (field-by-field; snapshots compare by their
     {!Registry.snap_parts}).  For the round-trip property suite. *)

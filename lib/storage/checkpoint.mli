@@ -42,9 +42,6 @@ type meta = {
 val manifest_path : log:string -> string
 val data_path : log:string -> seq:int -> string
 
-val keep_checkpoints : int
-(** Manifest entries retained (older data files are pruned). *)
-
 val read_manifest : log:string -> meta list
 (** Newest first.  A missing or unparseable manifest reads as empty —
     recovery then falls back to full replay. *)
@@ -59,13 +56,13 @@ val write :
   committed:int ->
   aborted:int ->
   versions:(Granule.t * (Time.t * int) list) list ->
-  pending:(Txn.id * int * Time.t * (Granule.t * Time.t * int) list) list ->
+  pending:Replay.Inflight.entry list ->
   unit ->
   meta
 (** Write checkpoint [seq]: data file (temp + checksum + rename), then
     the pruned manifest (temp + rename).  [versions] is the wall-cut
     committed dump ({!Hdd_mvstore.Store.dump_at_wall}); [pending] the
-    engine's in-flight table, [(txn, class_id, init, writes)] by id.
+    engine's in-flight table ({!Replay.Inflight.entries}).
     @raise Fault.Crash or {!Fault.Io_error} from a scripted fault at any
     of the four points; the transient case leaves no manifest entry, so
     the checkpoint simply didn't happen. *)

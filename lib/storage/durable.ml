@@ -15,8 +15,7 @@ type t = {
   faults : Fault.plan option;
   group : Group_commit.t option;
   base_offset : int;  (** log length when this handle opened the file *)
-  pending_writes : (Txn.id, Replay.pending_txn) Hashtbl.t;
-  mutable in_flight : int;  (** update transactions begun and unfinished *)
+  inflight : Replay.Inflight.t;  (** update transactions begun and unfinished *)
   mutable logged_commits : int;  (** commit frames logged, ever (checkpoint metadata) *)
   mutable logged_aborts : int;
   mutable next_ckpt_seq : int;
@@ -56,7 +55,7 @@ let build ?(sync_on_commit = false) ?sink ?log ?trace ?group ?faults ?retry
       group
   in
   { wal; sched; store; partition; sync_on_commit; clock; trace; faults; group;
-    base_offset; pending_writes = Hashtbl.create 64; in_flight = 0;
+    base_offset; inflight = Replay.Inflight.create ();
     logged_commits = committed; logged_aborts = aborted;
     next_ckpt_seq = Checkpoint.latest_seq ~log:path + 1; direct_syncs = 0;
     direct_synced_offset = 0 }
@@ -146,9 +145,7 @@ let log_begin t txn ~class_id record =
    with e ->
      (try Scheduler.abort t.sched txn with _ -> ());
      raise e);
-  Hashtbl.replace t.pending_writes txn.Txn.id
-    { Replay.class_id; init = txn.Txn.init; writes = [] };
-  t.in_flight <- t.in_flight + 1;
+  Replay.Inflight.start t.inflight txn.Txn.id ~class_id ~init:txn.Txn.init;
   txn
 
 let begin_update t ~class_id =
@@ -180,9 +177,7 @@ let write t txn g value =
       (Codec.Write { txn = txn.Txn.id; granule = g; ts = txn.Txn.init; value });
     (* mirror the write into the in-flight table only once it is in the
        log: a checkpoint must not persist a write recovery cannot see *)
-    (match Hashtbl.find_opt t.pending_writes txn.Txn.id with
-    | Some p -> p.Replay.writes <- (g, txn.Txn.init, value) :: p.Replay.writes
-    | None -> ());
+    Replay.Inflight.add_write t.inflight txn.Txn.id (g, txn.Txn.init, value);
     ok
   | (Outcome.Blocked _ | Outcome.Rejected _) as other -> other
 
@@ -211,8 +206,7 @@ let commit_ticket t txn =
         else Wal.flush t.wal;
         Logged (match t.faults with Some _ -> log_offset t | None -> 0)
     in
-    Hashtbl.remove t.pending_writes txn.Txn.id;
-    t.in_flight <- t.in_flight - 1;
+    ignore (Replay.Inflight.finish t.inflight txn.Txn.id);
     t.logged_commits <- t.logged_commits + 1;
     tk
   end
@@ -237,8 +231,7 @@ let abort t txn =
     (* the in-memory abort is done whether or not the Abort frame makes
        it to the log: without the frame, recovery counts the transaction
        as lost-uncommitted instead of aborted — same database *)
-    Hashtbl.remove t.pending_writes txn.Txn.id;
-    t.in_flight <- t.in_flight - 1;
+    ignore (Replay.Inflight.finish t.inflight txn.Txn.id);
     Wal.append t.wal
       (Codec.Abort
          { txn = txn.Txn.id;
@@ -264,7 +257,7 @@ let close t =
   | None -> ());
   Wal.close t.wal
 
-let in_flight t = t.in_flight
+let in_flight t = Replay.Inflight.length t.inflight
 
 let checkpoint t =
   (* every logged commit below the cut offset must be in the file — and
@@ -289,17 +282,11 @@ let checkpoint t =
     | _ -> raw
   in
   let versions = Store.dump_at_wall t.store ~wall in
-  let pending =
-    Hashtbl.fold
-      (fun txn (p : Replay.pending_txn) acc ->
-        (txn, p.Replay.class_id, p.Replay.init, p.Replay.writes) :: acc)
-      t.pending_writes []
-    |> List.sort compare
-  in
   let m =
     Checkpoint.write ?faults:t.faults ~log ~seq ~log_offset ~wall
       ~last_time:(Time.Clock.now t.clock) ~committed:t.logged_commits
-      ~aborted:t.logged_aborts ~versions ~pending ()
+      ~aborted:t.logged_aborts ~versions
+      ~pending:(Replay.Inflight.entries t.inflight) ()
   in
   t.next_ckpt_seq <- seq + 1;
   (match t.trace with

@@ -81,8 +81,6 @@ val kinds : string list
 (** Every point kind, one per constructor of {!point}.  The torture
     harness asserts its runs reached (and fired faults at) all of them. *)
 
-val pp_point : Format.formatter -> point -> unit
-
 (** One scripted fault.  Frame indexes are 0-based positions in the
     append stream; byte offsets are absolute positions in the log file;
     points are logical operations.  Each event fires at most once. *)

@@ -64,10 +64,8 @@ let ack_offset t k =
   match t.ack_offsets with
   | Some h when acked t k -> Hashtbl.find_opt h k
   | _ -> None
-let unacked t = t.submitted - t.acked_upto
 let queued t = List.length t.buf
 let fsyncs t = t.fsyncs
-let batches t = t.batches
 let sync_failures t = t.sync_failures
 let synced_offset t = t.synced_offset
 let livelocked t = Retry.livelocked t.rmon

@@ -73,9 +73,6 @@ val ack_offset : t -> ticket -> int option
     the durability horizon a recovery must reach to contain it.  [None]
     until the ticket is acked, and always without [offset_of]. *)
 
-val unacked : t -> int
-(** Tickets submitted but not yet acknowledged. *)
-
 val queued : t -> int
 (** Commit frames submitted but not yet appended to the log — nonzero
     after a flush only when a transient append error stopped the batch. *)
@@ -83,7 +80,6 @@ val queued : t -> int
 val fsyncs : t -> int
 (** Successful fsync rounds — the denominator of fsyncs-per-commit. *)
 
-val batches : t -> int
 val sync_failures : t -> int
 
 val synced_offset : t -> int

@@ -14,15 +14,35 @@
     a replica re-apply a resent batch (the shipper crashed between
     applying and advancing its cursor) without double-installing. *)
 
-type pending_txn = {
-  class_id : int;
-  init : Time.t;
-  mutable writes : (Granule.t * Time.t * int) list;  (** newest first *)
-}
+(** The in-flight table: update transactions begun and unfinished, with
+    their logged writes (newest first).  Replay keeps one, and so does a
+    live {!Durable} handle, whose [entries] a checkpoint persists. *)
+module Inflight : sig
+  type t
+
+  type entry = Txn.id * int * Time.t * (Granule.t * Time.t * int) list
+  (** [(txn, class_id, init, writes)] *)
+
+  val create : unit -> t
+  val start : t -> Txn.id -> class_id:int -> init:Time.t -> unit
+
+  val add_write : t -> Txn.id -> Granule.t * Time.t * int -> unit
+  (** Opens an entry at the write's timestamp if none is in the table. *)
+
+  val finish : t -> Txn.id -> (Granule.t * Time.t * int) list
+  (** Drop a transaction, returning its writes ([[]] if absent). *)
+
+  val length : t -> int
+  val min_init : t -> Time.t  (** [max_int] when empty *)
+
+  val entries : t -> entry list  (** sorted *)
+
+  val restore : t -> entry list -> unit
+end
 
 type t = {
   store : int Hdd_mvstore.Store.t;
-  pending : (Txn.id, pending_txn) Hashtbl.t;
+  pending : Inflight.t;
   mutable last_time : Time.t;  (** largest timestamp seen *)
   mutable committed : int;
   mutable aborted : int;
@@ -46,17 +66,12 @@ val apply : t -> Codec.record -> unit
 
 val apply_all : t -> Codec.record list -> unit
 
-val see : t -> Time.t -> unit
-(** Advance [last_time]. *)
-
 val install_writes : t -> txn:Txn.id -> (Granule.t * Time.t * int) list -> unit
 (** Install a committed transaction's buffered writes (newest first),
     first occurrence per granule winning, idempotently. *)
 
-val restore_pending :
-  t -> (Txn.id * int * Time.t * (Granule.t * Time.t * int) list) list -> unit
-(** Rebuild the in-flight table from a checkpoint's [pending] entries,
-    [(txn, class_id, init, writes)]. *)
+val restore_pending : t -> Inflight.entry list -> unit
+(** Rebuild the in-flight table from a checkpoint's [pending] entries. *)
 
 val lost_uncommitted : t -> int
 (** Transactions begun but neither committed nor aborted. *)

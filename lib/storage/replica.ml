@@ -15,7 +15,6 @@ let create ?trace ~segments ~init () =
     wall = [||]; ships = 0; records = 0; stalled = false }
 
 let store t = t.replay.Replay.store
-let ships t = t.ships
 let records t = t.records
 let stalled t = t.stalled
 let last_time t = t.replay.Replay.last_time
@@ -71,9 +70,8 @@ let receive ?faults t batch =
    shipped Begin/Write frames — and then the pending clamp covers it. *)
 let effective_wall t =
   let clamp =
-    Hashtbl.fold
-      (fun _ (p : Replay.pending_txn) acc -> Stdlib.min acc p.Replay.init)
-      t.replay.Replay.pending
+    Stdlib.min
+      (Replay.Inflight.min_init t.replay.Replay.pending)
       (t.replay.Replay.last_time + 1)
   in
   Array.map (fun w -> Stdlib.min w clamp) t.wall

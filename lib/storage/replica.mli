@@ -32,12 +32,6 @@ val create :
   unit ->
   t
 
-val receive : ?faults:Fault.plan -> t -> Bytes.t -> bool
-(** Apply one shipped batch.  Crosses [Ship_apply]; decodes and applies
-    frames in order, the wall trailer last.  Returns false — and marks
-    the replica {!stalled} — on a corrupt or torn frame; everything
-    before the bad frame is applied, but the wall does not advance. *)
-
 val wall : t -> Time.t array
 (** Received wall (componentwise maximum over batches); [[||]] until the
     first trailer arrives. *)
@@ -61,7 +55,6 @@ val staleness : t -> primary_wall:Time.t array -> int
     effective wall — the bounded-staleness measure. *)
 
 val store : t -> int Hdd_mvstore.Store.t
-val ships : t -> int
 val records : t -> int
 val stalled : t -> bool
 val last_time : t -> Time.t
@@ -95,7 +88,12 @@ val ship : shipper -> upto:int -> wall:Time.t array -> (unit, exn) result
     transient fault), stall ([Error Stalled]) or crash it does not, and
     the next {!ship} resends the same slice (idempotent).  An empty
     slice still ships the wall — the heartbeat that lets a quiet
-    primary's replica serve fresher reads. *)
+    primary's replica serve fresher reads.
+
+    The replica decodes and applies a delivered batch's frames in
+    order, the wall trailer last.  A corrupt or torn frame marks it
+    {!stalled}: everything before the bad frame is applied, but the
+    wall does not advance. *)
 
 val shipped : shipper -> int
 val sends : shipper -> int

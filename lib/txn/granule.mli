@@ -7,7 +7,6 @@ type t = { segment : int; key : int }
 val make : segment:int -> key:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

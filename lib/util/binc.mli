@@ -69,8 +69,6 @@ val r_list : reader -> (reader -> 'a) -> 'a list
 val r_array : reader -> (reader -> 'a) -> 'a array
 val r_option : reader -> (reader -> 'a) -> 'a option
 
-val at_end : reader -> bool
-
 (** {1 Frames} *)
 
 val crc32_sub : bytes -> int -> int -> int

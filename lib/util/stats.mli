@@ -32,7 +32,6 @@ module Histogram : sig
   val create : lo:float -> hi:float -> buckets:int -> h
   val add : h -> float -> unit
   val counts : h -> int array
-  val bucket_of : h -> float -> int
   val render : h -> width:int -> string
   (** ASCII bar rendering used by the CLI. *)
 end

@@ -18,9 +18,6 @@ val stock_class : branches:int -> int
 (** Class id of the escalatable stock class (the base segment). *)
 
 val default_branches : int
-val default_stock_keys : int
-val default_district_keys : int
-
 val workload :
   ?branches:int ->
   ?stock_keys:int ->

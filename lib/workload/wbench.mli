@@ -29,14 +29,6 @@ type result = {
   w_slo : (string * Openloop.slo) list;  (** hybrid, per contention *)
 }
 
-val ratio_floor_low : float
-(** 0.9: at low contention the adaptive machinery may cost at most
-    10% against pure HDD. *)
-
-val ratio_floor_high : float
-(** 1.3: at the high-contention zipf point escalation must beat MVTO's
-    restart storm by at least 30%. *)
-
 val run : ?quick:bool -> ?seed:int -> unit -> result
 (** [quick] shrinks the closed loops (300 instead of 1500 target
     commits) for per-push CI. *)

@@ -289,9 +289,9 @@ let test_shard_stress () =
       (String.concat "\n" !failures)
 
 let test_shard_stress_domains () =
-  (* real parallelism over the mutexed loopback: a few seeds suffice,
-     the deterministic sweep above carries the breadth *)
-  for seed = 1 to 4 do
+  (* real parallelism over the mutexed loopback: a few seeds by
+     default, the deterministic sweep above carries the breadth *)
+  for seed = 1 to Fixtures.seeds_from_env ~default:4 "HDD_SHARD_SEEDS" do
     let shards = 2 + (2 * (seed mod 2)) in
     let r =
       Sh.Shard_diff.stress_one ~mode:`Domains ~seed ~shards ~txns:25
@@ -701,6 +701,17 @@ let test_domains_raise_ends_run () =
   | exception Invalid_argument msg ->
     checks "the shard's exception" "Pstore: negative key" msg
 
+(* A raising node ends the bench's run: with no keys every node raises
+   at its first key draw, and the run re-raises instead of waiting for
+   nodes that never finish. *)
+let test_bench_raise_ends_run () =
+  match
+    Fixtures.within ~seconds:20. (fun () ->
+        Sh.Shardbench.run ~shards:2 ~seconds:0.05 ~keys:0 ())
+  with
+  | _ -> Alcotest.fail "no exception"
+  | exception Division_by_zero -> ()
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -734,4 +745,6 @@ let suite =
     Alcotest.test_case "node: a stalled wait raises Stalled" `Quick
       test_stall_typed;
     Alcotest.test_case "cluster: a raising shard ends the domain run" `Quick
-      test_domains_raise_ends_run ]
+      test_domains_raise_ends_run;
+    Alcotest.test_case "bench shard: a raising node ends the run" `Quick
+      test_bench_raise_ends_run ]
