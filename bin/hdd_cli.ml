@@ -301,9 +301,9 @@ let print_results results =
           string_of_int r.Runner.deadlocks;
           string_of_int r.Runner.gave_up;
           Table.cell_float ~decimals:1 r.Runner.total_backoff;
-          string_of_int r.Runner.counters.Controller.read_registrations;
-          string_of_int r.Runner.counters.Controller.blocks;
-          string_of_int r.Runner.counters.Controller.rejects;
+          string_of_int r.Runner.counters.read_registrations;
+          string_of_int r.Runner.counters.blocks;
+          string_of_int r.Runner.counters.rejects;
           Table.cell_float ~decimals:3 r.Runner.throughput;
           Table.cell_float r.Runner.p95_response ])
     results;
@@ -879,7 +879,7 @@ let adapt_cmd =
       Format.printf "%d workers, seed %d, %d planned rotations: %a@." workers
         seed repartitions D.pp_report r;
       if not (D.ok r) then exit 1;
-      if repartitions > 0 && r.D.r_repartitions = 0 then begin
+      if repartitions > 0 && r.D.r_stats.repartitions = 0 then begin
         Printf.printf
           "no rotation was applied (script too short for a barrier)\n";
         exit 1
@@ -931,7 +931,7 @@ let hybrid_cmd =
           let r =
             D.stress_one ~escalations ~seed:s ~workers:w ~txns ~profile ()
           in
-          flips_applied := !flips_applied + r.D.r_escalations;
+          flips_applied := !flips_applied + r.D.r_stats.escalations;
           if not (D.ok r) then begin
             incr failed;
             Format.printf "FAIL seed %d workers %d: %a@." s w D.pp_report r

@@ -122,7 +122,7 @@ let () =
   Printf.printf
     "metrics: %d commits, %d protocol-A reads, %d protocol-B reads, %d \
      protocol-C reads, %d registrations\n"
-    m.Scheduler.commits m.Scheduler.reads_a m.Scheduler.reads_b
+    m.Scheduler.committed m.Scheduler.reads_a m.Scheduler.reads_b
     m.Scheduler.reads_c m.Scheduler.read_registrations;
   Printf.printf "schedule certifies serializable: %b\n"
     (Certifier.serializable log)

@@ -84,9 +84,9 @@ let comparison () =
       let r, serializable = Harness.certified_run ~config spec wl in
       Table.add_row table
         [ r.Runner.controller;
-          string_of_int r.Runner.counters.Controller.read_registrations;
-          string_of_int r.Runner.counters.Controller.blocks;
-          string_of_int r.Runner.counters.Controller.rejects;
+          string_of_int r.Runner.counters.read_registrations;
+          string_of_int r.Runner.counters.blocks;
+          string_of_int r.Runner.counters.rejects;
           string_of_int r.Runner.restarts;
           Table.cell_float ~decimals:3 r.Runner.throughput;
           (if serializable then "yes" else "NO") ])

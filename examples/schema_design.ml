@@ -108,6 +108,6 @@ let () =
   let m = Scheduler.metrics s in
   Printf.printf
     "%d commits; %d protocol-A reads, %d protocol-B reads, %d registrations\n"
-    m.Scheduler.commits m.Scheduler.reads_a m.Scheduler.reads_b
+    m.Scheduler.committed m.Scheduler.reads_a m.Scheduler.reads_b
     m.Scheduler.read_registrations;
   Printf.printf "certified serializable: %b\n" (Certifier.serializable log)

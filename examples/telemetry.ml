@@ -95,8 +95,8 @@ let () =
   let c = r.Runner.counters in
   Printf.printf
     "reads %d (registrations %d), writes %d, blocks %d, rejects %d\n"
-    c.Controller.reads c.Controller.read_registrations c.Controller.writes
-    c.Controller.blocks c.Controller.rejects;
+    (Hdd_obs.Counters.reads c) c.read_registrations c.writes c.blocks
+    c.rejects;
 
   (* trace the longest activity link: a ticket-writer reading raw
      readings would compose three I_old hops (tickets -> alerts ->

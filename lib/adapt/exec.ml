@@ -55,7 +55,7 @@ let value t g =
 
 let active t =
   let m = Sched.metrics t.sched in
-  m.Sched.begins - m.Sched.commits - m.Sched.aborts
+  m.Sched.begins - m.Sched.committed - m.Sched.aborted
 
 (* Latest committed value of every written granule — the current
    store's committed versions overlaid on what earlier swaps already

@@ -13,19 +13,18 @@ type golden = {
   g_what : string;  (** one-line description for reports *)
 }
 
-val hotspot_migration : golden
-(** A chain hierarchy where one class takes over the commit window: the
-    detector flags the hotspot, the advisor's best repair is a
-    [Migrate], and the executor applies it (epoch bump,
-    [fresh_store = false]). *)
-
-val class_split : golden
-(** The same drift pushed further: the advisor's split repair is
-    applied instead, carving the hot segment's upper key range into a
-    fresh child class ([fresh_store = true], state carried), after
-    which traffic runs against the refined decomposition. *)
-
 val goldens : golden list
+(** The two scenarios, in this order:
+
+    - [hotspot_migration]: a chain hierarchy where one class takes over
+      the commit window: the detector flags the hotspot, the advisor's
+      best repair is a [Migrate], and the executor applies it (epoch
+      bump, [fresh_store = false]).
+    - [class_split]: the same drift pushed further: the advisor's split
+      repair is applied instead, carving the hot segment's upper key
+      range into a fresh child class ([fresh_store = true], state
+      carried), after which traffic runs against the refined
+      decomposition. *)
 
 val golden_records : golden -> Hdd_obs.Trace.record list
 (** Re-run the scenario and return its merged trace — what the golden

@@ -5,7 +5,7 @@ type lock = { mutable holders : (Txn.id * mode) list }  (** newest first *)
 type t = {
   locks : lock Granule.Tbl.t;
   held : (Txn.id, Granule.t list) Hashtbl.t;  (** per transaction *)
-  m : Cc_metrics.t;
+  m : Hdd_obs.Counters.t;
 }
 
 let create m = { locks = Granule.Tbl.create 256; held = Hashtbl.create 64; m }

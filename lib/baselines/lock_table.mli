@@ -5,7 +5,7 @@
 
 type t
 
-val create : Cc_metrics.t -> t
+val create : Hdd_obs.Counters.t -> t
 (** Counts into the given record: a read registration per shared lock
     set, a block per refused request. *)
 

@@ -19,7 +19,7 @@ val create :
   unit ->
   'a t
 
-val metrics : 'a t -> Cc_metrics.t
+val metrics : 'a t -> Hdd_obs.Counters.t
 val begin_txn : 'a t -> Txn.t
 val read : 'a t -> Txn.t -> Granule.t -> 'a Hdd_core.Outcome.t
 val write : 'a t -> Txn.t -> Granule.t -> 'a -> unit Hdd_core.Outcome.t

@@ -31,14 +31,14 @@ module Table = struct
     store : 'a Store.t;
     granules : gstate Granule.Tbl.t;
     entries : (Txn.id, 'a entry) Hashtbl.t;
-    m : Cc_metrics.t;
+    m : Hdd_obs.Counters.t;
   }
 
   type 'a read = Own of 'a | Latest of 'a Chain.version | Missing
 
   let create store =
     { store; granules = Granule.Tbl.create 256; entries = Hashtbl.create 64;
-      m = Cc_metrics.create () }
+      m = Hdd_obs.Counters.create () }
 
   let metrics t = t.m
   let store t = t.store
@@ -67,7 +67,7 @@ module Table = struct
   let read t txn g =
     let e = entry t txn in
     let id = txn.Txn.id in
-    t.m.reads <- t.m.reads + 1;
+    t.m.reads_b <- t.m.reads_b + 1;
     match List.assoc_opt g e.buffer with
     | Some v -> Own v
     | None ->

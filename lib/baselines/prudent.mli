@@ -32,9 +32,9 @@ module Table : sig
 
   val create : 'a Hdd_mvstore.Store.t -> 'a t
 
-  val metrics : 'a t -> Cc_metrics.t
-  (** Reads, writes, read registrations, blocks and rejects; the table
-      counts no begins, commits or aborts. *)
+  val metrics : 'a t -> Hdd_obs.Counters.t
+  (** Reads (as [reads_b]), writes, read registrations, blocks and
+      rejects; the table counts no begins, commits or aborts. *)
 
   val store : 'a t -> 'a Hdd_mvstore.Store.t
 
@@ -80,7 +80,7 @@ val create :
   unit ->
   'a t
 
-val metrics : 'a t -> Cc_metrics.t
+val metrics : 'a t -> Hdd_obs.Counters.t
 val begin_txn : 'a t -> read_only:bool -> Txn.t
 val read : 'a t -> Txn.t -> Granule.t -> 'a Hdd_core.Outcome.t
 val write : 'a t -> Txn.t -> Granule.t -> 'a -> unit Hdd_core.Outcome.t

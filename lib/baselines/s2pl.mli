@@ -28,7 +28,7 @@ val create :
     locking or registration, which admits non-serializable schedules —
     the counter-example experiment relies on it. *)
 
-val metrics : 'a t -> Cc_metrics.t
+val metrics : 'a t -> Hdd_obs.Counters.t
 
 val begin_txn : 'a t -> read_only:bool -> Txn.t
 (** 2PL does not distinguish read-only transactions: the flag is ignored,

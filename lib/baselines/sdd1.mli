@@ -27,7 +27,7 @@ val create :
   unit ->
   'a t
 
-val metrics : 'a t -> Cc_metrics.t
+val metrics : 'a t -> Hdd_obs.Counters.t
 
 val begin_txn : 'a t -> class_id:int -> Txn.t
 (** @raise Invalid_argument on an out-of-range class. *)

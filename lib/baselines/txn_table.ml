@@ -4,12 +4,12 @@ type 's t = {
   name : string;
   clock : Time.Clock.clock;
   log : Sched_log.t option;
-  m : Cc_metrics.t;
+  m : Hdd_obs.Counters.t;
   live : (Txn.id, Txn.t * 's) Hashtbl.t;
   mutable next_id : int;
 }
 
-let create ?log ?(metrics = Cc_metrics.create ()) ~name ~clock () =
+let create ?log ?(metrics = Hdd_obs.Counters.create ()) ~name ~clock () =
   { name; clock; log; m = metrics; live = Hashtbl.create 64; next_id = 1 }
 
 let metrics t = t.m
@@ -31,7 +31,7 @@ let state t (txn : Txn.t) =
 
 let reading t txn =
   let s = state t txn in
-  t.m.reads <- t.m.reads + 1;
+  t.m.reads_b <- t.m.reads_b + 1;
   s
 
 let writing t txn =
@@ -60,11 +60,11 @@ let commit ?at t txn =
   ignore (state t txn);
   Txn.commit txn ~at:(match at with Some at -> at | None -> tick t);
   Hashtbl.remove t.live txn.Txn.id;
-  t.m.commits <- t.m.commits + 1
+  t.m.committed <- t.m.committed + 1
 
 let abort t txn =
   ignore (state t txn);
   Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at:(tick t);
   Hashtbl.remove t.live txn.Txn.id;
-  t.m.aborts <- t.m.aborts + 1
+  t.m.aborted <- t.m.aborted + 1

@@ -2,14 +2,14 @@
     that each controller holds only its protocol's decisions: ids and
     initiation ticks on the controller's clock, the table of live
     transactions with each one's protocol state, commit and abort
-    stamping, the schedule log and the {!Cc_metrics} counters. *)
+    stamping, the schedule log and the {!Hdd_obs.Counters} record. *)
 
 type 's t
 (** The live transactions, each with a protocol state ['s]. *)
 
 val create :
   ?log:Sched_log.t ->
-  ?metrics:Cc_metrics.t ->
+  ?metrics:Hdd_obs.Counters.t ->
   name:string ->
   clock:Time.Clock.clock ->
   unit ->
@@ -18,7 +18,7 @@ val create :
     into [metrics] when given (a protocol table that already counts
     accesses), into a fresh record otherwise. *)
 
-val metrics : 's t -> Cc_metrics.t
+val metrics : 's t -> Hdd_obs.Counters.t
 val tick : 's t -> Time.t
 
 val begin_txn : 's t -> kind:Txn.kind -> 's -> Txn.t

@@ -4,10 +4,10 @@ module Trace = Hdd_obs.Trace
 
 open Outcome
 
-type metrics = {
+type metrics = Hdd_obs.Counters.t = {
   mutable begins : int;
-  mutable commits : int;
-  mutable aborts : int;
+  mutable committed : int;
+  mutable aborted : int;
   mutable reads_a : int;
   mutable reads_b : int;
   mutable reads_c : int;
@@ -15,11 +15,14 @@ type metrics = {
   mutable read_registrations : int;
   mutable blocks : int;
   mutable rejects : int;
+  mutable publications : int;
+  mutable stale_waits : int;
+  mutable wall_releases : int;
+  mutable wall_lag_sum : int;
+  mutable wall_lag_max : int;
+  mutable repartitions : int;
+  mutable escalations : int;
 }
-
-let fresh_metrics () =
-  { begins = 0; commits = 0; aborts = 0; reads_a = 0; reads_b = 0;
-    reads_c = 0; writes = 0; read_registrations = 0; blocks = 0; rejects = 0 }
 
 type mode =
   | Classed  (** regular update transaction; class taken from the record *)
@@ -72,7 +75,7 @@ let create ?log ?trace ?(wall_every_commits = 16) ?gc_every_commits
   { partition; ctx; reg; clock; store; log; trace;
     walls = Timewall.create ?trace ctx ~clock;
     states = Hashtbl.create 64;
-    m = fresh_metrics ();
+    m = Hdd_obs.Counters.create ();
     wall_every_commits;
     gc_every_commits;
     gc_on_wall;
@@ -559,7 +562,7 @@ let commit t txn =
   List.iter (fun (_, v) -> Store.commit_installed t.store v) st.written;
   Txn.commit txn ~at;
   Hashtbl.remove t.states txn.Txn.id;
-  t.m.commits <- t.m.commits + 1;
+  t.m.committed <- t.m.committed + 1;
   (* Commit must precede the wall/GC records the release below may emit:
      monitors move this transaction's pending versions into their shadow
      store before judging any collection. *)
@@ -583,7 +586,7 @@ let abort t txn =
   Sched_log.drop_txn_opt t.log txn.Txn.id;
   Txn.abort txn ~at;
   Hashtbl.remove t.states txn.Txn.id;
-  t.m.aborts <- t.m.aborts + 1;
+  t.m.aborted <- t.m.aborted + 1;
   (match t.trace with
   | None -> ()
   | Some tr -> Trace.emit tr ~at (Trace.Abort { txn = txn.Txn.id; at }));

@@ -28,20 +28,29 @@
     transactions — the driver (simulator, example, test) retries or
     restarts; this keeps the controller reusable across drivers. *)
 
-type metrics = {
+type metrics = Hdd_obs.Counters.t = {
   mutable begins : int;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable reads_a : int;  (** cross-class reads served by Protocol A *)
-  mutable reads_b : int;  (** root-segment reads served by Protocol B *)
-  mutable reads_c : int;  (** read-only reads served by Protocol C *)
+  mutable committed : int;
+  mutable aborted : int;
+  mutable reads_a : int;
+  mutable reads_b : int;
+  mutable reads_c : int;
   mutable writes : int;
   mutable read_registrations : int;
-      (** read timestamps written — Protocol B reads only: the overhead
-          the paper sets out to remove *)
   mutable blocks : int;
   mutable rejects : int;
+  mutable publications : int;
+  mutable stale_waits : int;
+  mutable wall_releases : int;
+  mutable wall_lag_sum : int;
+  mutable wall_lag_max : int;
+  mutable repartitions : int;
+  mutable escalations : int;
 }
+(** The scheduler's counts ({!Hdd_obs.Counters}): begins, commits,
+    aborts, reads per protocol, writes, read registrations (Protocol B
+    reads only), blocks and rejections.  Wall releases are the
+    {!wall_manager}'s. *)
 
 type 'a t
 

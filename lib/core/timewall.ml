@@ -61,9 +61,7 @@ type coordinator = {
   primary : int;
   trace : Hdd_obs.Trace.t option;
   mutable last_m : Time.t;
-  mutable releases : int;
-  mutable lag_sum : int;
-  mutable lag_max : int;
+  c : Hdd_obs.Counters.t;
 }
 
 let coordinator ?trace partition =
@@ -73,9 +71,7 @@ let coordinator ?trace partition =
       (match Partition.lowest_classes partition with s :: _ -> s | [] -> 0);
     trace;
     last_m = Time.zero;
-    releases = 0;
-    lag_sum = 0;
-    lag_max = 0 }
+    c = Hdd_obs.Counters.create () }
 
 let recorded co wall =
   (match co.trace with
@@ -94,10 +90,10 @@ let initial co ~m ~released_at =
 
 let release co ~m ~components ~released_at =
   co.last_m <- m;
-  co.releases <- co.releases + 1;
-  let lag = released_at - m in
-  co.lag_sum <- co.lag_sum + lag;
-  if lag > co.lag_max then co.lag_max <- lag;
+  let c = co.c and lag = released_at - m in
+  c.wall_releases <- c.wall_releases + 1;
+  c.wall_lag_sum <- c.wall_lag_sum + lag;
+  if lag > c.wall_lag_max then c.wall_lag_max <- lag;
   recorded co { s = co.primary; m; components; released_at }
 
 exception Stale
@@ -146,7 +142,7 @@ let create ?trace ctx ~clock =
        guard against misuse by installing a trivial wall *)
     let m = Time.Clock.tick clock in
     mgr.walls <- [ initial co ~m ~released_at:(Time.Clock.tick clock) ];
-    co.releases <- 1);
+    co.c.wall_releases <- 1);
   mgr
 
 let latest_before mgr t =
@@ -163,4 +159,4 @@ let current mgr =
 
 let released mgr = List.rev mgr.walls
 
-let release_count mgr = mgr.co.releases
+let release_count mgr = mgr.co.c.wall_releases

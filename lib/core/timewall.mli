@@ -51,9 +51,10 @@ type coordinator = private {
   primary : int;  (** [s] of every wall: the first lowest class *)
   trace : Hdd_obs.Trace.t option;
   mutable last_m : Time.t;  (** anchor of the last wall {!attempt} released *)
-  mutable releases : int;
-  mutable lag_sum : int;  (** sum of [released_at - m] in clock ticks *)
-  mutable lag_max : int;
+  c : Hdd_obs.Counters.t;
+      (** [wall_releases], [wall_lag_sum] and [wall_lag_max] of the walls
+          it released; a concurrent engine's coordinator counts its
+          barriers here too *)
 }
 (** A wall releaser's state.  With [trace], every wall it releases, and
     its {!initial} wall, emits a [Wall_release] record (anchor, release

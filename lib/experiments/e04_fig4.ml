@@ -67,7 +67,7 @@ let run_tso ~read_timestamps =
       (if read_timestamps then "TSO (full)" else "TSO without read timestamps");
     t1_write;
     v_seen_by_t3 = v3;
-    registrations = (B.Tso.metrics c).B.Cc_metrics.read_registrations;
+    registrations = (B.Tso.metrics c).read_registrations;
     serializable = Certifier.serializable log }
 
 let partition = E03_fig3.partition

@@ -40,9 +40,9 @@ let run () =
       let per x = float_of_int x /. float_of_int r.Runner.committed in
       Table.add_row table
         [ r.Runner.controller;
-          Table.cell_float (per r.Runner.counters.Controller.read_registrations);
-          Table.cell_float (per r.Runner.counters.Controller.blocks);
-          Table.cell_float (per r.Runner.counters.Controller.rejects);
+          Table.cell_float (per r.Runner.counters.read_registrations);
+          Table.cell_float (per r.Runner.counters.blocks);
+          Table.cell_float (per r.Runner.counters.rejects);
           string_of_int r.Runner.restarts;
           Table.cell_float ~decimals:3 r.Runner.throughput;
           (if serializable then "yes" else "NO") ])
@@ -56,8 +56,8 @@ let run () =
   let mv2pl, mv2pl_ok = find Harness.Mv2pl in
   let s2pl, _ = find Harness.S2pl in
   let mvto, _ = find Harness.Mvto in
-  let regs (r : Runner.result) = r.Runner.counters.Controller.read_registrations in
-  let blocks (r : Runner.result) = r.Runner.counters.Controller.blocks in
+  let regs (r : Runner.result) = r.Runner.counters.read_registrations in
+  let blocks (r : Runner.result) = r.Runner.counters.blocks in
   { Exp_types.id = "E10";
     title = "Quantified Figure 10 comparison";
     source = "Figure 10, §6.0";

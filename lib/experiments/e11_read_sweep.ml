@@ -49,7 +49,7 @@ let run () =
          :: List.concat_map
               (fun (r : Runner.result) ->
                 [ Table.cell_float
-                    (float_of_int r.Runner.counters.Controller.read_registrations
+                    (float_of_int r.Runner.counters.read_registrations
                      /. float_of_int r.Runner.committed);
                   Table.cell_float ~decimals:3 r.Runner.throughput ])
               row))
@@ -58,7 +58,7 @@ let run () =
     let _, row = List.find (fun (f', _) -> f' = f) results in
     let idx = Option.get (List.find_index (( = ) spec) specs) in
     let r = List.nth row idx in
-    float_of_int r.Runner.counters.Controller.read_registrations
+    float_of_int r.Runner.counters.read_registrations
     /. float_of_int r.Runner.committed
   in
   { Exp_types.id = "E11";

@@ -36,8 +36,8 @@ let run () =
         let per x = float_of_int x /. float_of_int r.Runner.committed in
         Table.add_row table
           [ Table.cell_pct f;
-            Table.cell_float (per r.Runner.counters.Controller.read_registrations);
-            Table.cell_float (per r.Runner.counters.Controller.blocks);
+            Table.cell_float (per r.Runner.counters.read_registrations);
+            Table.cell_float (per r.Runner.counters.blocks);
             string_of_int r.Runner.restarts;
             Table.cell_float ~decimals:3 r.Runner.throughput;
             (if serializable then "yes" else "NO") ];
@@ -46,7 +46,7 @@ let run () =
   in
   let regs f =
     let _, (r : Runner.result), _ = List.find (fun (f', _, _) -> f' = f) rows in
-    float_of_int r.Runner.counters.Controller.read_registrations
+    float_of_int r.Runner.counters.read_registrations
     /. float_of_int r.Runner.committed
   in
   let tput f =

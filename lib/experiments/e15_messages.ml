@@ -26,9 +26,9 @@ let config =
 
 let messages (r : Runner.result) =
   let c = r.Runner.counters in
-  let round_trips = 2 * (c.Controller.reads + c.Controller.writes) in
-  let registrations = c.Controller.read_registrations in
-  let wakeups = c.Controller.blocks in
+  let round_trips = 2 * (Hdd_obs.Counters.reads c + c.writes) in
+  let registrations = c.read_registrations in
+  let wakeups = c.blocks in
   round_trips + registrations + wakeups
 
 let run () =
@@ -52,9 +52,9 @@ let run () =
       let c = r.Runner.counters in
       Table.add_row table
         [ r.Runner.controller;
-          string_of_int (2 * (c.Controller.reads + c.Controller.writes));
-          string_of_int c.Controller.read_registrations;
-          string_of_int c.Controller.blocks;
+          string_of_int (2 * (Hdd_obs.Counters.reads c + c.writes));
+          string_of_int c.read_registrations;
+          string_of_int c.blocks;
           Table.cell_float
             (float_of_int (messages r) /. float_of_int r.Runner.committed) ])
     rows;

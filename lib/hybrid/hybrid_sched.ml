@@ -1,7 +1,6 @@
 module Store = Hdd_mvstore.Store
 module Chain = Hdd_mvstore.Chain
 module Table = Hdd_baselines.Prudent.Table
-module Cc_metrics = Hdd_baselines.Cc_metrics
 module Scheduler = Hdd_core.Scheduler
 module P = Hdd_core.Partition
 module T = Hdd_obs.Trace
@@ -210,20 +209,9 @@ let abort t txn =
 
 (* --- the simulator face --- *)
 
-let snapshot t () : Hdd_sim.Controller.counters =
-  let m = Scheduler.metrics t.sched in
-  let x = Table.metrics t.table in
-  { begins = m.Scheduler.begins;
-    commits = m.Scheduler.commits;
-    aborts = m.Scheduler.aborts;
-    reads =
-      m.Scheduler.reads_a + m.Scheduler.reads_b + m.Scheduler.reads_c
-      + x.Cc_metrics.reads;
-    writes = m.Scheduler.writes + x.Cc_metrics.writes;
-    read_registrations =
-      m.Scheduler.read_registrations + x.Cc_metrics.read_registrations;
-    blocks = m.Scheduler.blocks + x.Cc_metrics.blocks;
-    rejects = m.Scheduler.rejects + x.Cc_metrics.rejects }
+(* the escalated classes' table counts no begins, commits or aborts *)
+let snapshot t () =
+  Hdd_obs.Counters.add (Scheduler.metrics t.sched) (Table.metrics t.table)
 
 let controller t : Hdd_sim.Controller.t =
   { name = "Hybrid";

@@ -69,11 +69,7 @@ type report = {
   r_verdicts_agree : bool;
   r_b_reads_agree : bool;
   r_mismatches : string list;
-  r_committed : int;
-  r_aborted : int;
-  r_wall_releases : int;
-  r_repartitions : int;
-  r_escalations : int;
+  r_stats : Engine.stats;
   r_events : int;
 }
 
@@ -98,8 +94,9 @@ let pp_report ppf r =
      aborted=%d walls=%d repartitions=%d escalations=%d events=%d"
     r.r_serializable
     (List.length r.r_monitor_violations)
-    r.r_verdicts_agree r.r_b_reads_agree r.r_committed r.r_aborted
-    r.r_wall_releases r.r_repartitions r.r_escalations r.r_events;
+    r.r_verdicts_agree r.r_b_reads_agree r.r_stats.committed
+    r.r_stats.aborted r.r_stats.wall_releases r.r_stats.repartitions
+    r.r_stats.escalations r.r_events;
   List.iter (fun m -> Format.fprintf ppf "@.  %s" m) r.r_mismatches;
   List.iter
     (fun v -> Format.fprintf ppf "@.  monitor: %s" v)
@@ -346,11 +343,7 @@ let check_run ~partition ~init ~script (run : Engine.run) =
     r_verdicts_agree = !verdicts_agree;
     r_b_reads_agree = !b_reads_agree;
     r_mismatches = List.rev !mismatches;
-    r_committed = run.stats.Engine.committed;
-    r_aborted = run.stats.Engine.aborted;
-    r_wall_releases = run.stats.Engine.wall_releases;
-    r_repartitions = run.stats.Engine.repartitions;
-    r_escalations = run.stats.Engine.escalations;
+    r_stats = run.stats;
     r_events = List.length run.records }
 
 let check ?(plan = []) ?(mode_plan = []) ~partition ~init ~config script =

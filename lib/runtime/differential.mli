@@ -52,11 +52,9 @@ type report = {
   r_verdicts_agree : bool;
   r_b_reads_agree : bool;
   r_mismatches : string list;  (** human-readable disagreement details *)
-  r_committed : int;
-  r_aborted : int;
-  r_wall_releases : int;
-  r_repartitions : int;  (** live ownership migrations during the run *)
-  r_escalations : int;  (** live CC mode swaps during the run *)
+  r_stats : Engine.stats;
+      (** the run's counts, live repartitions and CC mode swaps
+          included *)
   r_events : int;
 }
 

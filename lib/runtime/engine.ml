@@ -18,19 +18,24 @@ let default_config ~workers = { workers; traced = true; publish_every = 8 }
 
 let mailbox_capacity = 64
 
-type stats = {
-  committed : int;
-  aborted : int;
-  reads_a : int;
-  reads_b : int;
-  reads_c : int;
-  writes : int;
-  publications : int;
-  wall_releases : int;
-  wall_lag_sum : int;
-  wall_lag_max : int;
-  repartitions : int;
-  escalations : int;
+type stats = Hdd_obs.Counters.t = {
+  mutable begins : int;
+  mutable committed : int;
+  mutable aborted : int;
+  mutable reads_a : int;
+  mutable reads_b : int;
+  mutable reads_c : int;
+  mutable writes : int;
+  mutable read_registrations : int;
+  mutable blocks : int;
+  mutable rejects : int;
+  mutable publications : int;
+  mutable stale_waits : int;
+  mutable wall_releases : int;
+  mutable wall_lag_sum : int;
+  mutable wall_lag_max : int;
+  mutable repartitions : int;
+  mutable escalations : int;
 }
 
 type run = {
@@ -466,10 +471,10 @@ let check_vector sh what ~bound v =
    only its workers.  [coordinator] returns [poll], one coordinator
    step that acts only once [poll_period] has passed since the last
    step finished — the caller calls it wherever it would otherwise
-   wait — and [barriers], the repartition and escalation counts so
-   far.  Timing from a step's end keeps a slow barrier (milliseconds
-   on two cores) from making the next step act at once: the feeder
-   gets a full period to queue work between steps.
+   wait.  It counts its barriers into the wall releaser's record.
+   Timing from a step's end keeps a slow barrier (milliseconds on two
+   cores) from making the next step act at once: the feeder gets a
+   full period to queue work between steps.
    The first call always acts: made before the first push, it finds
    every class idle, so the first wall and a plan's first step land
    on every run.  Once the run has failed, [poll] does nothing. *)
@@ -479,9 +484,13 @@ let poll_period = 1e-4
    holds it up in [run_script]. *)
 let retry_period = 20e-6
 
-let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
-    ?(rotate_every_s = 0.) trace =
-  let repartitions = ref 0 and escalations = ref 0 in
+let coordinator sh (walls : TW.coordinator) ?(plan = []) ?(mode_plan = [])
+    ?control ?(rotate_every_s = 0.) trace =
+  let c = walls.c in
+  let repartition ~swap =
+    run_barrier sh ~swap trace;
+    c.repartitions <- c.repartitions + 1
+  in
   let plan = ref plan in
   let mode_plan = ref mode_plan in
   let next_rotate =
@@ -497,22 +506,19 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
     (match !plan with
     | (target, kind) :: rest ->
       plan := rest;
-      run_barrier sh ~swap:(repartition_swap sh ~target ~kind) trace;
-      incr repartitions
+      repartition ~swap:(repartition_swap sh ~target ~kind)
     | [] ->
       if now >= !next_rotate then begin
         next_rotate := now +. rotate_every_s;
         let target = rotated_map (Atomic.get sh.owner_map) sh.workers in
-        run_barrier sh ~swap:(repartition_swap sh ~target ~kind:"migrate")
-          trace;
-        incr repartitions
+        repartition ~swap:(repartition_swap sh ~target ~kind:"migrate")
       end);
     (* scripted mode swaps: one escalation barrier per poll *)
     (match !mode_plan with
     | target :: rest ->
       mode_plan := rest;
       run_barrier sh ~swap:(escalation_swap sh ~target) trace;
-      incr escalations
+      c.escalations <- c.escalations + 1
     | [] -> ());
     (* the closed-loop controller: fed a racy snapshot of cumulative
        per-class commits, it may ask for a live repartition; rate
@@ -522,8 +528,7 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
       match f (Array.copy sh.class_commits) with
       | Some target ->
         check_vector sh "a controller's owner map" ~bound:sh.workers target;
-        run_barrier sh ~swap:(repartition_swap sh ~target ~kind:"auto") trace;
-        incr repartitions
+        repartition ~swap:(repartition_swap sh ~target ~kind:"auto")
       | None -> ())
     | None -> ());
     (* one release attempt over a single fetch of every publication.
@@ -573,7 +578,7 @@ let coordinator sh walls ?(plan = []) ?(mode_plan = []) ?control
       next_poll := Unix.gettimeofday () +. poll_period
     end
   in
-  (poll, fun () -> (!repartitions, !escalations))
+  poll
 
 (* --- engine setup shared by both modes --- *)
 
@@ -651,21 +656,10 @@ let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
       Executor.state ~partition:sh.partition ~stores:sh.seg_stores ~trace
         ~keep_outcomes ~publish_every:sh.publish_every ~timed }
 
-let stats_of (xs : Executor.state array) (walls : TW.coordinator) barriers =
-  let repartitions, escalations = barriers () in
-  let sum f = Array.fold_left (fun n (x : Executor.state) -> n + f x.c) 0 xs in
-  { committed = sum (fun c -> c.n_committed);
-    aborted = sum (fun c -> c.n_aborted);
-    reads_a = sum (fun c -> c.n_reads_a);
-    reads_b = sum (fun c -> c.n_reads_b);
-    reads_c = sum (fun c -> c.n_reads_c);
-    writes = sum (fun c -> c.n_writes);
-    publications = sum (fun c -> c.n_pubs);
-    wall_releases = walls.releases;
-    wall_lag_sum = walls.lag_sum;
-    wall_lag_max = walls.lag_max;
-    repartitions;
-    escalations }
+let stats_of (xs : Executor.state array) (walls : TW.coordinator) =
+  Array.fold_left
+    (fun s (x : Executor.state) -> Hdd_obs.Counters.add s x.c)
+    (Hdd_obs.Counters.copy walls.c) xs
 
 (* --- script mode --- *)
 
@@ -753,9 +747,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
     publish_final ctx;
     ctx.x
   in
-  let poll, barriers =
-    coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace
-  in
+  let poll = coordinator sh s.s_walls ~plan ~mode_plan s.s_coord_trace in
   let box_of d =
     match d.d_kind with
     | `Update c -> cboxes.(c)
@@ -795,7 +787,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   in
   { records;
     outcomes;
-    stats = stats_of results s.s_walls barriers }
+    stats = stats_of results s.s_walls }
 
 (* --- timed self-generating mode (benchmark) --- *)
 
@@ -886,9 +878,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
     publish_final ctx;
     ctx.x
   in
-  let poll, barriers =
-    coordinator sh s.s_walls ?control ~rotate_every_s None
-  in
+  let poll = coordinator sh s.s_walls ?control ~rotate_every_s None in
   let t0 = Unix.gettimeofday () in
   let results =
     Crew.run sh.crew ~poll ~nap:poll_period worker ~feed:(fun () ->
@@ -908,7 +898,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
         Hdd_obs.Metrics.observe hist (x.lat.(i) *. 1e6)
       done)
     results;
-  { t_stats = stats_of results s.s_walls barriers;
+  { t_stats = stats_of results s.s_walls;
     t_elapsed_s = elapsed;
     t_latency = metrics }
 

@@ -79,23 +79,31 @@ type config = {
 
 val default_config : workers:int -> config
 
-type stats = {
-  committed : int;
-  aborted : int;
-  reads_a : int;
-  reads_b : int;
-  reads_c : int;
-  writes : int;
-  publications : int;  (** activity/store publications across workers *)
-  wall_releases : int;
-  wall_lag_sum : int;  (** sum of [released_at - m] in clock ticks *)
-  wall_lag_max : int;
-  repartitions : int;
-      (** live ownership migrations applied behind a park barrier *)
-  escalations : int;
-      (** live per-class CC mode swaps applied behind the same barrier
-          (DESIGN.md §18) *)
+type stats = Hdd_obs.Counters.t = {
+  mutable begins : int;
+  mutable committed : int;
+  mutable aborted : int;
+  mutable reads_a : int;
+  mutable reads_b : int;
+  mutable reads_c : int;
+  mutable writes : int;
+  mutable read_registrations : int;
+  mutable blocks : int;
+  mutable rejects : int;
+  mutable publications : int;
+  mutable stale_waits : int;
+  mutable wall_releases : int;
+  mutable wall_lag_sum : int;
+  mutable wall_lag_max : int;
+  mutable repartitions : int;
+  mutable escalations : int;
 }
+(** A run's counts ({!Hdd_obs.Counters}): the sum of every worker's
+    executor record (commits, aborts, reads per protocol, writes,
+    publications) and the coordinator's (wall releases and lag,
+    repartitions, escalations).  A worker runs its classes one
+    transaction at a time, so begins, registrations, blocks and
+    rejections stay 0. *)
 
 type run = {
   records : Hdd_obs.Trace.record list;  (** merged; empty when untraced *)

@@ -12,22 +12,11 @@ type desc = {
   d_abort : bool;
 }
 
-type counters = {
-  mutable n_committed : int;
-  mutable n_aborted : int;
-  mutable n_reads_a : int;
-  mutable n_reads_b : int;
-  mutable n_reads_c : int;
-  mutable n_writes : int;
-  mutable n_pubs : int;
-  mutable n_stale_waits : int;
-}
-
 type state = {
   partition : P.t;
   stores : Pstore.t array;
   trace : T.t option;
-  c : counters;
+  c : Hdd_obs.Counters.t;
   keep_outcomes : bool;
   mutable outcomes : (Txn.id * bool) list;
   publish_every : int;
@@ -44,9 +33,7 @@ let state ~partition ~stores ~trace ~keep_outcomes ~publish_every ~timed =
   { partition;
     stores;
     trace;
-    c =
-      { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
-        n_reads_c = 0; n_writes = 0; n_pubs = 0; n_stale_waits = 0 };
+    c = Hdd_obs.Counters.create ();
     keep_outcomes;
     outcomes = [];
     publish_every;
@@ -60,7 +47,7 @@ let state ~partition ~stores ~trace ~keep_outcomes ~publish_every ~timed =
 
 let published x =
   x.since_pub <- 0;
-  x.c.n_pubs <- x.c.n_pubs + 1
+  x.c.publications <- x.c.publications + 1
 
 module type SUBSTRATE = sig
   type t
@@ -132,7 +119,7 @@ module Make (S : SUBSTRATE) = struct
             (Printf.sprintf "%s: T%d writing outside root segment D%d" S.name
                cls g.Granule.segment);
         wb_put x g.Granule.key v;
-        x.c.n_writes <- x.c.n_writes + 1;
+        x.c.writes <- x.c.writes + 1;
         (* escalated classes stamp versions at commit, so their Write
            records are deferred to the commit path where the stamp is
            known; plain classes emit the init-stamped record in place *)
@@ -155,7 +142,7 @@ module Make (S : SUBSTRATE) = struct
           let vts =
             Pstore.latest_before x.stores.(seg) ~key:g.Granule.key ~ts:init
           in
-          x.c.n_reads_b <- x.c.n_reads_b + 1;
+          x.c.reads_b <- x.c.reads_b + 1;
           match x.trace with
           | Some tr ->
             T.emit tr ~at:(S.tick s)
@@ -179,7 +166,7 @@ module Make (S : SUBSTRATE) = struct
               Pstore.latest_before x.stores.(seg) ~key:g.Granule.key ~ts:th
             else S.read_remote s ~seg ~key:g.Granule.key ~th
           in
-          x.c.n_reads_a <- x.c.n_reads_a + 1;
+          x.c.reads_a <- x.c.reads_a + 1;
           match x.trace with
           | Some tr ->
             T.emit tr ~at:(S.tick s)
@@ -207,7 +194,7 @@ module Make (S : SUBSTRATE) = struct
       (match x.trace with
       | Some tr -> T.emit tr ~at:a (T.Abort { txn = d.d_id; at = a })
       | None -> ());
-      x.c.n_aborted <- x.c.n_aborted + 1;
+      x.c.aborted <- x.c.aborted + 1;
       finish x d false
     end
     else begin
@@ -241,7 +228,7 @@ module Make (S : SUBSTRATE) = struct
       (match x.trace with
       | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.d_id; at = e })
       | None -> ());
-      x.c.n_committed <- x.c.n_committed + 1;
+      x.c.committed <- x.c.committed + 1;
       if x.timed then lat_push x (Unix.gettimeofday () -. t0);
       finish x d true
     end;
@@ -260,7 +247,7 @@ module Make (S : SUBSTRATE) = struct
         let seg = g.Granule.segment in
         let th = TW.threshold wall ~class_id:seg in
         let vts = S.read_walled s ~seg ~key:g.Granule.key ~th in
-        x.c.n_reads_c <- x.c.n_reads_c + 1;
+        x.c.reads_c <- x.c.reads_c + 1;
         match x.trace with
         | Some tr ->
           T.emit tr ~at:(S.tick s)
@@ -283,7 +270,7 @@ module Make (S : SUBSTRATE) = struct
     (match x.trace with
     | Some tr -> T.emit tr ~at:e (T.Commit { txn = d.d_id; at = e })
     | None -> ());
-    x.c.n_committed <- x.c.n_committed + 1;
+    x.c.committed <- x.c.committed + 1;
     finish x d true
 
   let exec s x d =

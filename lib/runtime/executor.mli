@@ -20,17 +20,6 @@ type desc = {
   d_abort : bool;
 }
 
-type counters = {
-  mutable n_committed : int;
-  mutable n_aborted : int;
-  mutable n_reads_a : int;
-  mutable n_reads_b : int;
-  mutable n_reads_c : int;
-  mutable n_writes : int;
-  mutable n_pubs : int;
-  mutable n_stale_waits : int;  (** waits for a publication (shard node) *)
-}
-
 (** One owner's state: a worker domain's or a shard node's. *)
 type state = {
   partition : Hdd_core.Partition.t;
@@ -38,7 +27,9 @@ type state = {
       (** per segment: owned ones authoritative (the engine's workers
           share one array; a node caches remote segments here) *)
   trace : Hdd_obs.Trace.t option;
-  c : counters;
+  c : Hdd_obs.Counters.t;
+      (** commits, aborts, reads per protocol, writes, publications and
+          (a shard node's) stale waits *)
   keep_outcomes : bool;
   mutable outcomes : (Txn.id * bool) list;  (** newest first *)
   publish_every : int;

@@ -5,22 +5,15 @@ type point = {
   b_workers : int;
   b_publish_every : int;
   b_elapsed_s : float;
-  b_committed : int;
-  b_aborted : int;
-  b_txn_per_s : float;
-  b_reads_a : int;
-  b_reads_a_per_s : float;
-  b_reads_b : int;
-  b_reads_c : int;
-  b_writes : int;
-  b_publications : int;
-  b_wall_releases : int;
-  b_wall_lag_mean : float;
-  b_wall_lag_max : int;
+  b_stats : Engine.stats;
   b_lat_p50_us : float;
   b_lat_p95_us : float;
   b_lat_p99_us : float;
 }
+
+let per_s p n = float_of_int n /. p.b_elapsed_s
+let txn_per_s p = per_s p p.b_stats.committed
+let reads_a_per_s p = per_s p p.b_stats.reads_a
 
 type result = {
   r_points : point list;
@@ -56,29 +49,12 @@ let measure ~partition ~workers ~publish_every ~seconds ~seed =
     Engine.run_timed ~partition ~init:Differential.default_init ~workers
       ~seconds ~publish_every ~mix:scaling_mix ~seed ()
   in
-  let s = t.Engine.t_stats in
-  let el = t.Engine.t_elapsed_s in
   let hist = M.histogram t.Engine.t_latency "commit_latency_us" in
   let q p = M.quantile hist p in
   { b_workers = workers;
     b_publish_every = publish_every;
-    b_elapsed_s = el;
-    b_committed = s.Engine.committed;
-    b_aborted = s.Engine.aborted;
-    b_txn_per_s = float_of_int s.Engine.committed /. el;
-    b_reads_a = s.Engine.reads_a;
-    b_reads_a_per_s = float_of_int s.Engine.reads_a /. el;
-    b_reads_b = s.Engine.reads_b;
-    b_reads_c = s.Engine.reads_c;
-    b_writes = s.Engine.writes;
-    b_publications = s.Engine.publications;
-    b_wall_releases = s.Engine.wall_releases;
-    b_wall_lag_mean =
-      (if s.Engine.wall_releases = 0 then 0.
-       else
-         float_of_int s.Engine.wall_lag_sum
-         /. float_of_int s.Engine.wall_releases);
-    b_wall_lag_max = s.Engine.wall_lag_max;
+    b_elapsed_s = t.Engine.t_elapsed_s;
+    b_stats = t.Engine.t_stats;
     b_lat_p50_us = q 0.5;
     b_lat_p95_us = q 0.95;
     b_lat_p99_us = q 0.99 }
@@ -112,7 +88,7 @@ let run ?workers_list ?(publish_every = 16) ?(ksweep = [ 1; 4; 16; 64 ])
   in
   let rate w =
     List.find_opt (fun p -> p.b_workers = w) points
-    |> Option.map (fun p -> p.b_reads_a_per_s)
+    |> Option.map reads_a_per_s
   in
   let scaling w =
     match (rate 1, rate w) with
@@ -146,7 +122,7 @@ let gates r =
   | _ -> ());
   List.iter
     (fun p ->
-      if p.b_committed = 0 then
+      if p.b_stats.committed = 0 then
         problems :=
           Printf.sprintf "no commits at workers=%d publish_every=%d"
             p.b_workers p.b_publish_every
@@ -155,22 +131,26 @@ let gates r =
   List.rev !problems
 
 let json_of_point p =
+  let s = p.b_stats in
   J.Obj
     [ ("workers", J.num_of_int p.b_workers);
       ("publish_every", J.num_of_int p.b_publish_every);
       ("elapsed_s", J.Num p.b_elapsed_s);
-      ("committed", J.num_of_int p.b_committed);
-      ("aborted", J.num_of_int p.b_aborted);
-      ("txn_per_s", J.Num p.b_txn_per_s);
-      ("reads_a", J.num_of_int p.b_reads_a);
-      ("reads_a_per_s", J.Num p.b_reads_a_per_s);
-      ("reads_b", J.num_of_int p.b_reads_b);
-      ("reads_c", J.num_of_int p.b_reads_c);
-      ("writes", J.num_of_int p.b_writes);
-      ("publications", J.num_of_int p.b_publications);
-      ("wall_releases", J.num_of_int p.b_wall_releases);
-      ("wall_lag_mean_ticks", J.Num p.b_wall_lag_mean);
-      ("wall_lag_max_ticks", J.num_of_int p.b_wall_lag_max);
+      ("committed", J.num_of_int s.committed);
+      ("aborted", J.num_of_int s.aborted);
+      ("txn_per_s", J.Num (txn_per_s p));
+      ("reads_a", J.num_of_int s.reads_a);
+      ("reads_a_per_s", J.Num (reads_a_per_s p));
+      ("reads_b", J.num_of_int s.reads_b);
+      ("reads_c", J.num_of_int s.reads_c);
+      ("writes", J.num_of_int s.writes);
+      ("publications", J.num_of_int s.publications);
+      ("wall_releases", J.num_of_int s.wall_releases);
+      ("wall_lag_mean_ticks",
+       J.Num
+         (if s.wall_releases = 0 then 0.
+          else float_of_int s.wall_lag_sum /. float_of_int s.wall_releases));
+      ("wall_lag_max_ticks", J.num_of_int s.wall_lag_max);
       ("commit_latency_us",
        J.Obj
          [ ("p50", J.Num p.b_lat_p50_us);
@@ -218,8 +198,8 @@ let pp ppf r =
   List.iter
     (fun p ->
       Format.fprintf ppf "  %8d %12.0f %14.0f %10.0f %10.0f %10d %10d@."
-        p.b_workers p.b_txn_per_s p.b_reads_a_per_s p.b_lat_p50_us
-        p.b_lat_p99_us p.b_publications p.b_wall_releases)
+        p.b_workers (txn_per_s p) (reads_a_per_s p) p.b_lat_p50_us
+        p.b_lat_p99_us p.b_stats.publications p.b_stats.wall_releases)
     r.r_points;
   if r.r_ksweep <> [] then begin
     Format.fprintf ppf "  publication batch sweep at %d workers:@."
@@ -228,8 +208,8 @@ let pp ppf r =
       (fun p ->
         Format.fprintf ppf "  %8s %12.0f %14.0f %10.0f %10.0f %10d@."
           (Printf.sprintf "K=%d" p.b_publish_every)
-          p.b_txn_per_s p.b_reads_a_per_s p.b_lat_p50_us p.b_lat_p99_us
-          p.b_publications)
+          (txn_per_s p) (reads_a_per_s p) p.b_lat_p50_us p.b_lat_p99_us
+          p.b_stats.publications)
       r.r_ksweep
   end;
   let sc label = function

@@ -20,18 +20,7 @@ type point = {
   b_workers : int;
   b_publish_every : int;
   b_elapsed_s : float;
-  b_committed : int;
-  b_aborted : int;
-  b_txn_per_s : float;
-  b_reads_a : int;
-  b_reads_a_per_s : float;
-  b_reads_b : int;
-  b_reads_c : int;
-  b_writes : int;
-  b_publications : int;
-  b_wall_releases : int;
-  b_wall_lag_mean : float;  (** ticks between anchor and release *)
-  b_wall_lag_max : int;
+  b_stats : Engine.stats;  (** the run's counts *)
   b_lat_p50_us : float;
   b_lat_p95_us : float;
   b_lat_p99_us : float;

@@ -9,32 +9,29 @@ let assign ~shards (d : E.desc) =
   | `Update c -> c mod shards
   | `Read_only -> d.E.d_id mod shards
 
-let stats_of_counters ks =
-  List.fold_left
-    (fun (s : E.stats) (k : Wire.counters) ->
-      { E.committed = s.E.committed + k.Wire.k_committed;
-        aborted = s.E.aborted + k.Wire.k_aborted;
-        reads_a = s.E.reads_a + k.Wire.k_reads_a;
-        reads_b = s.E.reads_b + k.Wire.k_reads_b;
-        reads_c = s.E.reads_c + k.Wire.k_reads_c;
-        writes = s.E.writes + k.Wire.k_writes;
-        (* node publication counts do not travel on the wire *)
-        publications = s.E.publications;
-        wall_releases = s.E.wall_releases + k.Wire.k_wall_releases;
-        wall_lag_sum = s.E.wall_lag_sum + k.Wire.k_wall_lag_sum;
-        wall_lag_max = Int.max s.E.wall_lag_max k.Wire.k_wall_lag_max;
-        repartitions = s.E.repartitions;
-        escalations = s.E.escalations })
-    { E.committed = 0; aborted = 0; reads_a = 0; reads_b = 0; reads_c = 0;
-      writes = 0; publications = 0; wall_releases = 0; wall_lag_sum = 0;
-      wall_lag_max = 0; repartitions = 0; escalations = 0 }
-    ks
+(* One shard's Outcome counters as a counter record; node publication
+   counts do not travel on the wire. *)
+let of_wire (k : Wire.counters) =
+  { (Hdd_obs.Counters.create ()) with
+    committed = k.k_committed;
+    aborted = k.k_aborted;
+    reads_a = k.k_reads_a;
+    reads_b = k.k_reads_b;
+    reads_c = k.k_reads_c;
+    writes = k.k_writes;
+    stale_waits = k.k_stale_waits;
+    wall_releases = k.k_wall_releases;
+    wall_lag_sum = k.k_wall_lag_sum;
+    wall_lag_max = k.k_wall_lag_max }
 
 (* A run from every shard's outcomes, trace records and counters. *)
 let run_of outcomes records counters =
   { E.records = T.merge records;
     outcomes = List.sort (fun (a, _) (b, _) -> compare a b) (List.concat outcomes);
-    stats = stats_of_counters counters }
+    stats =
+      List.fold_left
+        (fun s k -> Hdd_obs.Counters.add s (of_wire k))
+        (Hdd_obs.Counters.create ()) counters }
 
 let collect nodes =
   let each f = List.map f (Array.to_list nodes) in

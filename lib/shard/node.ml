@@ -62,17 +62,17 @@ let drained t = t.drain_seen
 let bye_seen t = t.bye
 
 let counters t =
-  let c = t.x.c in
-  { Wire.k_committed = c.n_committed;
-    k_aborted = c.n_aborted;
-    k_reads_a = c.n_reads_a;
-    k_reads_b = c.n_reads_b;
-    k_reads_c = c.n_reads_c;
-    k_writes = c.n_writes;
-    k_stale_waits = c.n_stale_waits;
-    k_wall_releases = t.walls.releases;
-    k_wall_lag_sum = t.walls.lag_sum;
-    k_wall_lag_max = t.walls.lag_max }
+  let c = Hdd_obs.Counters.add t.x.c t.walls.c in
+  { Wire.k_committed = c.committed;
+    k_aborted = c.aborted;
+    k_reads_a = c.reads_a;
+    k_reads_b = c.reads_b;
+    k_reads_c = c.reads_c;
+    k_writes = c.writes;
+    k_stale_waits = c.stale_waits;
+    k_wall_releases = c.wall_releases;
+    k_wall_lag_sum = c.wall_lag_sum;
+    k_wall_lag_max = c.wall_lag_max }
 
 (* --- publications --- *)
 
@@ -232,7 +232,7 @@ exception Stalled of { shard : int; waiting_for : string }
    and runs only if it stalls. *)
 let await t ~why check =
   if not (check ()) then begin
-    t.x.c.n_stale_waits <- t.x.c.n_stale_waits + 1;
+    t.x.c.stale_waits <- t.x.c.stale_waits + 1;
     let n = ref 0 in
     while not (check ()) do
       incr n;
@@ -366,7 +366,7 @@ let serve t ~segment ~key ~th =
   | [] -> bootstrap t (Granule.make ~segment ~key)
 
 let read_2pc t ~segment ~key =
-  t.x.c.n_reads_a <- t.x.c.n_reads_a + 1;
+  t.x.c.reads_a <- t.x.c.reads_a + 1;
   if owner t segment = t.me then
     serve t ~segment ~key ~th:max_int
   else begin
@@ -402,8 +402,8 @@ let commit_local t ~segment ~key ~value =
     invalid_arg "Node.commit_local: not an owned segment";
   let ts = Sclock.tick t.clock in
   Pstore.add_commit t.x.stores.(segment) ~key ~ts ~value;
-  t.x.c.n_writes <- t.x.c.n_writes + 1;
-  t.x.c.n_committed <- t.x.c.n_committed + 1
+  t.x.c.writes <- t.x.c.writes + 1;
+  t.x.c.committed <- t.x.c.committed + 1
 
 (* --- creation --- *)
 

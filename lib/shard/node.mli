@@ -106,3 +106,5 @@ val bye_seen : t -> bool
 val outcomes : t -> (Txn.id * bool) list
 val records : t -> Hdd_obs.Trace.record list
 val counters : t -> Wire.counters
+(** The executor's counts and the wall releaser's, in the [Outcome]
+    frame's layout. *)

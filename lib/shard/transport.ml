@@ -13,6 +13,11 @@ let broadcast t ~stamp msg =
     if dst <> t.me then send_to t ~dst ~stamp msg
   done
 
+module Binc = Hdd_util.Binc
+
+(* A frame the codec refuses, raised as the codec's own error. *)
+let corrupt carrier e = raise (Binc.Error (carrier ^ ": corrupt frame: " ^ e))
+
 module Loopback = struct
   let create ?fault ~nodes () =
     let qs = Array.init nodes (fun _ -> Queue.create ()) in
@@ -56,7 +61,7 @@ module Loopback = struct
       | Some frame -> (
         match Wire.decode frame ~pos:0 with
         | Ok (pkt, _) -> Some pkt
-        | Error e -> failwith ("Loopback: corrupt frame: " ^ e))
+        | Error e -> corrupt "Loopback" e)
     in
     Array.init nodes (fun me -> { me; nodes; send; poll = poll me })
 end
@@ -84,7 +89,7 @@ module Framebuf = struct
     if t.len < 8 then None
     else
       let plen = Int32.to_int (Bytes.get_int32_le t.buf 0) in
-      if plen < 0 then failwith "Framebuf: negative frame length"
+      if plen < 0 then raise (Binc.Error "Framebuf: negative frame length")
       else if t.len < 8 + plen then None
       else begin
         (* decoded where it lies; the packet shares no bytes with [buf] *)
@@ -93,7 +98,7 @@ module Framebuf = struct
         t.len <- t.len - 8 - plen;
         match decoded with
         | Ok (pkt, _) -> Some pkt
-        | Error e -> failwith ("Framebuf: corrupt frame: " ^ e)
+        | Error e -> corrupt "Framebuf" e
       end
 end
 

@@ -33,7 +33,8 @@ module Loopback : sig
   (** One endpoint per node.  With [fault], every [Wire.Pub] send
       consumes one {!Netfault.on_pub} ordinal; held frames that never
       age out are dropped at the end of the run (a delay is allowed to
-      degenerate into a drop — both are mere staleness). *)
+      degenerate into a drop — both are mere staleness).  [poll] raises
+      [Hdd_util.Binc.Error] on a frame the codec refuses. *)
 end
 
 module Framebuf : sig
@@ -44,8 +45,9 @@ module Framebuf : sig
 
   val next : t -> Wire.packet option
   (** The next complete frame, if any.
-      @raise Failure on a corrupt frame (pipes do not corrupt;
-      anything else is a bug). *)
+      @raise Hdd_util.Binc.Error on a negative length header or a frame
+      the codec refuses (pipes do not corrupt; anything else is a
+      bug). *)
 end
 
 module Pipe : sig

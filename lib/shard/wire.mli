@@ -40,7 +40,9 @@ type delta = {
   dl_versions : (int * Time.t * int) list;  (** key, write ts, value *)
 }
 
-(** Per-shard tallies carried home by [Outcome] in process mode. *)
+(** Per-shard tallies carried home by [Outcome] in process mode: the
+    frame's fixed layout of a node's {!Hdd_obs.Counters} (its executor's
+    and its wall releaser's), publications left out. *)
 type counters = {
   k_committed : int;
   k_aborted : int;

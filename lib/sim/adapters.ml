@@ -12,17 +12,6 @@ let hdd_detailed ?log ?trace ?wall_every_commits ?gc_every_commits ?gc_on_wall
     Scheduler.create ?log ?trace ?wall_every_commits ?gc_every_commits
       ?gc_on_wall ~partition ~clock ~store ()
   in
-  let snapshot () : Controller.counters =
-    let m = Scheduler.metrics sched in
-    { begins = m.Scheduler.begins;
-      commits = m.Scheduler.commits;
-      aborts = m.Scheduler.aborts;
-      reads = m.Scheduler.reads_a + m.Scheduler.reads_b + m.Scheduler.reads_c;
-      writes = m.Scheduler.writes;
-      read_registrations = m.Scheduler.read_registrations;
-      blocks = m.Scheduler.blocks;
-      rejects = m.Scheduler.rejects }
-  in
   ( { Controller.name = "HDD";
       begin_txn =
         (function
@@ -35,7 +24,7 @@ let hdd_detailed ?log ?trace ?wall_every_commits ?gc_every_commits ?gc_on_wall
       commit = Scheduler.commit sched;
       abort = Scheduler.abort sched;
       try_commit = None;
-      snapshot },
+      snapshot = (fun () -> Hdd_obs.Counters.copy (Scheduler.metrics sched)) },
     sched,
     clock )
 
@@ -47,16 +36,9 @@ let hdd ?log ?trace ?wall_every_commits ~partition ~init () =
 
 (* Every baseline controller through one helper: its name, operations
    and counters.  Each adapter gives its controller a clock of its own. *)
-let baseline name ?try_commit ~begin_txn ~read ~write ~commit ~abort
-    (m : B.Cc_metrics.t) =
-  let snapshot () : Controller.counters =
-    { begins = m.begins; commits = m.commits; aborts = m.aborts;
-      reads = m.reads; writes = m.writes;
-      read_registrations = m.read_registrations; blocks = m.blocks;
-      rejects = m.rejects }
-  in
+let baseline name ?try_commit ~begin_txn ~read ~write ~commit ~abort m =
   { Controller.name; begin_txn; read; write; commit; abort; try_commit;
-    snapshot }
+    snapshot = (fun () -> Hdd_obs.Counters.copy m) }
 
 let read_only k = k = Controller.Read_only
 

@@ -3,31 +3,6 @@ type kind =
   | Read_only
   | Adhoc of { writes : int list; reads : int list }
 
-type counters = {
-  begins : int;
-  commits : int;
-  aborts : int;
-  reads : int;
-  writes : int;
-  read_registrations : int;
-  blocks : int;
-  rejects : int;
-}
-
-let zero_counters =
-  { begins = 0; commits = 0; aborts = 0; reads = 0; writes = 0;
-    read_registrations = 0; blocks = 0; rejects = 0 }
-
-let sub_counters a b =
-  { begins = a.begins - b.begins;
-    commits = a.commits - b.commits;
-    aborts = a.aborts - b.aborts;
-    reads = a.reads - b.reads;
-    writes = a.writes - b.writes;
-    read_registrations = a.read_registrations - b.read_registrations;
-    blocks = a.blocks - b.blocks;
-    rejects = a.rejects - b.rejects }
-
 type t = {
   name : string;
   begin_txn : kind -> Txn.t;
@@ -36,7 +11,7 @@ type t = {
   commit : Txn.t -> unit;
   abort : Txn.t -> unit;
   try_commit : (Txn.t -> unit Hdd_core.Outcome.t) option;
-  snapshot : unit -> counters;
+  snapshot : unit -> Hdd_obs.Counters.t;
 }
 
 let pp_kind ppf = function

@@ -12,21 +12,6 @@ type kind =
           (§7.1.1), declared by its segment-level access sets *)
 (** How the workload declares a transaction. *)
 
-type counters = {
-  begins : int;
-  commits : int;
-  aborts : int;
-  reads : int;
-  writes : int;
-  read_registrations : int;
-      (** read locks set or read timestamps written *)
-  blocks : int;
-  rejects : int;
-}
-
-val zero_counters : counters
-val sub_counters : counters -> counters -> counters
-
 type t = {
   name : string;
   begin_txn : kind -> Txn.t;
@@ -40,7 +25,8 @@ type t = {
           means the driver may call {!commit} now; [Blocked preds] parks
           the transaction until its predecessors finish; [Rejected]
           restarts it.  [None]: commits are always admissible. *)
-  snapshot : unit -> counters;
+  snapshot : unit -> Hdd_obs.Counters.t;
+      (** a copy of the controller's cumulative counts *)
 }
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -28,7 +28,7 @@ type result = {
   throughput : float;
   mean_response : float;
   p95_response : float;
-  counters : Controller.counters;
+  counters : Hdd_obs.Counters.t;
 }
 
 type worker = {
@@ -345,7 +345,7 @@ let run_impl ?trace ?on_response ~mode config workload (c : Controller.t) =
   in
   loop ();
   let counters =
-    Controller.sub_counters (c.Controller.snapshot ()) start_counters
+    Hdd_obs.Counters.diff (c.Controller.snapshot ()) start_counters
   in
   { controller = c.Controller.name;
     workload = workload.Workload.wl_name;

@@ -42,7 +42,7 @@ type result = {
   throughput : float;  (** commits per unit of virtual time *)
   mean_response : float;
   p95_response : float;
-  counters : Controller.counters;  (** controller-side deltas *)
+  counters : Hdd_obs.Counters.t;  (** controller-side deltas *)
 }
 
 val run : ?trace:Hdd_obs.Trace.t -> config -> Workload.t -> Controller.t -> result

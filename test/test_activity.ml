@@ -486,7 +486,7 @@ let test_attempt_rule () =
   refused "C_late is not computable" { ok with late = None } [| 8; 8; 8 |];
   refused "a component exceeds its q" { ok with late = Some 12 }
     [| 8; 11; 8 |];
-  checki "nothing released yet" 0 co.Timewall.releases;
+  checki "nothing released yet" 0 co.Timewall.c.wall_releases;
   (match attempt { ok with late = Some 12 } [| 8; 12; 9 |] with
   | Some w ->
     check_array "anchored at min q" [| 8; 12; 8 |] w.Timewall.components;
@@ -495,8 +495,8 @@ let test_attempt_rule () =
   | None -> Alcotest.fail "a component at its q is stable");
   refused "min q does not pass the last anchor" ok [| 8; 9; 9 |];
   refused "min q falls behind the last anchor" ok [| 9; 9; 7 |];
-  checki "one release" 1 co.Timewall.releases;
-  checki "its lag" 42 co.Timewall.lag_max;
+  checki "one release" 1 co.Timewall.c.wall_releases;
+  checki "its lag" 42 co.Timewall.c.wall_lag_max;
   (* over a live registry, a released wall is Timewall.compute at its
      anchor: the scripted history of Figure 9 *)
   let ctx, reg = mk_ctx branch2 in

@@ -90,7 +90,7 @@ let test_oracle_under_migration_2_4_8 () =
       checkb
         (Printf.sprintf "repartitioned at %d domains" workers)
         true
-        (r.D.r_repartitions >= 1))
+        (r.D.r_stats.repartitions >= 1))
     [ 2; 4; 8 ]
 
 (* --- the TST-ness mutation property --- *)

@@ -89,7 +89,7 @@ let test_2pl_registrations_counted () =
   B.S2pl.commit c t;
   (* re-reads under a held lock do not re-register *)
   checki "one registration per lock" 2
-    (B.S2pl.metrics c).B.Cc_metrics.read_registrations
+    (B.S2pl.metrics c).Hdd_obs.Counters.read_registrations
 
 (* --- strict TSO --- *)
 
@@ -191,7 +191,7 @@ let test_mvto_registers_reads () =
   ignore (B.Mvto.read c t (gr 0 0));
   B.Mvto.commit c t;
   checki "every read registered" 1
-    (B.Mvto.metrics c).B.Cc_metrics.read_registrations
+    (B.Mvto.metrics c).Hdd_obs.Counters.read_registrations
 
 (* --- MV2PL --- *)
 
@@ -223,8 +223,8 @@ let test_mv2pl_read_only_never_blocks () =
   checki "stable snapshot" 0 (grant (B.Mv2pl.read c ro (gr 0 0)));
   B.Mv2pl.commit c ro;
   let m = B.Mv2pl.metrics c in
-  checki "read-only never registers" 0 m.B.Cc_metrics.read_registrations;
-  checki "read-only never blocks" 0 m.B.Cc_metrics.blocks
+  checki "read-only never registers" 0 m.Hdd_obs.Counters.read_registrations;
+  checki "read-only never blocks" 0 m.Hdd_obs.Counters.blocks
 
 let test_mv2pl_version_order_is_commit_order () =
   let c = mk_mv2pl () in
@@ -277,7 +277,7 @@ let test_sdd1_pipelines_conflicting_classes () =
   checki "after the writer finishes" 3 (grant (B.Sdd1.read c r (gr 2 0)));
   B.Sdd1.commit c r;
   checki "no registrations ever" 0
-    (B.Sdd1.metrics c).B.Cc_metrics.read_registrations
+    (B.Sdd1.metrics c).Hdd_obs.Counters.read_registrations
 
 let test_sdd1_no_wait_for_younger () =
   let c = mk_sdd1 () in

@@ -100,7 +100,7 @@ let test_oracle_under_flips_2_4_8 () =
       checkb
         (Printf.sprintf "escalated at %d domains" workers)
         true
-        (r.D.r_escalations >= 1))
+        (r.D.r_stats.escalations >= 1))
     [ 2; 4; 8 ]
 
 (* Repartitions and escalations composed in one run stay green. *)
@@ -110,8 +110,8 @@ let test_flips_compose_with_repartitions () =
       ~profile:D.Mixed ()
   in
   checkb "oracle green under both plans" true (D.ok r);
-  checkb "repartitioned" true (r.D.r_repartitions >= 1);
-  checkb "escalated" true (r.D.r_escalations >= 1)
+  checkb "repartitioned" true (r.D.r_stats.repartitions >= 1);
+  checkb "escalated" true (r.D.r_stats.escalations >= 1)
 
 (* --- forged traces: the escalation invariant bites --- *)
 

@@ -596,9 +596,10 @@ let test_engine_single_worker () =
   let config = R.Engine.default_config ~workers:1 in
   let r = R.Differential.check ~partition ~init:R.Differential.default_init ~config script in
   ok_or_fail "single worker" r;
-  checki "every descriptor got a verdict" 60 (r.R.Differential.r_committed + r.R.Differential.r_aborted);
+  checki "every descriptor got a verdict" 60
+    (r.R.Differential.r_stats.committed + r.R.Differential.r_stats.aborted);
   checkb "traced events present" true (r.R.Differential.r_events > 0);
-  checkb "walls released" true (r.R.Differential.r_wall_releases >= 1)
+  checkb "walls released" true (r.R.Differential.r_stats.wall_releases >= 1)
 
 let cross_class_check ~publish_every =
   let partition = R.Differential.chain_partition 2 in
@@ -620,8 +621,8 @@ let cross_class_check ~publish_every =
   in
   let r = R.Differential.check ~partition ~init:R.Differential.default_init ~config script in
   ok_or_fail (Printf.sprintf "two-class script at K=%d" publish_every) r;
-  checki "aborts" 1 r.R.Differential.r_aborted;
-  checki "commits" 2 r.R.Differential.r_committed
+  checki "aborts" 1 r.R.Differential.r_stats.aborted;
+  checki "commits" 2 r.R.Differential.r_stats.committed
 
 (* deterministic two-class script: the cross-class reader must see the
    initial value while the writer is uncommitted, then the committed
@@ -877,7 +878,9 @@ let test_batching_identity () =
               Format.asprintf "seed %d K=%d: %a" seed k
                 R.Differential.pp_report r
               :: !failures;
-          (k, r.R.Differential.r_committed, r.R.Differential.r_aborted))
+          ( k,
+            r.R.Differential.r_stats.committed,
+            r.R.Differential.r_stats.aborted ))
         ks
     in
     match outcomes with

@@ -303,7 +303,7 @@ let test_metrics_shape () =
   Scheduler.commit s t;
   let m = Scheduler.metrics s in
   checki "begins" 1 m.Scheduler.begins;
-  checki "commits" 1 m.Scheduler.commits;
+  checki "commits" 1 m.Scheduler.committed;
   checki "1 protocol B read" 1 m.Scheduler.reads_b;
   checki "2 protocol A reads" 2 m.Scheduler.reads_a;
   checki "writes" 1 m.Scheduler.writes

@@ -251,6 +251,42 @@ let test_codec_bitflip () =
     done
   done
 
+(* A pipe endpoint's reassembly: a frame fed in two pieces comes out
+   once, whole; a negative length header and a flipped payload byte
+   raise the codec's own error. *)
+let test_framebuf () =
+  let module F = Sh.Transport.Framebuf in
+  let buf = corruption_victim () in
+  let n = Bytes.length buf in
+  let want =
+    match Sh.Wire.decode buf ~pos:0 with
+    | Ok (pkt, _) -> pkt
+    | Error e -> Alcotest.failf "victim frame: %s" e
+  in
+  let fb = F.create () in
+  let half = n / 2 in
+  F.feed fb buf ~len:half;
+  checkb "half a frame yields nothing" true (Option.is_none (F.next fb));
+  F.feed fb (Bytes.sub buf half (n - half)) ~len:(n - half);
+  (match F.next fb with
+  | Some pkt -> checkb "the frame fed" true (Sh.Wire.equal pkt want)
+  | None -> Alcotest.fail "a whole frame yields nothing");
+  checkb "the frame is consumed" true (Option.is_none (F.next fb));
+  let raises what bytes =
+    let fb = F.create () in
+    F.feed fb bytes ~len:(Bytes.length bytes);
+    match F.next fb with
+    | exception Hdd_util.Binc.Error _ -> ()
+    | _ -> Alcotest.failf "%s: no Binc.Error" what
+  in
+  let negative = Bytes.make 8 '\000' in
+  Bytes.set_int32_le negative 0 (-1l);
+  raises "negative length header" negative;
+  let flipped = Bytes.copy buf in
+  Bytes.set flipped (n - 1)
+    (Char.chr (Char.code (Bytes.get flipped (n - 1)) lxor 1));
+  raises "flipped payload byte" flipped
+
 (* --- the cross-shard oracle --- *)
 
 let ok_or_fail what (r : D.report) =
@@ -299,6 +335,83 @@ let test_shard_stress_domains () =
     in
     ok_or_fail (Printf.sprintf "domains seed %d shards %d" seed shards) r
   done
+
+(* --- one count, three engines ---
+
+   The serial scheduler (one transaction at a time, in script order),
+   the multicore engine and the deterministic cluster count one
+   script's commits, aborts, reads per protocol and writes alike. *)
+
+let serial_counts ~partition (script : E.desc array) =
+  let module S = Hdd_core.Scheduler in
+  let store =
+    Hdd_mvstore.Store.create
+      ~segments:(Hdd_core.Partition.segment_count partition)
+      ~init:D.default_init
+  in
+  let sched = S.create ~partition ~clock:(Time.Clock.create ()) ~store () in
+  Array.iter
+    (fun (d : E.desc) ->
+      let txn =
+        match d.d_kind with
+        | `Update class_id -> S.begin_update sched ~class_id
+        | `Read_only -> S.begin_read_only sched
+      in
+      List.iter
+        (fun op ->
+          let granted =
+            match op with
+            | E.Read g -> Hdd_core.Outcome.is_granted (S.read sched txn g)
+            | E.Write (g, v) ->
+              Hdd_core.Outcome.is_granted (S.write sched txn g v)
+          in
+          if not granted then
+            Alcotest.failf "serial: txn %d was refused an op" d.d_id)
+        d.d_ops;
+      if d.d_abort then S.abort sched txn else S.commit sched txn)
+    script;
+  S.metrics sched
+
+let compared (c : Hdd_obs.Counters.t) =
+  [ ("committed", c.committed); ("aborted", c.aborted);
+    ("reads_a", c.reads_a); ("reads_b", c.reads_b); ("reads_c", c.reads_c);
+    ("writes", c.writes) ]
+
+let test_counters_agree () =
+  let seeds = shard_seeds () in
+  let failures = ref [] in
+  for seed = 1 to seeds do
+    let n = Fixtures.scaled_workers seed in
+    let partition, script =
+      D.stress_case ~seed ~txns:30 ~profile:(profile_of seed)
+    in
+    let serial = compared (serial_counts ~partition script) in
+    let engine =
+      E.run_script ~partition ~init:D.default_init
+        { (E.default_config ~workers:n) with traced = false }
+        ~script
+    in
+    let cluster =
+      Sh.Cluster.run_script_det ~partition ~init:D.default_init ~shards:n
+        ~seed ~script ()
+    in
+    List.iter
+      (fun (name, (run : E.run)) ->
+        if compared run.stats <> serial then
+          let show l =
+            String.concat " "
+              (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l)
+          in
+          failures :=
+            Printf.sprintf "seed %d, %s at %d: %s; serial: %s" seed name n
+              (show (compared run.stats)) (show serial)
+            :: !failures)
+      [ ("engine", engine); ("cluster", cluster) ]
+  done;
+  if !failures <> [] then
+    Alcotest.failf "%d count disagreement(s) over %d seeds:@.%s"
+      (List.length !failures) seeds
+      (String.concat "\n" (List.rev !failures))
 
 (* Process mode lives in its own executable (test_shard_proc): OCaml 5
    refuses Unix.fork in a process that has ever spawned domains, and
@@ -400,10 +513,7 @@ let test_golden_traces () =
 
 (* --- forged traces: the oracle names the failed check --- *)
 
-let stats_zero =
-  { E.committed = 0; aborted = 0; reads_a = 0; reads_b = 0; reads_c = 0;
-    writes = 0; publications = 0; wall_releases = 0; wall_lag_sum = 0;
-    wall_lag_max = 0; repartitions = 0; escalations = 0 }
+let stats_zero = Hdd_obs.Counters.create ()
 
 let rcd seq at ev = { T.seq; at; dom = 1; ev }
 
@@ -747,4 +857,8 @@ let suite =
     Alcotest.test_case "cluster: a raising shard ends the domain run" `Quick
       test_domains_raise_ends_run;
     Alcotest.test_case "bench shard: a raising node ends the run" `Quick
-      test_bench_raise_ends_run ]
+      test_bench_raise_ends_run;
+    Alcotest.test_case "framebuf: two pieces, typed errors" `Quick
+      test_framebuf;
+    Alcotest.test_case "counters: serial, engine and cluster agree" `Slow
+      test_counters_agree ]

@@ -16,7 +16,7 @@ let test_processes_smoke () =
       ~profile:D.Mixed ()
   in
   ok_or_fail "process mode seed 5" r;
-  Alcotest.(check bool) "made progress" true (r.D.r_committed > 0)
+  Alcotest.(check bool) "made progress" true (r.D.r_stats.committed > 0)
 
 let test_processes_four_shards () =
   let r =

@@ -192,9 +192,9 @@ let test_runner_counters_flow () =
   let wl = Workload.inventory () in
   let r = Runner.run small_config wl (Harness.make Harness.S2pl wl) in
   let c = r.Runner.counters in
-  checkb "reads happened" true (c.Controller.reads > 0);
-  checkb "2PL registers reads" true (c.Controller.read_registrations > 0);
-  checki "commit counter matches" r.Runner.committed c.Controller.commits
+  checkb "reads happened" true (Hdd_obs.Counters.reads c > 0);
+  checkb "2PL registers reads" true (c.Hdd_obs.Counters.read_registrations > 0);
+  checki "commit counter matches" r.Runner.committed c.Hdd_obs.Counters.committed
 
 (* --- end-to-end certification: the heart of the reproduction --- *)
 
@@ -328,7 +328,7 @@ let test_gc_under_concurrency_certifies () =
       commit = Hdd_core.Scheduler.commit sched;
       abort = Hdd_core.Scheduler.abort sched;
       try_commit = None;
-      snapshot = (fun () -> Controller.zero_counters) }
+      snapshot = Hdd_obs.Counters.create }
   in
   let config =
     { Runner.default_config with Runner.mpl = 8; target_commits = 1500; seed = 5 }
@@ -387,9 +387,9 @@ let test_hdd_zero_cross_class_registrations () =
   let log = Sched_log.create () in
   let c = Harness.make ~log Harness.Hdd wl in
   let r = Runner.run small_config wl c in
-  checkb "reads happened" true (r.Runner.counters.Controller.reads > 0);
+  checkb "reads happened" true (Hdd_obs.Counters.reads r.Runner.counters > 0);
   checki "zero read registrations" 0
-    r.Runner.counters.Controller.read_registrations;
+    r.Runner.counters.Hdd_obs.Counters.read_registrations;
   checkb "still serializable" true (Hdd_core.Certifier.serializable log)
 
 let test_hdd_never_blocks_or_rejects_cross_reads () =
