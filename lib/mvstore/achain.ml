@@ -35,11 +35,10 @@ let install t ~ts ~writer ~value =
   if find_exact t ~ts <> None then
     invalid_arg "Achain.install: duplicate version timestamp";
   let v = mk_version ~ts ~writer ~value ~state:Chain.Pending in
-  if t.len = Array.length t.versions then begin
-    let bigger = Array.make (2 * t.len) v in
-    Array.blit t.versions 0 bigger 0 t.len;
-    t.versions <- bigger
-  end;
+  if t.len = Array.length t.versions then
+    (* doubled by copying: an [Array.make] filled with the young [v]
+       would force a minor collection past 256 slots (DESIGN.md §16) *)
+    t.versions <- Array.append t.versions t.versions;
   (* insert keeping ascending order *)
   let pos = last_below t ~bound:ts + 1 in
   Array.blit t.versions pos t.versions (pos + 1) (t.len - pos);

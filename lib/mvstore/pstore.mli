@@ -19,6 +19,14 @@
       loads the table after the owner's publication record (DESIGN.md
       §13) meets a buffer at least as new as that publication.
 
+    The owner keeps its per-key state in three arrays indexed by key —
+    the packed buffers (filled with the static [[||]]), their used
+    lengths and their dirty flags — rather than an array of per-key
+    records.  Widening the key range therefore copies arrays whose fill
+    is static or immediate, which never forces a collection; a young
+    record fill would force a stop-the-world minor collection at every
+    widening past 256 keys (DESIGN.md §16).
+
     Reads return the version timestamp directly ([Time.zero] = the
     bootstrap value predating every commit) — no option, no tuple — so
     the Protocol A/B/C read paths allocate nothing.  Every read and

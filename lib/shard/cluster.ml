@@ -10,7 +10,8 @@ let assign ~shards (d : E.desc) =
   | `Read_only -> d.E.d_id mod shards
 
 (* One shard's Outcome counters as a counter record; node publication
-   counts do not travel on the wire. *)
+   counts do not travel on the wire, so a process-mode run counts
+   none. *)
 let of_wire (k : Wire.counters) =
   { (Hdd_obs.Counters.create ()) with
     committed = k.k_committed;
@@ -24,18 +25,15 @@ let of_wire (k : Wire.counters) =
     wall_lag_sum = k.k_wall_lag_sum;
     wall_lag_max = k.k_wall_lag_max }
 
-(* A run from every shard's outcomes, trace records and counters. *)
-let run_of outcomes records counters =
+(* A run from every shard's outcomes, trace records and counts. *)
+let run_of outcomes records stats =
   { E.records = T.merge records;
     outcomes = List.sort (fun (a, _) (b, _) -> compare a b) (List.concat outcomes);
-    stats =
-      List.fold_left
-        (fun s k -> Hdd_obs.Counters.add s (of_wire k))
-        (Hdd_obs.Counters.create ()) counters }
+    stats = List.fold_left Hdd_obs.Counters.add (Hdd_obs.Counters.create ()) stats }
 
 let collect nodes =
   let each f = List.map f (Array.to_list nodes) in
-  run_of (each Node.outcomes) (each Node.records) (each Node.counters)
+  run_of (each Node.outcomes) (each Node.records) (each Node.stats)
 
 (* --- deterministic single-thread mode --- *)
 
@@ -317,4 +315,4 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     pids;
   wait_for "its trace and outcome" (fun i -> not (sliced.(i) && reported.(i)));
   teardown ();
-  run_of !outcomes !slices !counters
+  run_of !outcomes !slices (List.map of_wire !counters)

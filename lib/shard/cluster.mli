@@ -60,4 +60,8 @@ val run_script_processes :
   script:script ->
   unit ->
   Hdd_runtime.Engine.run
-(** @raise Shard_died naming the first shard that died. *)
+(** The run's [stats] are the shards' [Outcome] counters summed; that
+    pinned frame ({!Wire.counters}) carries no publication count, so
+    [stats.publications] reads 0 here, while the other two modes sum
+    each node's own counts.
+    @raise Shard_died naming the first shard that died. *)

@@ -40,3 +40,4 @@ let on_pub p =
     | Delay { by; _ } -> Hold (Int.max 1 by))
 
 let fired p = List.rev p.fired
+let sends p = p.next

@@ -53,3 +53,7 @@ val on_pub : plan -> action
 
 val fired : plan -> event list
 (** Events whose ordinal has been reached, oldest first. *)
+
+val sends : plan -> int
+(** Publication sends consumed so far: one per [Pub] frame per
+    destination. *)

@@ -61,8 +61,10 @@ let take_work t = Queue.take_opt t.work
 let drained t = t.drain_seen
 let bye_seen t = t.bye
 
+let stats t = Hdd_obs.Counters.add t.x.c t.walls.c
+
 let counters t =
-  let c = Hdd_obs.Counters.add t.x.c t.walls.c in
+  let c = stats t in
   { Wire.k_committed = c.committed;
     k_aborted = c.aborted;
     k_reads_a = c.reads_a;

@@ -105,6 +105,10 @@ val bye_seen : t -> bool
 
 val outcomes : t -> (Txn.id * bool) list
 val records : t -> Hdd_obs.Trace.record list
+val stats : t -> Hdd_obs.Counters.t
+(** The executor's counts and the wall releaser's, summed: a fresh
+    record. *)
+
 val counters : t -> Wire.counters
 (** The executor's counts and the wall releaser's, in the [Outcome]
     frame's layout. *)

@@ -75,6 +75,16 @@ let raising_script ~writes =
           d_ops = [ E.Write (Granule.make ~segment:c ~key:i, i) ];
           d_abort = false })
 
+(* --- forced collections --- *)
+
+(* Minor collections (a stop-the-world pause over every domain in
+   OCaml 5) that [f] runs from an empty minor heap. *)
+let minor_collections f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
 (* --- golden-trace helpers --- *)
 
 let read_file path =

@@ -246,6 +246,25 @@ let test_achain_basics () =
   Alcotest.check (Alcotest.list Alcotest.int) "newest first" [ 5; 0 ]
     (List.map (fun v -> v.Chain.ts) (Achain.versions a))
 
+(* Growing a chain past 256 versions forces no collection.  Filled
+   with the young new version, a doubled array forced one at each
+   doubling past 256 slots. *)
+let test_achain_growth_forces_nothing () =
+  let a = Achain.create ~initial:0 and n = 1_000 in
+  checki "minor collections over 1,000 installs" 0
+    (Fixtures.minor_collections (fun () ->
+         for i = 0 to n - 1 do
+           (* 7919 is prime to [n]: every ts in 1..n, out of order *)
+           let ts = (i * 7919 mod n) + 1 in
+           ignore (Achain.install a ~ts ~writer:ts ~value:(10 * ts))
+         done));
+  checki "every version kept" (n + 1) (Achain.length a);
+  List.iteri
+    (fun i v ->
+      checki "newest first" (n - i) v.Chain.ts;
+      checki "its value" (10 * (n - i)) v.Chain.value)
+    (Achain.versions a)
+
 let test_sv_store () =
   let sv = Sv.create ~init:(fun g -> g.Granule.key) in
   let g = Granule.make ~segment:0 ~key:5 in
@@ -276,4 +295,6 @@ let suite =
     Alcotest.test_case "store: gc and version count" `Quick test_store_gc_and_count;
     Alcotest.test_case "achain: agreement with chain" `Quick test_achain_agrees_with_chain;
     Alcotest.test_case "achain: basics" `Quick test_achain_basics;
-    Alcotest.test_case "single-version store" `Quick test_sv_store ]
+    Alcotest.test_case "single-version store" `Quick test_sv_store;
+    Alcotest.test_case "achain: growth forces no collection" `Quick
+      test_achain_growth_forces_nothing ]

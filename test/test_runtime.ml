@@ -1028,6 +1028,49 @@ let test_engine_plan_checked () =
   refused "mode 2" ~mode_plan:[ [| 0; 1 |]; [| 2; 0 |] ] ();
   refused "mode -1" ~mode_plan:[ [| -1; 0 |] ] ()
 
+(* Widening the key range forces no collection: the per-key state is
+   arrays filled with static and immediate values.  An array of young
+   slot records forced one as it passed 256 keys. *)
+let test_pstore_growth_forces_nothing () =
+  let t = Ps.create () and keys = 4_096 in
+  let v = ref Ps.empty_view in
+  checki "minor collections while growing to 4,096 keys" 0
+    (Fixtures.minor_collections (fun () ->
+         for key = 0 to keys - 1 do
+           Ps.add_commit t ~key ~ts:(key + 1) ~value:(10 * key)
+         done;
+         v := Ps.publish t));
+  for key = 0 to keys - 1 do
+    checki "owner face" (key + 1) (Ps.latest_before t ~key ~ts:max_int);
+    checki "value" (10 * key) (Ps.value_of t ~key ~ts:(key + 1) ~fallback:(-1));
+    checki "view" (key + 1) (Ps.view_latest_before !v ~key ~ts:max_int)
+  done
+
+(* The engine-level count: ten two-worker runs of a cross-chain script
+   whose stores grow to 8 x 1,024 keys collect about as often as ten
+   empty runs.  With forced collections they took ~60 more. *)
+let test_engine_growth_forces_nothing () =
+  let partition = R.Differential.chain_partition 8 in
+  let script =
+    R.Differential.gen_script ~partition ~seed:29 ~txns:2_000
+      ~keys_per_segment:1_024 ()
+  in
+  let config =
+    { (R.Engine.default_config ~workers:2) with R.Engine.traced = false }
+  in
+  let init = R.Differential.default_init in
+  let ten script () =
+    for _ = 1 to 10 do
+      ignore (R.Engine.run_script ~partition ~init config ~script)
+    done
+  in
+  ten script ();
+  let empty = Fixtures.minor_collections (ten [||]) in
+  let full = Fixtures.minor_collections (ten script) in
+  if full > empty + 10 then
+    Alcotest.failf "10 runs: %d minor collections against %d for 10 empty runs"
+      full empty
+
 let suite =
   [ Alcotest.test_case "gclock: ticks unique across domains" `Quick
       test_gclock_unique;
@@ -1084,4 +1127,8 @@ let suite =
     Alcotest.test_case "engine: the coordinator acts before the first push"
       `Quick test_coordinator_acts_first;
     Alcotest.test_case "engine: malformed plans are refused" `Quick
-      test_engine_plan_checked ]
+      test_engine_plan_checked;
+    Alcotest.test_case "pstore: growing the key range forces no collection"
+      `Quick test_pstore_growth_forces_nothing;
+    Alcotest.test_case "engine: growing stores force no collection" `Quick
+      test_engine_growth_forces_nothing ]

@@ -413,6 +413,35 @@ let test_counters_agree () =
       (List.length !failures) seeds
       (String.concat "\n" (List.rev !failures))
 
+(* A cluster run counts its nodes' publications.  Each one is a [Pub]
+   broadcast to the other shards, so in the deterministic mode the sum
+   over the nodes is the transport's [Pub] sends over [shards - 1]; in
+   the domain mode every node's final publication counts at least. *)
+let test_cluster_counts_publications () =
+  let partition, script = D.stress_case ~seed:4 ~txns:60 ~profile:D.Mixed in
+  let init = D.default_init in
+  List.iter
+    (fun shards ->
+      let fault = Sh.Netfault.plan [] in
+      let det =
+        Sh.Cluster.run_script_det ~fault ~partition ~init ~shards ~seed:4
+          ~script ()
+      in
+      checkb "deterministic: publications counted" true
+        (det.stats.publications > 0);
+      checki
+        (Printf.sprintf "deterministic at %d shards: the sum over the nodes"
+           shards)
+        (Sh.Netfault.sends fault)
+        (det.stats.publications * (shards - 1));
+      let dom = Sh.Cluster.run_script_domains ~partition ~init ~shards ~script () in
+      checkb
+        (Printf.sprintf "domains at %d shards: every node's final publication"
+           shards)
+        true
+        (dom.stats.publications >= shards))
+    [ 2; 4 ]
+
 (* Process mode lives in its own executable (test_shard_proc): OCaml 5
    refuses Unix.fork in a process that has ever spawned domains, and
    the suites before this one have. *)
@@ -861,4 +890,6 @@ let suite =
     Alcotest.test_case "framebuf: two pieces, typed errors" `Quick
       test_framebuf;
     Alcotest.test_case "counters: serial, engine and cluster agree" `Slow
-      test_counters_agree ]
+      test_counters_agree;
+    Alcotest.test_case "cluster: runs count node publications" `Quick
+      test_cluster_counts_publications ]
