@@ -200,8 +200,9 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
        parent (nor a sibling forward): surface EPIPE instead *)
     Sys.signal Sys.sigpipe Sys.Signal_ignore
   in
+  let w = Hdd_util.Binc.writer () in
   let send_down i (pkt : Wire.packet) =
-    try Transport.Pipe.write_all (snd down.(i)) (Wire.encode pkt)
+    try Transport.Pipe.write_packet w (snd down.(i)) pkt
     with Unix.Unix_error (EPIPE, _, _) -> ()
   in
   let fbs = Array.init shards (fun _ -> Transport.Framebuf.create ()) in

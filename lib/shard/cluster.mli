@@ -10,8 +10,8 @@
       pumping the others.  Fully deterministic — same seed, same
       merged trace, byte for byte — which is what the golden traces
       and the netfault suite want.
-    - {!run_script_domains}: one domain per shard over the mutexed
-      loopback hub; real parallelism, still one process.  A shard that
+    - {!run_script_domains}: one domain per shard over the loopback
+      (a locked inbox per shard); real parallelism, still one process.  A shard that
       raises ends the run: its peers leave their waits and stop, and
       the first exception re-raises.
     - {!run_script_processes}: one forked OS process per shard, pipes

@@ -2,7 +2,7 @@
     against an in-tree 2PC-read baseline ([BENCH_shard.json]).
 
     Both sides run the same closed loop — one domain per shard over the
-    loopback hub, each transaction writing its own segment and reading
+    loopback, each transaction writing its own segment and reading
     [cross] keys of the next segment up the chain, which a different
     shard owns.  The HDD side serves those reads passively off received
     publications and deltas (Protocol A: no read-time round trip); the

@@ -18,105 +18,143 @@ module Binc = Hdd_util.Binc
 (* A frame the codec refuses, raised as the codec's own error. *)
 let corrupt carrier e = raise (Binc.Error (carrier ^ ": corrupt frame: " ^ e))
 
-module Loopback = struct
-  let create ?fault ~nodes () =
-    let qs = Array.init nodes (fun _ -> Queue.create ()) in
-    (* held publication frames per destination: (pubs still to pass, frame) *)
-    let held = Array.make nodes [] in
-    let mu = Mutex.create () in
-    let deliver dst frame = Queue.add frame qs.(dst) in
-    (* a publication passing dst ages every held frame for dst; the ones
-       that reach zero follow it out, oldest first *)
-    let pass_pub dst frame =
-      deliver dst frame;
-      held.(dst) <-
-        List.filter_map
-          (fun (n, f) ->
-            if n <= 1 then begin
-              deliver dst f;
-              None
-            end
-            else Some (n - 1, f))
-          held.(dst)
-    in
-    let send (pkt : Wire.packet) =
-      if pkt.dst < 0 || pkt.dst >= nodes then
-        invalid_arg "Loopback: destination out of range";
-      let frame = Wire.encode pkt in
-      Mutex.protect mu @@ fun () ->
-      match (pkt.msg, fault) with
-      | Wire.Pub _, Some plan -> (
-        match Netfault.on_pub plan with
-        | Netfault.Deliver -> pass_pub pkt.dst frame
-        | Netfault.Skip -> ()
-        | Netfault.Twice ->
-          pass_pub pkt.dst frame;
-          pass_pub pkt.dst frame
-        | Netfault.Hold n -> held.(pkt.dst) <- held.(pkt.dst) @ [ (n, frame) ])
-      | _ -> deliver pkt.dst frame
-    in
-    let poll me () =
-      match Mutex.protect mu (fun () -> Queue.take_opt qs.(me)) with
-      | None -> None
-      | Some frame -> (
-        match Wire.decode frame ~pos:0 with
-        | Ok (pkt, _) -> Some pkt
-        | Error e -> corrupt "Loopback" e)
-    in
-    Array.init nodes (fun me -> { me; nodes; send; poll = poll me })
-end
-
 module Framebuf = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  (* The unread bytes are [off, len) of [buf]. *)
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
+  let create () = { buf = Bytes.create 4096; off = 0; len = 0 }
 
-  let feed t bytes ~len =
-    let need = t.len + len in
-    if need > Bytes.length t.buf then begin
+  (* Room for [n] more bytes after [len]: the unread bytes move to the
+     front, into a larger buffer if the room is still short. *)
+  let make_room t n =
+    let live = t.len - t.off in
+    if live + n <= Bytes.length t.buf then
+      Bytes.blit t.buf t.off t.buf 0 live
+    else begin
       let cap = ref (Bytes.length t.buf * 2) in
-      while need > !cap do
+      while live + n > !cap do
         cap := !cap * 2
       done;
       let b = Bytes.create !cap in
-      Bytes.blit t.buf 0 b 0 t.len;
+      Bytes.blit t.buf t.off b 0 live;
       t.buf <- b
     end;
+    t.off <- 0;
+    t.len <- live
+
+  let feed t bytes ~len =
+    if t.len + len > Bytes.length t.buf then make_room t len;
     Bytes.blit bytes 0 t.buf t.len len;
     t.len <- t.len + len
 
   let next t =
-    if t.len < 8 then None
+    let avail = t.len - t.off in
+    if avail < 8 then None
     else
-      let plen = Int32.to_int (Bytes.get_int32_le t.buf 0) in
+      let plen = Int32.to_int (Bytes.get_int32_le t.buf t.off) in
       if plen < 0 then raise (Binc.Error "Framebuf: negative frame length")
-      else if t.len < 8 + plen then None
+      else if avail < 8 + plen then None
       else begin
         (* decoded where it lies; the packet shares no bytes with [buf] *)
-        let decoded = Wire.decode t.buf ~pos:0 in
-        Bytes.blit t.buf (8 + plen) t.buf 0 (t.len - 8 - plen);
-        t.len <- t.len - 8 - plen;
+        let decoded = Wire.decode t.buf ~pos:t.off in
+        (* a drained buffer starts again at the front *)
+        if avail = 8 + plen then begin
+          t.off <- 0;
+          t.len <- 0
+        end
+        else t.off <- t.off + 8 + plen;
         match decoded with
         | Ok (pkt, _) -> Some pkt
         | Error e -> corrupt "Framebuf" e
       end
 end
 
+module Loopback = struct
+  (* A destination's inbox: the sealed frames sent to it, one byte
+     stream, under its own lock. *)
+  type inbox = { mu : Mutex.t; fb : Framebuf.t }
+
+  let create ?fault ~nodes () =
+    let inboxes =
+      Array.init nodes (fun _ -> { mu = Mutex.create (); fb = Framebuf.create () })
+    in
+    (* [Mutex.protect] would allocate a closure per frame *)
+    let append dst bytes len =
+      let ib = inboxes.(dst) in
+      Mutex.lock ib.mu;
+      Framebuf.feed ib.fb bytes ~len;
+      Mutex.unlock ib.mu
+    in
+    (* held publication frames per destination, oldest first: (pubs
+       still to pass, a copy of the frame), under the plan's lock *)
+    let held = Array.make nodes [] in
+    let fault_mu = Mutex.create () in
+    (* a publication passing dst ages every held frame for dst; the ones
+       that reach zero follow it out, oldest first *)
+    let pass_pub dst w =
+      append dst (Binc.buffer w) (Binc.length w);
+      held.(dst) <-
+        List.filter_map
+          (fun (n, f) ->
+            if n <= 1 then begin
+              append dst f (Bytes.length f);
+              None
+            end
+            else Some (n - 1, f))
+          held.(dst)
+    in
+    let fault_pub plan dst w =
+      Mutex.protect fault_mu @@ fun () ->
+      match Netfault.on_pub plan with
+      | Netfault.Deliver -> pass_pub dst w
+      | Netfault.Skip -> ()
+      | Netfault.Twice ->
+        pass_pub dst w;
+        pass_pub dst w
+      | Netfault.Hold n ->
+        let frame = Bytes.sub (Binc.buffer w) 0 (Binc.length w) in
+        held.(dst) <- held.(dst) @ [ (n, frame) ]
+    in
+    let send w (pkt : Wire.packet) =
+      if pkt.dst < 0 || pkt.dst >= nodes then
+        invalid_arg "Loopback: destination out of range";
+      Wire.encode_into w pkt;
+      match (pkt.msg, fault) with
+      | Wire.Pub _, Some plan -> fault_pub plan pkt.dst w
+      | _ -> append pkt.dst (Binc.buffer w) (Binc.length w)
+    in
+    let poll me () =
+      let ib = inboxes.(me) in
+      Mutex.lock ib.mu;
+      match Framebuf.next ib.fb with
+      | pkt ->
+        Mutex.unlock ib.mu;
+        pkt
+      | exception e ->
+        Mutex.unlock ib.mu;
+        raise e
+    in
+    Array.init nodes (fun me ->
+        { me; nodes; send = send (Binc.writer ()); poll = poll me })
+end
+
 module Pipe = struct
   let parent_addr ~nodes = nodes
 
-  let write_all fd bytes =
-    let n = Bytes.length bytes in
+  let write_packet w fd pkt =
+    Wire.encode_into w pkt;
+    let buf = Binc.buffer w and n = Binc.length w in
     let off = ref 0 in
     while !off < n do
-      off := !off + Unix.write fd bytes !off (n - !off)
+      off := !off + Unix.write fd buf !off (n - !off)
     done
 
   let endpoint ~me ~nodes ~read_fd ~write_fd =
     Unix.set_nonblock read_fd;
     let fb = Framebuf.create () in
     let chunk = Bytes.create 65536 in
-    let send (pkt : Wire.packet) = write_all write_fd (Wire.encode pkt) in
+    let w = Binc.writer () in
+    let send pkt = write_packet w write_fd pkt in
     let rec poll () =
       match Framebuf.next fb with
       | Some pkt -> Some pkt

@@ -2,15 +2,22 @@
 
     A transport value is one shard's endpoint — a [send] that ships an
     encoded packet toward its [dst] and a non-blocking [poll] that
-    yields the next arrived packet, FIFO per channel.  Two carriers:
+    yields the next arrived packet, FIFO per channel.  An endpoint is
+    used by one domain at a time: it encodes every send into its own
+    reused {!Hdd_util.Binc} writer ({!Wire.encode_into}), so a send
+    allocates nothing but a [Pub]'s snapshot parts.  Two carriers:
 
-    - {!Loopback}: an in-memory hub.  Frames still round-trip through
-      the real {!Wire} codec (so the bytes exercised are the bytes a
-      socket would carry), delivery is FIFO per destination, and a
-      {!Netfault.plan} can drop/duplicate/delay/reorder {e publication}
-      frames only — the fault suite's contract.  Safe both from a
-      single thread (the deterministic cluster) and across domains
-      (one hub mutex).
+    - {!Loopback}: an in-memory pipe per destination.  A send appends
+      its sealed frame to the destination's {!Framebuf} under that
+      destination's own lock, and [poll] decodes the frames there in
+      place, so the bytes exercised are the bytes a socket would
+      carry and no frame becomes a value of its own.  Delivery is FIFO
+      per sender and destination, and a {!Netfault.plan} can
+      drop/duplicate/delay/reorder {e publication} frames only — the
+      fault suite's contract; its held frames are copies, kept under a
+      lock of the plan's own.  Safe from a single thread (the
+      deterministic cluster) and across domains, one endpoint per
+      domain.
     - {!Pipe}: a real [Unix] pipe endpoint for the forked process mode,
       star topology: every child speaks to the parent router, which
       forwards frames by [dst].  {!Framebuf} reassembles frames from
@@ -28,6 +35,27 @@ val send_to : t -> dst:int -> stamp:Time.t -> Wire.msg -> unit
 val broadcast : t -> stamp:Time.t -> Wire.msg -> unit
 (** [send_to] every other node, ascending ids. *)
 
+module Framebuf : sig
+  (** A byte stream of frames, decoded where they lie.  Frames are
+      read from an offset; the unread tail moves to the front only
+      when a feed needs the room, and the buffer doubles only when
+      moving is not enough.  A drained buffer starts again at the
+      front. *)
+
+  type t
+
+  val create : unit -> t
+
+  val feed : t -> bytes -> len:int -> unit
+  (** Append the first [len] bytes. *)
+
+  val next : t -> Wire.packet option
+  (** The next complete frame, if any.
+      @raise Hdd_util.Binc.Error on a negative length header or a frame
+      the codec refuses (pipes do not corrupt; anything else is a
+      bug). *)
+end
+
 module Loopback : sig
   val create : ?fault:Netfault.plan -> nodes:int -> unit -> t array
   (** One endpoint per node.  With [fault], every [Wire.Pub] send
@@ -35,19 +63,6 @@ module Loopback : sig
       age out are dropped at the end of the run (a delay is allowed to
       degenerate into a drop — both are mere staleness).  [poll] raises
       [Hdd_util.Binc.Error] on a frame the codec refuses. *)
-end
-
-module Framebuf : sig
-  type t
-
-  val create : unit -> t
-  val feed : t -> bytes -> len:int -> unit
-
-  val next : t -> Wire.packet option
-  (** The next complete frame, if any.
-      @raise Hdd_util.Binc.Error on a negative length header or a frame
-      the codec refuses (pipes do not corrupt; anything else is a
-      bug). *)
 end
 
 module Pipe : sig
@@ -66,6 +81,7 @@ module Pipe : sig
   (** The router's own address: control messages ([Outcome],
       [Trace_slice], [Bye]) are sent to it rather than to a shard. *)
 
-  val write_all : Unix.file_descr -> bytes -> unit
-  (** Loop until the whole buffer is written (the router's send). *)
+  val write_packet : Hdd_util.Binc.writer -> Unix.file_descr -> Wire.packet -> unit
+  (** Encode the packet into the reused writer and write the whole
+      frame (the endpoint's and the router's send). *)
 end

@@ -73,7 +73,7 @@ let w_snap b snap =
 let w_wall b (w : TW.wall) =
   B.w_int b w.TW.s;
   B.w_int b w.TW.m;
-  B.w_array b B.w_int (TW.to_vector w);
+  B.w_array b B.w_int w.TW.components;
   B.w_int b w.TW.released_at
 
 let w_op b = function
@@ -306,6 +306,11 @@ let encode pkt =
   write_packet b pkt;
   B.frame b
 
+let encode_into b pkt =
+  B.reset b;
+  write_packet b pkt;
+  B.seal b
+
 (* --- reading --- *)
 
 let bad what n = raise (B.Error (Printf.sprintf "bad %s tag %d" what n))
@@ -320,7 +325,10 @@ let r_snap r =
                (id, t))
          in
          let n = B.r_count r in
-         let w_init = Array.make n 0 and w_end = Array.make n 0 in
+         (* [Array.make] is a C call even for n = 0; most classes have
+            no window. *)
+         let w_init = if n = 0 then [||] else Array.make n 0 in
+         let w_end = if n = 0 then [||] else Array.make n 0 in
          for k = 0 to n - 1 do
            w_init.(k) <- B.r_int r;
            w_end.(k) <- B.r_int r

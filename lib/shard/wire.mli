@@ -84,6 +84,13 @@ val encode : packet -> bytes
     @raise Invalid_argument on a message the codec cannot express
     (there are none today). *)
 
+val encode_into : Hdd_util.Binc.writer -> packet -> unit
+(** The frame {!encode} returns, written into a reused writer: reset,
+    packet, seal.  The frame lies in bytes [\[0, Binc.length w)] of
+    [Binc.buffer w] until the writer's next use.  Nothing is allocated
+    unless the frame outgrows the buffer, except a [Pub]'s
+    {!Registry.snap_parts} (one array and a tuple per class). *)
+
 val decode : bytes -> pos:int -> (packet * int, string) result
 (** Cut and decode one frame at [pos]; never raises. *)
 

@@ -1,10 +1,15 @@
 (* A writer is its frame under construction: bytes [0, 8) are kept for
-   the header {!frame} fills in, and the payload grows from byte 8, so
-   framing is one exact-length copy with nothing to move. *)
+   the header {!seal} fills in, and the payload grows from byte 8, so
+   the frame is finished where it lies.  {!reset} keeps the buffer, so
+   a writer reused frame after frame allocates only when a frame
+   outgrows every earlier one. *)
 type writer = { mutable buf : bytes; mutable len : int }
 
 let header = 8
 let writer () = { buf = Bytes.create 256; len = header }
+let reset b = b.len <- header
+let buffer b = b.buf
+let length b = b.len
 
 let grow b n =
   let buf = Bytes.create (Int.max (2 * Bytes.length b.buf) (b.len + n)) in
@@ -17,8 +22,8 @@ let[@inline] reserve b n = if b.len + n > Bytes.length b.buf then grow b n
 (* zigzag: sign bit into bit 0, so small magnitudes of either sign stay
    short.  [lsr 62] rather than 63: zigzag doubles, so the top bit of the
    doubled value is bit 62 of the magnitude. *)
-let zigzag n = (n lsl 1) lxor (n asr 62)
-let unzigzag n = (n lsr 1) lxor (-(n land 1))
+let[@inline] zigzag n = (n lsl 1) lxor (n asr 62)
+let[@inline] unzigzag n = (n lsr 1) lxor (-(n land 1))
 
 (* The LEB128 digits of the unsigned [v] from [pos]; returns the end.
    Top-level and tail-recursive, so writing allocates nothing. *)
@@ -32,11 +37,21 @@ let rec put_varint buf pos v =
     put_varint buf (pos + 1) (v lsr 7)
   end
 
-let w_int b n =
-  (* OCaml ints are 63-bit; as an unsigned quantity the zigzagged value
-     needs at most 9 LEB128 digits *)
+(* OCaml ints are 63-bit; as an unsigned quantity the zigzagged value
+   needs at most 9 LEB128 digits *)
+let w_varint b z =
   reserve b 9;
-  b.len <- put_varint b.buf b.len (zigzag n)
+  b.len <- put_varint b.buf b.len z
+
+(* Most fields are small: one digit, written inline. *)
+let[@inline] w_int b n =
+  let z = zigzag n in
+  let p = b.len in
+  if z lsr 7 = 0 && p < Bytes.length b.buf then begin
+    Bytes.unsafe_set b.buf p (Char.unsafe_chr z);
+    b.len <- p + 1
+  end
+  else w_varint b z
 
 let w_bool b v =
   reserve b 1;
@@ -50,13 +65,23 @@ let w_string b s =
   Bytes.blit_string s 0 b.buf b.len n;
   b.len <- b.len + n
 
+(* The element writers are called directly, not through [List.iter
+   (f b)], whose partial application is a closure per list. *)
+let rec w_elems b f = function
+  | [] -> ()
+  | x :: rest ->
+    f b x;
+    w_elems b f rest
+
 let w_list b f l =
   w_int b (List.length l);
-  List.iter (f b) l
+  w_elems b f l
 
 let w_array b f a =
   w_int b (Array.length a);
-  Array.iter (f b) a
+  for i = 0 to Array.length a - 1 do
+    f b (Array.unsafe_get a i)
+  done
 
 let w_option b f = function
   | None -> w_bool b false
@@ -112,10 +137,13 @@ let crc32_sub buf pos len =
   done;
   !c lxor 0xFFFFFFFF
 
-let frame b =
+let seal b =
   let n = b.len - header in
   Bytes.set_int32_le b.buf 0 (Int32.of_int n);
-  Bytes.set_int32_le b.buf 4 (Int32.of_int (crc32_sub b.buf header n));
+  Bytes.set_int32_le b.buf 4 (Int32.of_int (crc32_sub b.buf header n))
+
+let frame b =
+  seal b;
   Bytes.sub b.buf 0 b.len
 
 (* --- reading --- *)
@@ -146,7 +174,17 @@ let rec varint r buf pos shift acc =
     end
     else varint r buf (pos + 1) (shift + 7) acc
 
-let r_int r = unzigzag (varint r r.buf r.pos 0 0)
+(* The one-digit case inline, the rest through {!varint}. *)
+let[@inline] r_int r =
+  let p = r.pos in
+  if p >= r.stop then raise (Error "truncated")
+  else
+    let d = Char.code (Bytes.unsafe_get r.buf p) in
+    if d land 0x80 = 0 then begin
+      r.pos <- p + 1;
+      unzigzag d
+    end
+    else unzigzag (varint r r.buf p 0 0)
 
 let r_bool r =
   match r_byte r with
@@ -170,8 +208,25 @@ let r_count r =
     raise (Error (Printf.sprintf "bad count %d" n));
   n
 
-let r_list r f = List.init (r_count r) (fun _ -> f r)
-let r_array r f = Array.init (r_count r) (fun _ -> f r)
+(* Likewise the element readers, with no closure per list; tail modulo
+   cons keeps a long list off the stack. *)
+let[@tail_mod_cons] rec r_elems r n f =
+  if n = 0 then []
+  else
+    let x = f r in
+    x :: r_elems r (n - 1) f
+
+let r_list r f = r_elems r (r_count r) f
+
+let r_array r f =
+  match r_count r with
+  | 0 -> [||]
+  | n ->
+    let a = Array.make n (f r) in
+    for i = 1 to n - 1 do
+      Array.unsafe_set a i (f r)
+    done;
+    a
 
 let r_option r f = if r_bool r then Some (f r) else None
 

@@ -19,8 +19,11 @@
 
     Frames are written and read in place.  A {!writer} is the frame
     under construction: it keeps the 8 header bytes free and appends
-    the payload after them, so {!frame} fills in the header and cuts
-    one exact-length copy.  {!decode} checks the header and CRC and
+    the payload after them, so {!seal} fills in the header where the
+    frame lies and {!reset} empties the writer for the next one.  A
+    writer reused this way allocates only when a frame outgrows its
+    buffer; {!frame} seals and cuts one exact-length copy for a caller
+    that keeps the frame.  {!decode} checks the header and CRC and
     then reads the payload where it lies, through a reader bounded by
     the frame's end: no payload is copied, and bytes after the frame
     are never read as part of it. *)
@@ -31,8 +34,12 @@ type writer
 
 val writer : unit -> writer
 
+val reset : writer -> unit
+(** Drop the frame written so far, keeping the buffer. *)
+
 val w_int : writer -> int -> unit
-(** Zigzag LEB128; any OCaml [int] round-trips. *)
+(** Zigzag LEB128; any OCaml [int] round-trips.  A value in [-64, 63]
+    is one byte, written inline. *)
 
 val w_bool : writer -> bool -> unit
 val w_string : writer -> string -> unit
@@ -44,8 +51,20 @@ val w_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 
 val w_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 
+val seal : writer -> unit
+(** Fill in the header (length, CRC) in place: bytes
+    [\[0, length w)] of [buffer w] are now the frame, until the next
+    write or {!reset}. *)
+
+val buffer : writer -> bytes
+(** The writer's buffer.  It is replaced when a write outgrows it, so
+    read it again after writing. *)
+
+val length : writer -> int
+(** Bytes written, header included. *)
+
 val frame : writer -> bytes
-(** The framed payload: length, CRC, body. *)
+(** {!seal}, then a copy of the frame: length, CRC, body. *)
 
 (** {1 Reading} *)
 

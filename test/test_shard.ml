@@ -285,7 +285,147 @@ let test_framebuf () =
   let flipped = Bytes.copy buf in
   Bytes.set flipped (n - 1)
     (Char.chr (Char.code (Bytes.get flipped (n - 1)) lxor 1));
-  raises "flipped payload byte" flipped
+  raises "flipped payload byte" flipped;
+  (* A stream of 400 frames of every kind, one of them (a long trace
+     slice) larger than the buffer's initial 4 KB, fed once as one
+     buffer and once in pieces of 1 to 600 bytes with every complete
+     frame taken between feeds.  The one feed must grow the buffer, and
+     so must the pieces when the long frame arrives; elsewhere the
+     pieces find the buffer full with unread bytes at an offset, so it
+     compacts.  Every packet comes out once, in order. *)
+  let prng = Prng.create 1818 in
+  let long =
+    { Sh.Wire.src = 0; dst = 1; stamp = 7;
+      msg =
+        Sh.Wire.Trace_slice
+          { shard = 0;
+            records =
+              List.init 600 (fun k ->
+                  { T.seq = k; at = k; dom = 1; ev = rand_event prng }) } }
+  in
+  let pkts =
+    Array.init 400 (fun i -> if i = 200 then long else rand_packet prng)
+  in
+  let frames = Array.map Sh.Wire.encode pkts in
+  checkb "the long frame exceeds the initial buffer" true
+    (Bytes.length frames.(200) > 4096);
+  let stream = Bytes.concat Bytes.empty (Array.to_list frames) in
+  let check_out what out =
+    let out = Array.of_list (List.rev out) in
+    checki (what ^ ": every packet once") (Array.length pkts) (Array.length out);
+    Array.iteri
+      (fun i p ->
+        if not (Sh.Wire.equal p out.(i)) then
+          Alcotest.failf "%s: packet %d differs" what i)
+      pkts
+  in
+  let rec take fb out =
+    match F.next fb with Some p -> take fb (p :: out) | None -> out
+  in
+  let fb = F.create () in
+  F.feed fb stream ~len:(Bytes.length stream);
+  check_out "one feed" (take fb []);
+  let fb = F.create () in
+  let rec pieces off out =
+    if off >= Bytes.length stream then out
+    else begin
+      let k = Int.min (1 + Prng.int prng 600) (Bytes.length stream - off) in
+      F.feed fb (Bytes.sub stream off k) ~len:k;
+      pieces (off + k) (take fb out)
+    end
+  in
+  check_out "pieces" (pieces 0 []);
+  checkb "pieces: nothing left over" true (Option.is_none (F.next fb))
+
+(* Two senders, each in a domain of its own, into one loopback
+   destination polled from a third: each sender's packets arrive once
+   and in its sending order. *)
+let test_loopback_fifo () =
+  let nets = Sh.Transport.Loopback.create ~nodes:3 () in
+  let per_sender = 5_000 in
+  let sender me () =
+    for k = 1 to per_sender do
+      Sh.Transport.send_to nets.(me) ~dst:2 ~stamp:k
+        (Sh.Wire.Delta
+           { dl_shard = me; dl_segment = me; dl_versions = [ (k, k, me) ] })
+    done
+  in
+  let got = Array.make 2 0 in
+  Fixtures.within ~seconds:20. (fun () ->
+      let ds = List.map (fun me -> Domain.spawn (sender me)) [ 0; 1 ] in
+      while got.(0) + got.(1) < 2 * per_sender do
+        match nets.(2).Sh.Transport.poll () with
+        | None -> Domain.cpu_relax ()
+        | Some { Sh.Wire.src; stamp; msg; _ } ->
+          got.(src) <- got.(src) + 1;
+          if stamp <> got.(src) then
+            Alcotest.failf "sender %d: packet %d arrived as number %d" src
+              stamp got.(src);
+          (match msg with
+          | Sh.Wire.Delta { dl_versions = [ (k, _, v) ]; _ }
+            when k = stamp && v = src -> ()
+          | _ -> Alcotest.failf "sender %d: packet %d garbled" src stamp)
+      done;
+      List.iter Domain.join ds);
+  checkb "nothing more arrives" true (Option.is_none (nets.(2).poll ()))
+
+(* The send path allocates nothing but a publication's snapshot parts.
+   After warm-up, 10,000 loopback sends of one fixed packet, counted
+   with [Gc.minor_words] around the sends alone: a Delta and a Wall
+   allocate no minor word, and a four-class Pub at most the 25 words
+   of [Registry.snap_parts] (an array of four and a 4-tuple per
+   class). *)
+let test_send_allocation () =
+  let words_per_send pkt =
+    let nets = Sh.Transport.Loopback.create ~nodes:2 () in
+    let send = nets.(0).Sh.Transport.send in
+    let rec drain () =
+      match nets.(1).Sh.Transport.poll () with Some _ -> drain () | None -> ()
+    in
+    for _ = 1 to 100 do
+      send pkt
+    done;
+    drain ();
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      send pkt
+    done;
+    let w1 = Gc.minor_words () in
+    drain ();
+    Float.to_int ((w1 -. w0) /. float_of_int n)
+  in
+  let reg = Registry.create ~classes:4 () in
+  List.iter
+    (fun (c, init) ->
+      Registry.register_active reg ~class_id:c ~id:init ~init;
+      Registry.finish_active reg ~class_id:c ~endt:(init + 3))
+    [ (0, 101); (2, 103); (0, 107); (2, 111) ];
+  Registry.register_active reg ~class_id:0 ~id:115 ~init:115;
+  let pkt msg = { Sh.Wire.src = 0; dst = 1; stamp = 117; msg } in
+  checki "Delta: words per send" 0
+    (words_per_send
+       (pkt
+          (Sh.Wire.Delta
+             { dl_shard = 0; dl_segment = 2; dl_versions = [ (517, 115, 9) ] })));
+  checki "Wall: words per send" 0
+    (words_per_send
+       (pkt
+          (Sh.Wire.Wall
+             (TW.make ~s:3 ~m:101 ~components:[| 99; 101; 97; 101 |]
+                ~released_at:120))));
+  let pub_words =
+    words_per_send
+      (pkt
+         (Sh.Wire.Pub
+            { p_shard = 0; p_seq = 40; p_upto = 116;
+              p_marks = [| 21; 0; 19; 0 |];
+              p_snap = Registry.snapshot reg }))
+  in
+  if pub_words > 25 then
+    Alcotest.failf
+      "Pub: %d words per send, more than Registry.snap_parts's 25"
+      pub_words
 
 (* --- the cross-shard oracle --- *)
 
@@ -410,6 +550,60 @@ let test_counters_agree () =
   done;
   if !failures <> [] then
     Alcotest.failf "%d count disagreement(s) over %d seeds:@.%s"
+      (List.length !failures) seeds
+      (String.concat "\n" (List.rev !failures))
+
+(* The node's publication batch K delays only how soon peers see
+   refreshed activity ([Node.config.publish_every]): deterministic
+   cluster runs at K = 1, 8 and 64 (2/4/8 shards by seed) each pass the
+   four-check oracle, and at K = 8 and 64 every descriptor commits or
+   aborts as at K = 1. *)
+let test_node_batching_identity () =
+  let seeds = shard_seeds () in
+  let failures = ref [] in
+  for seed = 1 to seeds do
+    let shards = Fixtures.scaled_workers seed in
+    let partition, script =
+      D.stress_case ~seed ~txns:30 ~profile:(profile_of seed)
+    in
+    let outcomes =
+      List.map
+        (fun k ->
+          let run =
+            Sh.Cluster.run_script_det
+              ~config:{ Sh.Node.default_config with publish_every = k }
+              ~partition ~init:D.default_init ~shards ~seed ~script ()
+          in
+          let r = D.check_run ~partition ~init:D.default_init ~script run in
+          if not (D.ok r) then
+            failures :=
+              Format.asprintf "seed %d shards %d K=%d: %a" seed shards k
+                D.pp_report r
+              :: !failures;
+          (k, run.E.outcomes))
+        [ 1; 8; 64 ]
+    in
+    match outcomes with
+    | (_, o1) :: rest ->
+      List.iter
+        (fun (k, o) ->
+          if o <> o1 then
+            failures :=
+              Printf.sprintf
+                "seed %d shards %d: K=%d outcomes [%s] not at K=1"
+                seed shards k
+                (String.concat "; "
+                   (List.filter_map
+                      (fun (id, c) ->
+                        if List.mem (id, c) o1 then None
+                        else Some (Printf.sprintf "%d %b" id c))
+                      o))
+              :: !failures)
+        rest
+    | [] -> ()
+  done;
+  if !failures <> [] then
+    Alcotest.failf "%d batching divergence(s) over %d seeds:@.%s"
       (List.length !failures) seeds
       (String.concat "\n" (List.rev !failures))
 
@@ -888,8 +1082,14 @@ let suite =
     Alcotest.test_case "bench shard: a raising node ends the run" `Quick
       test_bench_raise_ends_run;
     Alcotest.test_case "framebuf: two pieces, typed errors" `Quick
-      test_framebuf;
+      (fun () ->
+        test_framebuf ();
+        test_loopback_fifo ());
     Alcotest.test_case "counters: serial, engine and cluster agree" `Slow
       test_counters_agree;
     Alcotest.test_case "cluster: runs count node publications" `Quick
-      test_cluster_counts_publications ]
+      test_cluster_counts_publications;
+    Alcotest.test_case "loopback: sends allocate only Pub snapshots" `Quick
+      test_send_allocation;
+    Alcotest.test_case "node: batching K=1/8/64 reaches one outcome" `Slow
+      test_node_batching_identity ]

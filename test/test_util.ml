@@ -296,6 +296,28 @@ let test_binc_decode_bounds () =
     "cut-short varint" (Error "truncated")
     (Binc.decode buf ~pos:2 ~f:Binc.r_int)
 
+(* A decoded list of any length stays off the stack: 200,000 elements
+   under a 16,384-word stack limit, which a plain recursion overflows. *)
+let test_binc_long_list () =
+  let n = 200_000 in
+  let w = Binc.writer () in
+  Binc.w_list w Binc.w_int (List.init n (fun i -> (i * 7) - 3));
+  let buf = Binc.frame w in
+  let g = Gc.get () in
+  let back =
+    Fun.protect
+      ~finally:(fun () -> Gc.set g)
+      (fun () ->
+        Gc.set { g with Gc.stack_limit = 16_384 };
+        Binc.decode buf ~pos:0 ~f:(fun r -> Binc.r_list r Binc.r_int))
+  in
+  match back with
+  | Ok (l, _) ->
+    checki "length" n (List.length l);
+    checkb "elements in order" true
+      (List.for_all2 ( = ) l (List.init n (fun i -> (i * 7) - 3)))
+  | Error e -> Alcotest.failf "long list: %s" e
+
 let suite =
   [ Alcotest.test_case "prng: deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng: seed sensitivity" `Quick test_prng_seed_sensitivity;
@@ -325,4 +347,6 @@ let suite =
     Alcotest.test_case "binc: varint length at every 7-bit boundary" `Quick
       test_binc_varint_lengths;
     Alcotest.test_case "binc: decode stops at its frame's end" `Quick
-      test_binc_decode_bounds ]
+      test_binc_decode_bounds;
+    Alcotest.test_case "binc: a long list decodes off the stack" `Quick
+      test_binc_long_list ]
