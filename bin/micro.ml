@@ -45,8 +45,10 @@ let registry_fixture () =
   done;
   (reg, ref 17)
 
-(* A publication as shard-loopback's nodes send it: two owned classes
-   with finished windows, one of them with an active transaction. *)
+(* A publication as shard-loopback's nodes send it: their live
+   registry, written at encode, with two owned classes with finished
+   windows, one of them with an active transaction; it decodes into
+   fresh views. *)
 let pub_packet () =
   let reg = T.Registry.create ~classes:4 () in
   List.iter
@@ -59,7 +61,7 @@ let pub_packet () =
     msg =
       Hdd_shard.Wire.Pub
         { p_shard = 0; p_seq = 40; p_upto = 116; p_marks = [| 21; 0; 19; 0 |];
-          p_snap = T.Registry.snapshot reg } }
+          p_act = Hdd_shard.Wire.Live reg } }
 
 let round_trip pkt =
   Bechamel.Staged.stage (fun () ->

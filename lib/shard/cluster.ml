@@ -205,6 +205,11 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     try Transport.Pipe.write_packet w (snd down.(i)) pkt
     with Unix.Unix_error (EPIPE, _, _) -> ()
   in
+  (* a child's frame for a sibling goes down as the bytes it came in *)
+  let forward i buf pos len =
+    try Transport.Pipe.write_frame (snd down.(i)) buf ~pos ~len
+    with Unix.Unix_error (EPIPE, _, _) -> ()
+  in
   let fbs = Array.init shards (fun _ -> Transport.Framebuf.create ()) in
   let chunk = Bytes.create 65536 in
   let outcomes = ref [] and slices = ref [] and counters = ref [] in
@@ -227,11 +232,11 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     teardown ();
     raise (Shard_died { shard; reason })
   in
-  (* one routing round: forward child->child frames, keep the frames
-     addressed to us.  Draining while dispatching keeps the pipes from
-     filling up and deadlocking on large scripts.  A child closes its
-     pipe only by exiting, so an end of file before its Outcome is its
-     death. *)
+  (* one routing round: forward child->child frames undecoded, decode
+     the frames addressed to us.  Draining while dispatching keeps the
+     pipes from filling up and deadlocking on large scripts.  A child
+     closes its pipe only by exiting, so an end of file before its
+     Outcome is its death. *)
   let eof = Array.make shards false in
   let service timeout =
     let live =
@@ -254,21 +259,22 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
         | n ->
           Transport.Framebuf.feed fbs.(!i) chunk ~len:n;
           let rec route () =
-            match Transport.Framebuf.next fbs.(!i) with
+            match
+              Transport.Framebuf.route fbs.(!i) ~from:!i ~nodes:shards
+                ~forward
+            with
             | None -> ()
             | Some pkt ->
-              (if pkt.Wire.dst = parent then
-                 match pkt.Wire.msg with
-                 | Wire.Outcome { outcomes = o; counters = k; _ } ->
-                   reported.(!i) <- true;
-                   outcomes := o :: !outcomes;
-                   counters := k :: !counters
-                 | Wire.Trace_slice { records; _ } ->
-                   sliced.(!i) <- true;
-                   slices := records :: !slices
-                 | Wire.Bye _ -> bye.(!i) <- true
-                 | _ -> ()
-               else send_down pkt.Wire.dst pkt);
+              (match pkt.Wire.msg with
+              | Wire.Outcome { outcomes = o; counters = k; _ } ->
+                reported.(!i) <- true;
+                outcomes := o :: !outcomes;
+                counters := k :: !counters
+              | Wire.Trace_slice { records; _ } ->
+                sliced.(!i) <- true;
+                slices := records :: !slices
+              | Wire.Bye _ -> bye.(!i) <- true
+              | _ -> ());
               route ()
           in
           route ())

@@ -78,6 +78,9 @@ let counters t =
 
 (* --- publications --- *)
 
+(* The publication names the live registry and marks: every carrier
+   encodes a packet inside [send], so each frame is the state at its
+   send, with nothing frozen or copied (transport.mli). *)
 let publish_upto t upto =
   X.published t.x;
   t.pub_seq <- t.pub_seq + 1;
@@ -86,12 +89,12 @@ let publish_upto t upto =
        { p_shard = t.me;
          p_seq = t.pub_seq;
          p_upto = upto;
-         p_marks = Array.copy t.sent_marks;
-         p_snap = Registry.snapshot t.registry })
+         p_marks = t.sent_marks;
+         p_act = Wire.Live t.registry })
 
 (* The capture reads the clock first, so [upto] never claims more than
-   the snapshot holds: everything of this shard's initiating later
-   ticks later. *)
+   the frames hold: everything of this shard's initiating later ticks
+   later. *)
 let publish t = publish_upto t (Sclock.now t.clock)
 let publish_final t = publish_upto t max_int
 
@@ -126,7 +129,11 @@ let handle t (pkt : Wire.packet) =
           { r_seq = p.Wire.p_seq;
             r_upto = p.Wire.p_upto;
             r_marks = p.Wire.p_marks;
-            r_snap = p.Wire.p_snap }
+            r_snap =
+              (match p.Wire.p_act with
+              | Wire.Frozen s -> s
+              | Wire.Live _ ->
+                invalid_arg "Node: a publication that crossed no wire") }
   | Wire.Delta d -> apply_delta t d
   | Wire.Wall w ->
     if w.TW.released_at > t.wall.TW.released_at then begin

@@ -73,7 +73,9 @@ val pump : t -> unit
     wall release. *)
 
 val publish : t -> unit
-(** Broadcast the current activity publication. *)
+(** Broadcast the current activity publication: a [Pub] naming the
+    live registry and delta marks, written into each frame as they
+    stand at its send ({!Transport}). *)
 
 val publish_final : t -> unit
 (** Broadcast with unbounded coverage ([upto = max_int]) — only legal

@@ -47,26 +47,59 @@ module Framebuf = struct
     Bytes.blit bytes 0 t.buf t.len len;
     t.len <- t.len + len
 
-  let next t =
+  (* The length of the complete frame at the offset, header included,
+     or -1 while its bytes are still arriving.  A length header beyond
+     what {!Binc.decode} accepts is refused at once, not waited on. *)
+  let complete t =
     let avail = t.len - t.off in
-    if avail < 8 then None
+    if avail < 8 then -1
     else
       let plen = Int32.to_int (Bytes.get_int32_le t.buf t.off) in
-      if plen < 0 then raise (Binc.Error "Framebuf: negative frame length")
-      else if avail < 8 + plen then None
-      else begin
-        (* decoded where it lies; the packet shares no bytes with [buf] *)
-        let decoded = Wire.decode t.buf ~pos:t.off in
-        (* a drained buffer starts again at the front *)
-        if avail = 8 + plen then begin
-          t.off <- 0;
-          t.len <- 0
+      if plen < 0 || plen > Binc.max_payload then
+        raise
+          (Binc.Error
+             (Printf.sprintf "Framebuf: implausible length header %d" plen))
+      else if avail < 8 + plen then -1
+      else 8 + plen
+
+  (* past [n] bytes; a drained buffer starts again at the front *)
+  let advance t n =
+    if t.len - t.off = n then begin
+      t.off <- 0;
+      t.len <- 0
+    end
+    else t.off <- t.off + n
+
+  let next t =
+    match complete t with
+    | -1 -> None
+    | n -> (
+      (* decoded where it lies; the packet shares no bytes with [buf] *)
+      let decoded = Wire.decode t.buf ~pos:t.off in
+      advance t n;
+      match decoded with
+      | Ok (pkt, _) -> Some pkt
+      | Error e -> corrupt "Framebuf" e)
+
+  let rec route t ~from ~nodes ~forward =
+    match complete t with
+    | -1 -> None
+    | n -> (
+      let pos = t.off in
+      match Wire.dst_of t.buf ~pos with
+      | Error e -> corrupt (Printf.sprintf "Framebuf: shard %d" from) e
+      | Ok dst ->
+        if dst = nodes then next t
+        else if dst >= 0 && dst < nodes then begin
+          forward dst t.buf pos n;
+          advance t n;
+          route t ~from ~nodes ~forward
         end
-        else t.off <- t.off + 8 + plen;
-        match decoded with
-        | Ok (pkt, _) -> Some pkt
-        | Error e -> corrupt "Framebuf" e
-      end
+        else
+          raise
+            (Binc.Error
+               (Printf.sprintf "Framebuf: shard %d sent a frame to address %d"
+                  from dst)))
 end
 
 module Loopback = struct
@@ -141,13 +174,15 @@ end
 module Pipe = struct
   let parent_addr ~nodes = nodes
 
+  let write_frame fd buf ~pos ~len =
+    let off = ref pos and stop = pos + len in
+    while !off < stop do
+      off := !off + Unix.write fd buf !off (stop - !off)
+    done
+
   let write_packet w fd pkt =
     Wire.encode_into w pkt;
-    let buf = Binc.buffer w and n = Binc.length w in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd buf !off (n - !off)
-    done
+    write_frame fd (Binc.buffer w) ~pos:0 ~len:(Binc.length w)
 
   let endpoint ~me ~nodes ~read_fd ~write_fd =
     Unix.set_nonblock read_fd;

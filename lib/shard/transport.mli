@@ -5,7 +5,15 @@
     yields the next arrived packet, FIFO per channel.  An endpoint is
     used by one domain at a time: it encodes every send into its own
     reused {!Hdd_util.Binc} writer ({!Wire.encode_into}), so a send
-    allocates nothing but a [Pub]'s snapshot parts.  Two carriers:
+    allocates nothing.
+
+    A packet may name its sender's live state: a node's [Pub] carries
+    its live registry ({!Wire.Live}) and its live delta marks, not a
+    frozen copy.  That is sound because every carrier encodes the
+    packet inside [send], before [send] returns, and keeps only the
+    bytes: the frame is a snapshot of that state at send time.  A
+    carrier (or a wrapper around [send]) must never hold on to a packet
+    value to encode it later.  Two carriers:
 
     - {!Loopback}: an in-memory pipe per destination.  A send appends
       its sealed frame to the destination's {!Framebuf} under that
@@ -51,9 +59,28 @@ module Framebuf : sig
 
   val next : t -> Wire.packet option
   (** The next complete frame, if any.
-      @raise Hdd_util.Binc.Error on a negative length header or a frame
-      the codec refuses (pipes do not corrupt; anything else is a
-      bug). *)
+      @raise Hdd_util.Binc.Error on a length header outside
+      [\[0, Binc.max_payload\]] (refused at once, not waited on) or a
+      frame the codec refuses (pipes do not corrupt; anything else is
+      a bug). *)
+
+  val route :
+    t ->
+    from:int ->
+    nodes:int ->
+    forward:(int -> bytes -> int -> int -> unit) ->
+    Wire.packet option
+  (** The process router's read of child [from]'s stream.  Each
+      complete frame's header and CRC are checked and its [dst] read
+      from the first payload bytes ({!Wire.dst_of}); a frame for a
+      shard ([0 <= dst < nodes]) goes to [forward dst buf pos len] as
+      the bytes it lies in, undecoded, and the next frame follows.
+      The first frame for the router itself (address [nodes]) is
+      decoded and returned; [None] once no complete frame is left.
+      [forward] must copy or write the bytes before it returns.
+      @raise Hdd_util.Binc.Error naming shard [from] on a frame that
+      fails its checks or addresses neither a shard nor the router, and
+      as {!next} does. *)
 end
 
 module Loopback : sig
@@ -84,4 +111,8 @@ module Pipe : sig
   val write_packet : Hdd_util.Binc.writer -> Unix.file_descr -> Wire.packet -> unit
   (** Encode the packet into the reused writer and write the whole
       frame (the endpoint's and the router's send). *)
+
+  val write_frame : Unix.file_descr -> bytes -> pos:int -> len:int -> unit
+  (** Write [len] bytes of a frame from [pos], all of them: what the
+      router forwards. *)
 end

@@ -3,12 +3,14 @@ module T = Hdd_obs.Trace
 module TW = Hdd_core.Timewall
 module E = Hdd_runtime.Engine
 
+type activity = Live of Registry.t | Frozen of Registry.snapshot
+
 type pub = {
   p_shard : int;
   p_seq : int;
   p_upto : Time.t;
   p_marks : int array;
-  p_snap : Registry.snapshot;
+  p_act : activity;
 }
 
 type delta = {
@@ -53,22 +55,9 @@ type packet = { src : int; dst : int; stamp : Time.t; msg : msg }
 
 (* --- writing --- *)
 
-(* the window columns go out interleaved, one (init, end) pair at a time *)
-let w_snap b snap =
-  B.w_array b
-    (fun b (actives, w_init, w_end, gen) ->
-      B.w_list b
-        (fun b (id, t) ->
-          B.w_int b id;
-          B.w_int b t)
-        actives;
-      B.w_int b (Array.length w_init);
-      for k = 0 to Array.length w_init - 1 do
-        B.w_int b w_init.(k);
-        B.w_int b w_end.(k)
-      done;
-      B.w_int b gen)
-    (Registry.snap_parts snap)
+let w_activity b = function
+  | Live reg -> Registry.write b reg
+  | Frozen snap -> Registry.write_snapshot b snap
 
 let w_wall b (w : TW.wall) =
   B.w_int b w.TW.s;
@@ -235,7 +224,7 @@ let w_msg b = function
     B.w_int b p.p_seq;
     B.w_int b p.p_upto;
     B.w_array b B.w_int p.p_marks;
-    w_snap b p.p_snap
+    w_activity b p.p_act
   | Delta d ->
     B.w_int b 1;
     B.w_int b d.dl_shard;
@@ -314,27 +303,6 @@ let encode_into b pkt =
 (* --- reading --- *)
 
 let bad what n = raise (B.Error (Printf.sprintf "bad %s tag %d" what n))
-
-let r_snap r =
-  Registry.snapshot_of_parts
-    (B.r_array r (fun r ->
-         let actives =
-           B.r_list r (fun r ->
-               let id = B.r_int r in
-               let t = B.r_int r in
-               (id, t))
-         in
-         let n = B.r_count r in
-         (* [Array.make] is a C call even for n = 0; most classes have
-            no window. *)
-         let w_init = if n = 0 then [||] else Array.make n 0 in
-         let w_end = if n = 0 then [||] else Array.make n 0 in
-         for k = 0 to n - 1 do
-           w_init.(k) <- B.r_int r;
-           w_end.(k) <- B.r_int r
-         done;
-         let gen = B.r_int r in
-         (actives, w_init, w_end, gen)))
 
 let r_wall r =
   let s = B.r_int r in
@@ -514,8 +482,8 @@ let r_msg r =
     let p_seq = B.r_int r in
     let p_upto = B.r_int r in
     let p_marks = B.r_array r B.r_int in
-    let p_snap = r_snap r in
-    Pub { p_shard; p_seq; p_upto; p_marks; p_snap }
+    let p_act = Frozen (Registry.read r) in
+    Pub { p_shard; p_seq; p_upto; p_marks; p_act }
   | 1 ->
     let dl_shard = B.r_int r in
     let dl_segment = B.r_int r in
@@ -580,14 +548,26 @@ let read_packet r =
 
 let decode buf ~pos = B.decode buf ~pos ~f:read_packet
 
+(* [src] and [dst] open the payload *)
+let read_dst r =
+  ignore (B.r_int r);
+  B.r_int r
+
+let dst_of buf ~pos = Result.map fst (B.peek buf ~pos ~f:read_dst)
+
 (* --- equality (tests) --- *)
+
+let activity_bytes a =
+  let b = B.writer () in
+  w_activity b a;
+  B.frame b
 
 let equal_msg a b =
   match (a, b) with
   | Pub p, Pub q ->
     p.p_shard = q.p_shard && p.p_seq = q.p_seq && p.p_upto = q.p_upto
     && p.p_marks = q.p_marks
-    && Registry.snap_parts p.p_snap = Registry.snap_parts q.p_snap
+    && Bytes.equal (activity_bytes p.p_act) (activity_bytes q.p_act)
   | Wall v, Wall w ->
     v.TW.s = w.TW.s && v.TW.m = w.TW.m
     && TW.to_vector v = TW.to_vector w

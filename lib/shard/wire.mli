@@ -9,26 +9,37 @@
     snapshot.
 
     The concurrency-control payloads are deliberately the same values
-    the multicore runtime shares through [Atomic]s: frozen
-    {!Registry.snapshot}s ([Pub]), committed version batches ([Delta])
-    and released time walls ([Wall]).  Shipping CC state instead of
+    the multicore runtime shares through [Atomic]s: registry snapshots
+    ([Pub]; written from the sender's live registry, decoded into a
+    {!Registry.snapshot}), committed version batches ([Delta]) and
+    released time walls ([Wall]).  Shipping CC state instead of
     taking locks is the whole point — the read path needs no
     registration round trip (PAPER.md; "transparent concurrency
     control" in PAPERS.md). *)
 
-(** An activity publication: shard [p_shard]'s frozen registry view,
-    exact for every argument at or below [p_upto].  [p_marks.(seg)] is
-    the number of [Delta] messages for own segment [seg] broadcast
-    before the capture: a receiver that has applied that many deltas
-    and sees a class quiescent below a threshold in [p_snap] holds
-    every version the threshold can reach.  [p_seq] orders
-    publications per sender so late or duplicated ones are ignored. *)
+(** A publication's activity state.  A sender names its live registry
+    ([Live]): {!Registry.write} writes it as it stands when the packet
+    is encoded, which every carrier does inside its [send], so the
+    frame is a snapshot taken at send time with no frozen copy
+    (transport.mli).  A decoded publication holds fresh views
+    ([Frozen], {!Registry.read}); encoding one writes the same layout
+    ({!Registry.write_snapshot}). *)
+type activity = Live of Registry.t | Frozen of Registry.snapshot
+
+(** An activity publication: shard [p_shard]'s registry, exact for
+    every argument at or below [p_upto].  [p_marks.(seg)] is the number
+    of [Delta] messages for own segment [seg] broadcast before the
+    capture: a receiver that has applied that many deltas and sees a
+    class quiescent below a threshold in [p_act] holds every version
+    the threshold can reach.  A sender names its live marks, as it
+    names its live registry.  [p_seq] orders publications per sender
+    so late or duplicated ones are ignored. *)
 type pub = {
   p_shard : int;
   p_seq : int;
   p_upto : Time.t;
   p_marks : int array;
-  p_snap : Registry.snapshot;
+  p_act : activity;
 }
 
 (** A replication batch: the versions one commit installed into one of
@@ -88,12 +99,20 @@ val encode_into : Hdd_util.Binc.writer -> packet -> unit
 (** The frame {!encode} returns, written into a reused writer: reset,
     packet, seal.  The frame lies in bytes [\[0, Binc.length w)] of
     [Binc.buffer w] until the writer's next use.  Nothing is allocated
-    unless the frame outgrows the buffer, except a [Pub]'s
-    {!Registry.snap_parts} (one array and a tuple per class). *)
+    unless the frame outgrows the buffer ({!Registry.write}'s
+    conditions for a [Live] publication). *)
 
 val decode : bytes -> pos:int -> (packet * int, string) result
-(** Cut and decode one frame at [pos]; never raises. *)
+(** Cut and decode one frame at [pos]; never raises.  A [Pub] decodes
+    into [Frozen] fresh views, their shape checked by
+    {!Registry.read}. *)
+
+val dst_of : bytes -> pos:int -> (int, string) result
+(** The [dst] of the frame at [pos], once its header and CRC check
+    out: read from the payload's first bytes, with the rest left
+    undecoded.  Never raises. *)
 
 val equal : packet -> packet -> bool
-(** Structural equality (field-by-field; snapshots compare by their
-    {!Registry.snap_parts}).  For the round-trip property suite. *)
+(** Structural equality, field by field; activity states compare by
+    their bytes, so a [Live] registry equals the [Frozen] snapshot
+    decoded from it.  For the round-trip property suite. *)

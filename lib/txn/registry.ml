@@ -1,3 +1,5 @@
+module Binc = Hdd_util.Binc
+
 (* A class's frozen activity state: what a snapshot holds per class.
    Immutable once built; the arrays start at index 0. *)
 type class_view = {
@@ -393,38 +395,91 @@ let snap_c_late snap ~class_id ~at =
     let i = v_first_init_at_or_above v at in
     if i > 0 && v.v_w_end.(i - 1) > at then Ok v.v_w_end.(i - 1) else Ok at
 
-let snap_parts snap =
-  Array.map (fun v -> (v.v_actives, v.v_w_init, v.v_w_end, v.v_gen)) snap.views
+(* --- the wire layout ---
 
-let rec check_actives = function
-  | (_, a) :: ((_, b) :: _ as rest) ->
-    if a >= b then
-      invalid_arg "Registry.snapshot_of_parts: actives not ascending"
-    else check_actives rest
-  | _ -> ()
+   Per class: the actives as count-prefixed (id, initiation) pairs,
+   oldest first; the windows as a count and (init, end) pairs,
+   ascending; the generation.  The live and the frozen writer share
+   [w_class], and every element writer is a top-level function, so
+   writing allocates nothing. *)
 
-let snapshot_of_parts parts =
-  if Array.length parts = 0 then
-    invalid_arg "Registry.snapshot_of_parts: no classes";
-  { views =
-      Array.map
-        (fun (actives, w_init, w_end, gen) ->
-          check_actives actives;
-          let n = Array.length w_init in
-          if Array.length w_end <> n then
-            invalid_arg "Registry.snapshot_of_parts: window columns differ";
-          for i = 0 to n - 1 do
-            if w_init.(i) >= w_end.(i) then
-              invalid_arg "Registry.snapshot_of_parts: empty window";
-            if
-              i > 0
-              && (w_init.(i - 1) >= w_init.(i) || w_end.(i - 1) >= w_end.(i))
-            then
-              invalid_arg "Registry.snapshot_of_parts: windows not ascending"
-          done;
-          { v_actives = actives; v_w_init = w_init; v_w_end = w_end;
-            v_gen = gen })
-        parts }
+let rec w_pending b = function
+  | [] -> ()
+  | (r : Txn.t) :: rest ->
+    Binc.w_int b r.Txn.id;
+    Binc.w_int b r.Txn.init;
+    w_pending b rest
+
+let w_pair b (id, init) =
+  Binc.w_int b id;
+  Binc.w_int b init
+
+(* windows [[lo, hi)] of the two columns, then the generation *)
+let w_class b w_init w_end lo hi gen =
+  Binc.w_int b (hi - lo);
+  for k = lo to hi - 1 do
+    Binc.w_int b (Array.unsafe_get w_init k);
+    Binc.w_int b (Array.unsafe_get w_end k)
+  done;
+  Binc.w_int b gen
+
+(* A live class as [freeze] would show it: the same [sync], the packed
+   active after the pending ones, the windows from [w_base]. *)
+let w_log b log =
+  sync log;
+  let packed = log.a_init <> max_int in
+  Binc.w_int b (List.length log.pending + if packed then 1 else 0);
+  w_pending b log.pending;
+  if packed then begin
+    Binc.w_int b log.a_id;
+    Binc.w_int b log.a_init
+  end;
+  w_class b log.w_init log.w_end log.w_base log.w_len log.gen
+
+let write b t = Binc.w_array b w_log t.logs
+
+let w_view b v =
+  Binc.w_list b w_pair v.v_actives;
+  w_class b v.v_w_init v.v_w_end 0 (Array.length v.v_w_init) v.v_gen
+
+let write_snapshot b snap = Binc.w_array b w_view snap.views
+
+(* The reader refuses what no registry can show, so corrupted bytes
+   fail here, never as a snapshot that answers nonsense. *)
+let malformed what = raise (Binc.Error ("Registry.read: " ^ what))
+
+let[@tail_mod_cons] rec r_actives r n prev =
+  if n = 0 then []
+  else
+    let id = Binc.r_int r in
+    let init = Binc.r_int r in
+    if init <= prev then malformed "actives not ascending";
+    (id, init) :: r_actives r (n - 1) init
+
+let r_view r =
+  let v_actives = r_actives r (Binc.r_count r) min_int in
+  let n = Binc.r_count r in
+  (* [Array.make] is a C call even for n = 0; most classes have no
+     window *)
+  let v_w_init = if n = 0 then [||] else Array.make n 0 in
+  let v_w_end = if n = 0 then [||] else Array.make n 0 in
+  for k = 0 to n - 1 do
+    let init = Binc.r_int r in
+    let endt = Binc.r_int r in
+    if init >= endt then malformed "empty window";
+    if k > 0 && (v_w_init.(k - 1) >= init || v_w_end.(k - 1) >= endt) then
+      malformed "windows not ascending";
+    v_w_init.(k) <- init;
+    v_w_end.(k) <- endt
+  done;
+  { v_actives; v_w_init; v_w_end; v_gen = Binc.r_int r }
+
+let read r =
+  match Binc.r_array r r_view with
+  | [||] -> malformed "no classes"
+  | views -> { views }
+
+let same_view a b ~class_id = view_of a class_id == view_of b class_id
 
 (* First record index at or after [i] that has not finished by [upto].
    Top-level recursion: [prune] runs on the engine's steady-state commit

@@ -108,16 +108,16 @@ val window_count : t -> class_id:int -> int
     actives (id, initiation) and the dominance-pruned finished-window
     arrays — into a value that shares nothing mutable with the live
     registry.  The parallel runtime publishes one per owner domain
-    through an [Atomic], and the shard node ships one in every
-    publication, so cross-class threshold computations elsewhere are
-    pure reads with no locks and no access to scan internals.  A
-    snapshot answers exactly as the live registry answered at capture
-    time: the 1000-seed equivalence properties in [test_runtime.ml] pin
-    this.
+    through an [Atomic], and a shard node decodes one from every
+    publication it receives ({!read}), so cross-class threshold
+    computations elsewhere are pure reads with no locks and no access
+    to scan internals.  A snapshot answers exactly as the live registry
+    answered at capture time: the 1000-seed equivalence properties in
+    [test_runtime.ml] pin this.
 
     Consecutive snapshots share the frozen view of every class that did
-    not change between them, so a snapshot costs the classes that moved,
-    not the whole registry.  The reuse is exact: every change to a
+    not change between them, so an engine publication costs the classes
+    that moved, not the whole registry.  The reuse is exact: every change to a
     class's actives or windows advances its {!generation}, and pruning
     moves only the start of its window index, forwards; a view is
     reused only while both are where it was frozen. *)
@@ -142,27 +142,40 @@ val snap_c_late :
   snapshot -> class_id:int -> at:Time.t -> (Time.t, Txn.id) result
 (** {!c_late} against the frozen view. *)
 
-val snap_parts :
-  snapshot -> ((Txn.id * Time.t) list * Time.t array * Time.t array * int) array
-(** The frozen state, one tuple per class: the ordered actives (id,
-    initiation; oldest first), the dominance-pruned finished windows as
-    two columns — initiations, then ends, both strictly ascending and
-    of equal length — and the generation.  Everything a wire codec needs
-    to rebuild the snapshot on another machine.  The columns are the
-    snapshot's own arrays, shared with every later snapshot that reuses
-    the class's view: read them, never write them. *)
+val same_view : snapshot -> snapshot -> class_id:int -> bool
+(** The two snapshots hold the class's one frozen view, physically:
+    what the reuse above shares. *)
 
-val snapshot_of_parts :
-  ((Txn.id * Time.t) list * Time.t array * Time.t array * int) array ->
-  snapshot
-(** Rebuild a snapshot from decoded parts.  Validates the shape
-    {!snap_parts} guarantees — actives ascending by initiation, window
-    columns of equal length and strictly ascending, each window's init
-    below its end — so a decoder feeding it corrupted bytes gets a
-    clean failure, not a snapshot that answers nonsense.  The snapshot
-    keeps the column arrays it is given; the caller must not write them
-    afterwards.
-    @raise Invalid_argument on malformed parts. *)
+(** {1 The wire layout}
+
+    A snapshot's bytes, written into and read from a
+    {!Hdd_util.Binc} frame: per class, the ordered actives (id,
+    initiation; oldest first), the dominance-pruned finished windows
+    as (init, end) pairs, both columns strictly ascending, and the
+    generation.  {!write} writes the live registry as {!snapshot}
+    would freeze it at that instant, so a publication needs no frozen
+    copy; {!read} decodes straight into fresh views. *)
+
+val write : Hdd_util.Binc.writer -> t -> unit
+(** The registry's classes as they stand: the same [sync] a snapshot
+    runs, then each class's live log.  The bytes equal
+    [write_snapshot b (snapshot t)]'s at the same instant.  Allocates
+    nothing once the writer's buffer is large enough, unless a
+    registered [Txn.t] finished since the last query ([sync] then
+    rebuilds the pending list; the packed path never leaves one).
+    Only the registry's owner may call it. *)
+
+val write_snapshot : Hdd_util.Binc.writer -> snapshot -> unit
+(** A frozen snapshot in the same layout. *)
+
+val read : Hdd_util.Binc.reader -> snapshot
+(** A snapshot from its bytes, in fresh views that share nothing.
+    Validates the shape {!write} guarantees — at least one class,
+    actives ascending by initiation, windows strictly ascending in both
+    columns, each window's init below its end — so corrupted bytes get
+    a clean failure, not a snapshot that answers nonsense.
+    @raise Hdd_util.Binc.Error on a malformed snapshot or truncated
+    bytes. *)
 
 val prune : t -> upto:Time.t -> unit
 (** Forget prefix records that finished at or before [upto].  Queries with

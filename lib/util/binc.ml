@@ -234,22 +234,30 @@ let at_end r = r.pos = r.stop
 
 (* --- frames --- *)
 
-let decode buf ~pos ~f =
+let max_payload = 1 lsl 26
+
+(* Check the frame at [pos] (header, length, CRC), then run [f] over its
+   payload in place, up to the frame's end; with [whole], [f] must read
+   every payload byte. *)
+let run buf ~pos ~f ~whole =
   let len = Bytes.length buf in
   if pos < 0 || pos > len - header then Result.Error "truncated frame header"
   else
     let plen = Int32.to_int (Bytes.get_int32_le buf pos) in
     let crc = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF in
-    if plen < 0 || plen > 1 lsl 26 then Result.Error "implausible frame length"
+    if plen < 0 || plen > max_payload then
+      Result.Error "implausible frame length"
     else if plen > len - pos - header then Result.Error "truncated frame body"
     else if crc32_sub buf (pos + header) plen <> crc then
       Result.Error "frame CRC mismatch"
     else
-      (* the payload is read where it lies, up to the frame's end *)
       let r = { buf; pos = pos + header; stop = pos + header + plen } in
       match f r with
       | v ->
-        if at_end r then Result.Ok (v, r.stop)
+        if (not whole) || at_end r then Result.Ok (v, r.stop)
         else Result.Error "trailing payload bytes"
       | exception Error e -> Result.Error e
       | exception Invalid_argument e -> Result.Error ("invalid: " ^ e)
+
+let decode buf ~pos ~f = run buf ~pos ~f ~whole:true
+let peek buf ~pos ~f = run buf ~pos ~f ~whole:false

@@ -97,6 +97,11 @@ val crc32_sub : bytes -> int -> int -> int
     files, log-shipping batches and {!frame}s all use it.
     @raise Invalid_argument if the range is outside [buf]. *)
 
+val max_payload : int
+(** The longest payload a frame may claim: 2{^26} bytes.  {!decode}
+    refuses a longer length header as implausible, and a stream reader
+    should refuse it before waiting for the body. *)
+
 val decode : bytes -> pos:int -> f:(reader -> 'a) -> ('a * int, string) result
 (** Check the frame starting at [pos] (header, length, CRC over its
     payload), then run [f] over the payload in place, requiring it to
@@ -106,3 +111,9 @@ val decode : bytes -> pos:int -> f:(reader -> 'a) -> ('a * int, string) result
     truncated or corrupt frame, any {!Error} and any [Invalid_argument]
     a validating constructor inside [f] raises come back as [Error];
     nothing escapes. *)
+
+val peek : bytes -> pos:int -> f:(reader -> 'a) -> ('a * int, string) result
+(** {!decode}'s checks of the frame at [pos], then [f] over the start
+    of its payload only: the bytes [f] leaves unread are not an error.
+    For a router that reads a frame's address and passes the frame on
+    as it lies. *)

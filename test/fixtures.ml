@@ -75,6 +75,69 @@ let raising_script ~writes =
           d_ops = [ E.Write (Granule.make ~segment:c ~key:i, i) ];
           d_abort = false })
 
+(* --- seeded registry histories ---
+
+   Register/commit/abort, packed [register_active]/[finish_active] and
+   [prune], interleaved at random over 1-4 classes.  Each [step] makes
+   one move and marks in [touched] (which the caller clears) every
+   class whose frozen view it changes: its actives or windows moved, or
+   [prune] dropped windows.  [now] is the last tick taken. *)
+type registry_history = {
+  reg : Registry.t;
+  classes : int;
+  now : int ref;
+  touched : bool array;
+  step : unit -> unit;
+}
+
+let registry_history prng =
+  let classes = 1 + Hdd_util.Prng.int prng 4 in
+  let reg = Registry.create ~classes () in
+  let now = ref 0 in
+  let tick () = incr now; !now in
+  let actives = ref [] in
+  let packed = Array.make classes false in
+  let touched = Array.make classes false in
+  let next_id = ref 0 in
+  let step () =
+    let c = Hdd_util.Prng.int prng classes in
+    match Hdd_util.Prng.int prng 6 with
+    | (0 | 1) when not packed.(c) ->
+      (* no registration behind a packed active: it stays the newest *)
+      incr next_id;
+      let t = Txn.make ~id:!next_id ~kind:(Txn.Update c) ~init:(tick ()) in
+      Registry.register reg t;
+      actives := t :: !actives;
+      touched.(c) <- true
+    | 2 when !actives <> [] ->
+      let t = Hdd_util.Prng.pick prng (Array.of_list !actives) in
+      actives := List.filter (fun u -> u != t) !actives;
+      if Hdd_util.Prng.bool prng then Txn.commit t ~at:(tick ())
+      else Txn.abort t ~at:(tick ());
+      (match t.Txn.kind with
+      | Txn.Update k -> touched.(k) <- true
+      | Txn.Read_only -> ())
+    | 3 when not packed.(c) ->
+      incr next_id;
+      Registry.register_active reg ~class_id:c ~id:!next_id ~init:(tick ());
+      packed.(c) <- true;
+      touched.(c) <- true
+    | 4 when packed.(c) ->
+      Registry.finish_active reg ~class_id:c ~endt:(tick ());
+      packed.(c) <- false;
+      touched.(c) <- true
+    | _ ->
+      let before =
+        Array.init classes (fun k -> Registry.window_count reg ~class_id:k)
+      in
+      Registry.prune reg ~upto:(Hdd_util.Prng.int prng (!now + 1));
+      Array.iteri
+        (fun k n ->
+          if Registry.window_count reg ~class_id:k < n then touched.(k) <- true)
+        before
+  in
+  { reg; classes; now; touched; step }
+
 (* --- forced collections --- *)
 
 (* Minor collections (a stop-the-world pause over every domain in

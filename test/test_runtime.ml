@@ -452,61 +452,18 @@ let test_registry_snapshot_property () =
 (* --- registry snapshot reuse, 1000 seeds --- *)
 
 (* Register/commit/abort, packed register_active/finish_active and
-   prune, interleaved at random, with a snapshot after every step.
-   Every snapshot must answer [i_old]/[c_late] as the live registry did
-   at its capture, at every argument, and keep doing so to the end.
-   Between two consecutive snapshots, a class nobody touched must share
-   its window columns physically; a class that changed or lost windows
-   to [prune] must not (an empty column is the shared empty array, so
-   only non-empty ones count). *)
+   prune, interleaved at random ([Fixtures.registry_history]), with a
+   snapshot after every step.  Every snapshot must answer
+   [i_old]/[c_late] as the live registry did at its capture, at every
+   argument, and keep doing so to the end.  Between two consecutive
+   snapshots, a class nobody touched must share its frozen view
+   physically; a class that changed or lost windows to [prune] must
+   not. *)
 let test_registry_snapshot_reuse () =
   for seed = 1 to 1000 do
     let prng = Hdd_util.Prng.create seed in
-    let classes = 1 + Hdd_util.Prng.int prng 4 in
-    let reg = Registry.create ~classes () in
-    let now = ref 0 in
-    let tick () = incr now; !now in
-    let actives = ref [] in
-    let packed = Array.make classes false in
-    let touched = Array.make classes false in
-    let next_id = ref 0 in
-    let step () =
-      let c = Hdd_util.Prng.int prng classes in
-      match Hdd_util.Prng.int prng 6 with
-      | (0 | 1) when not packed.(c) ->
-        (* no registration behind a packed active: it stays the newest *)
-        incr next_id;
-        let t = Txn.make ~id:!next_id ~kind:(Txn.Update c) ~init:(tick ()) in
-        Registry.register reg t;
-        actives := t :: !actives;
-        touched.(c) <- true
-      | 2 when !actives <> [] ->
-        let t = Hdd_util.Prng.pick prng (Array.of_list !actives) in
-        actives := List.filter (fun u -> u != t) !actives;
-        if Hdd_util.Prng.bool prng then Txn.commit t ~at:(tick ())
-        else Txn.abort t ~at:(tick ());
-        (match t.Txn.kind with
-        | Txn.Update k -> touched.(k) <- true
-        | Txn.Read_only -> ())
-      | 3 when not packed.(c) ->
-        incr next_id;
-        Registry.register_active reg ~class_id:c ~id:!next_id ~init:(tick ());
-        packed.(c) <- true;
-        touched.(c) <- true
-      | 4 when packed.(c) ->
-        Registry.finish_active reg ~class_id:c ~endt:(tick ());
-        packed.(c) <- false;
-        touched.(c) <- true
-      | _ ->
-        let before =
-          Array.init classes (fun k -> Registry.window_count reg ~class_id:k)
-        in
-        Registry.prune reg ~upto:(Hdd_util.Prng.int prng (!now + 1));
-        Array.iteri
-          (fun k n ->
-            if Registry.window_count reg ~class_id:k < n then
-              touched.(k) <- true)
-          before
+    let { Fixtures.reg; classes; now; touched; step } =
+      Fixtures.registry_history prng
     in
     let answers snap_or_live =
       Array.init classes (fun c ->
@@ -531,15 +488,12 @@ let test_registry_snapshot_reuse () =
         Alcotest.failf "seed %d step %d: snapshot answers differ from live"
           seed k;
       taken := (k, snap, expect) :: !taken;
-      let was = Registry.snap_parts !prev and is = Registry.snap_parts snap in
       for c = 0 to classes - 1 do
-        let _, i0, e0, _ = was.(c) and _, i1, e1, _ = is.(c) in
-        if touched.(c) then begin
-          if Array.length i1 > 0 && (i0 == i1 || e0 == e1) then
-            Alcotest.failf "seed %d step %d: class %d changed, view reused"
-              seed k c
-        end
-        else if not (i0 == i1 && e0 == e1) then
+        let shared = Registry.same_view !prev snap ~class_id:c in
+        if touched.(c) && shared then
+          Alcotest.failf "seed %d step %d: class %d changed, view reused"
+            seed k c
+        else if (not touched.(c)) && not shared then
           Alcotest.failf "seed %d step %d: class %d untouched, view copied"
             seed k c
       done;

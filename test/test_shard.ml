@@ -39,9 +39,35 @@ let test_sclock () =
 
 (* --- random packets for the codec properties --- *)
 
+(* A frozen snapshot from its parts, through the registry's own reader:
+   the parts written in the wire layout (per class the actives, the
+   window pairs, the generation; DESIGN.md §15) and decoded by
+   [Registry.read], which checks their shape. *)
+let snapshot_of_parts parts =
+  let module B = Hdd_util.Binc in
+  let b = B.writer () in
+  B.w_array b
+    (fun b (actives, w_init, w_end, gen) ->
+      B.w_list b
+        (fun b (id, t) ->
+          B.w_int b id;
+          B.w_int b t)
+        actives;
+      B.w_int b (Array.length w_init);
+      Array.iteri
+        (fun k i ->
+          B.w_int b i;
+          B.w_int b w_end.(k))
+        w_init;
+      B.w_int b gen)
+    parts;
+  match B.decode (B.frame b) ~pos:0 ~f:Registry.read with
+  | Ok (snap, _) -> snap
+  | Error e -> Alcotest.failf "snapshot parts refused: %s" e
+
 let rand_snap prng =
   let classes = 1 + Prng.int prng 4 in
-  Registry.snapshot_of_parts
+  snapshot_of_parts
     (Array.init classes (fun _ ->
          let t = ref (Prng.int prng 5) in
          let actives =
@@ -163,7 +189,7 @@ let rand_msg prng =
       { p_shard = Prng.int prng 8; p_seq = Prng.int prng 1000;
         p_upto = (if Prng.int prng 5 = 0 then max_int else Prng.int prng 1000);
         p_marks = Array.init (1 + Prng.int prng 5) (fun _ -> Prng.int prng 50);
-        p_snap = rand_snap prng }
+        p_act = Sh.Wire.Frozen (rand_snap prng) }
   | 1 ->
     Sh.Wire.Delta
       { dl_shard = Prng.int prng 8; dl_segment = Prng.int prng 5;
@@ -223,7 +249,7 @@ let corruption_victim () =
       msg =
         Sh.Wire.Pub
           { p_shard = 0; p_seq = 3; p_upto = 512;
-            p_marks = [| 1; 2; 3 |]; p_snap = rand_snap prng } }
+            p_marks = [| 1; 2; 3 |]; p_act = Sh.Wire.Frozen (rand_snap prng) } }
   in
   Sh.Wire.encode pkt
 
@@ -286,6 +312,12 @@ let test_framebuf () =
   Bytes.set flipped (n - 1)
     (Char.chr (Char.code (Bytes.get flipped (n - 1)) lxor 1));
   raises "flipped payload byte" flipped;
+  (* a header claiming more than a frame may hold, valid frames behind
+     it: refused at once, not waited on *)
+  let implausible = Bytes.make 8 '\000' in
+  Bytes.set_int32_le implausible 0 (Int32.of_int (1 lsl 27));
+  raises "implausible length header"
+    (Bytes.concat Bytes.empty (implausible :: List.init 10 (fun _ -> buf)));
   (* A stream of 400 frames of every kind, one of them (a long trace
      slice) larger than the buffer's initial 4 KB, fed once as one
      buffer and once in pieces of 1 to 600 bytes with every complete
@@ -335,7 +367,57 @@ let test_framebuf () =
     end
   in
   check_out "pieces" (pieces 0 []);
-  checkb "pieces: nothing left over" true (Option.is_none (F.next fb))
+  checkb "pieces: nothing left over" true (Option.is_none (F.next fb));
+  (* The process router's read of the same stream, from child 3, fed in
+     random pieces: with 8 shards, every frame for shard 0-7 comes out
+     through [forward] as the bytes it was sent as, and every frame for
+     the router (address 8) decodes equal to its packet, in order. *)
+  let nodes = 8 in
+  let fb = F.create () in
+  let out = ref [] in
+  let forward dst b pos len = out := `Fwd (dst, Bytes.sub b pos len) :: !out in
+  let rec routed () =
+    match F.route fb ~from:3 ~nodes ~forward with
+    | Some p ->
+      out := `Mine p :: !out;
+      routed ()
+    | None -> ()
+  in
+  let rec route_pieces off =
+    if off < Bytes.length stream then begin
+      let k = Int.min (1 + Prng.int prng 600) (Bytes.length stream - off) in
+      F.feed fb (Bytes.sub stream off k) ~len:k;
+      routed ();
+      route_pieces (off + k)
+    end
+  in
+  route_pieces 0;
+  let out = Array.of_list (List.rev !out) in
+  checki "router: every frame once" (Array.length pkts) (Array.length out);
+  let forwarded = ref 0 in
+  Array.iteri
+    (fun i (p : Sh.Wire.packet) ->
+      match out.(i) with
+      | `Fwd (dst, b) ->
+        incr forwarded;
+        if dst <> p.dst || not (Bytes.equal b frames.(i)) then
+          Alcotest.failf "router: frame %d not forwarded as sent" i
+      | `Mine q ->
+        if p.dst <> nodes || not (Sh.Wire.equal p q) then
+          Alcotest.failf "router: frame %d not decoded as sent" i)
+    pkts;
+  checkb "router: both kinds seen" true
+    (!forwarded > 0 && !forwarded < Array.length pkts);
+  let stray =
+    Sh.Wire.encode
+      { Sh.Wire.src = 3; dst = nodes + 1; stamp = 0; msg = Sh.Wire.Drain }
+  in
+  F.feed fb stray ~len:(Bytes.length stray);
+  match F.route fb ~from:3 ~nodes ~forward with
+  | exception Hdd_util.Binc.Error e ->
+    checkb "router: a stray address names the child" true
+      (Fixtures.contains e "shard 3")
+  | _ -> Alcotest.fail "router: a frame to address 9 raised no Binc.Error"
 
 (* Two senders, each in a domain of its own, into one loopback
    destination polled from a third: each sender's packets arrive once
@@ -369,14 +451,22 @@ let test_loopback_fifo () =
       List.iter Domain.join ds);
   checkb "nothing more arrives" true (Option.is_none (nets.(2).poll ()))
 
-(* The send path allocates nothing but a publication's snapshot parts.
-   After warm-up, 10,000 loopback sends of one fixed packet, counted
-   with [Gc.minor_words] around the sends alone: a Delta and a Wall
-   allocate no minor word, and a four-class Pub at most the 25 words
-   of [Registry.snap_parts] (an array of four and a 4-tuple per
-   class). *)
+(* What a poll of the four-class Pub below must build, in words: the
+   packet (5), its [Pub] (2), the pub record (6), [Frozen] (2) and the
+   marks (5); the snapshot (2), its array of views (5) and four views
+   (20); class 0's active (a cons and a pair, 6) and two windows (two
+   arrays of 2, 6), class 2's two windows (6); and the frame's read:
+   the reader (4), [Ok (pkt, next)] (5) and [Some pkt] (2). *)
+let pub_poll_words = 20 + 27 + 18 + 11
+
+(* The send path allocates nothing, and a poll no more than the values
+   it decodes.  After warm-up, 10,000 loopback sends of one fixed
+   packet, then 10,000 polls, each counted with [Gc.minor_words] around
+   the loop alone: a send of a Delta, a Wall or a four-class Pub (which
+   names its live registry and marks, as a node's does) allocates no
+   minor word, and a poll of the Pub at most [pub_poll_words]. *)
 let test_send_allocation () =
-  let words_per_send pkt =
+  let words_per_send_poll pkt =
     let nets = Sh.Transport.Loopback.create ~nodes:2 () in
     let send = nets.(0).Sh.Transport.send in
     let rec drain () =
@@ -393,7 +483,9 @@ let test_send_allocation () =
     done;
     let w1 = Gc.minor_words () in
     drain ();
-    Float.to_int ((w1 -. w0) /. float_of_int n)
+    let w2 = Gc.minor_words () in
+    ( Float.to_int ((w1 -. w0) /. float_of_int n),
+      Float.to_int ((w2 -. w1) /. float_of_int n) )
   in
   let reg = Registry.create ~classes:4 () in
   List.iter
@@ -404,28 +496,29 @@ let test_send_allocation () =
   Registry.register_active reg ~class_id:0 ~id:115 ~init:115;
   let pkt msg = { Sh.Wire.src = 0; dst = 1; stamp = 117; msg } in
   checki "Delta: words per send" 0
-    (words_per_send
-       (pkt
-          (Sh.Wire.Delta
-             { dl_shard = 0; dl_segment = 2; dl_versions = [ (517, 115, 9) ] })));
+    (fst
+       (words_per_send_poll
+          (pkt
+             (Sh.Wire.Delta
+                { dl_shard = 0; dl_segment = 2; dl_versions = [ (517, 115, 9) ] }))));
   checki "Wall: words per send" 0
-    (words_per_send
-       (pkt
-          (Sh.Wire.Wall
-             (TW.make ~s:3 ~m:101 ~components:[| 99; 101; 97; 101 |]
-                ~released_at:120))));
-  let pub_words =
-    words_per_send
+    (fst
+       (words_per_send_poll
+          (pkt
+             (Sh.Wire.Wall
+                (TW.make ~s:3 ~m:101 ~components:[| 99; 101; 97; 101 |]
+                   ~released_at:120)))));
+  let send_words, poll_words =
+    words_per_send_poll
       (pkt
          (Sh.Wire.Pub
             { p_shard = 0; p_seq = 40; p_upto = 116;
-              p_marks = [| 21; 0; 19; 0 |];
-              p_snap = Registry.snapshot reg }))
+              p_marks = [| 21; 0; 19; 0 |]; p_act = Sh.Wire.Live reg }))
   in
-  if pub_words > 25 then
-    Alcotest.failf
-      "Pub: %d words per send, more than Registry.snap_parts's 25"
-      pub_words
+  checki "Pub: words per send" 0 send_words;
+  if poll_words > pub_poll_words then
+    Alcotest.failf "Pub: %d words per poll, more than its decoded values' %d"
+      poll_words pub_poll_words
 
 (* --- the cross-shard oracle --- *)
 
@@ -876,10 +969,13 @@ let pinned_packets () =
   [ pkt 1 0 1_000
       (Sh.Wire.Pub
          { p_shard = 1; p_seq = 42; p_upto = max_int; p_marks = [| 0; 3; 300 |];
-           p_snap = (Registry.snapshot_of_parts
-                [| ([ (7, 10); (9, 12) ], [| 1; 2 |], [| 4; 6 |], 5);
-                   ([], [||], [||], 0);
-                   ([ (100, 1_000_000) ], [| -5 |], [| 200 |], max_int) |]) });
+           p_act =
+             Sh.Wire.Frozen
+               (snapshot_of_parts
+                  [| ([ (7, 10); (9, 12) ], [| 1; 2 |], [| 4; 6 |], 5);
+                     ([], [||], [||], 0);
+                     ([ (100, 1_000_000) ], [| -5 |], [| 200 |], max_int) |])
+         });
     pkt 0 1 17
       (Sh.Wire.Delta
          { dl_shard = 0; dl_segment = 2;
@@ -1045,6 +1141,53 @@ let test_bench_raise_ends_run () =
   | _ -> Alcotest.fail "no exception"
   | exception Division_by_zero -> ()
 
+(* --- the live writer ---
+
+   [Registry.write] against the frozen snapshot, over 1000 seeds of
+   [runtime 25]'s registry histories ([Fixtures.registry_history]):
+   after every step the live registry's frame, written first, equals
+   the frame of a [Registry.snapshot] taken next, and decodes into a
+   snapshot that answers [snap_i_old]/[snap_c_late] as the live
+   registry does, at every argument.  A writer that skipped the
+   snapshot's [sync], or wrote windows from index 0 rather than the
+   pruned start, fails it. *)
+let test_live_writer () =
+  let module B = Hdd_util.Binc in
+  let frame write x =
+    let b = B.writer () in
+    write b x;
+    B.frame b
+  in
+  for seed = 1 to 1000 do
+    let prng = Prng.create seed in
+    let { Fixtures.reg; classes; now; step; _ } =
+      Fixtures.registry_history prng
+    in
+    for k = 1 to 10 + Prng.int prng 40 do
+      step ();
+      let live = frame Registry.write reg in
+      let frozen = frame Registry.write_snapshot (Registry.snapshot reg) in
+      if not (Bytes.equal live frozen) then
+        Alcotest.failf "seed %d step %d: the live frame is not the snapshot's"
+          seed k;
+      match B.decode live ~pos:0 ~f:Registry.read with
+      | Error e -> Alcotest.failf "seed %d step %d: %s" seed k e
+      | Ok (snap, _) ->
+        for c = 0 to classes - 1 do
+          for at = 0 to !now + 1 do
+            if
+              Registry.snap_i_old snap ~class_id:c ~at
+              <> Registry.i_old reg ~class_id:c ~at
+              || Registry.snap_c_late snap ~class_id:c ~at
+                 <> Registry.c_late reg ~class_id:c ~at
+            then
+              Alcotest.failf "seed %d step %d: class %d answers differ at %d"
+                seed k c at
+          done
+        done
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -1092,4 +1235,6 @@ let suite =
     Alcotest.test_case "loopback: sends allocate only Pub snapshots" `Quick
       test_send_allocation;
     Alcotest.test_case "node: batching K=1/8/64 reaches one outcome" `Slow
-      test_node_batching_identity ]
+      test_node_batching_identity;
+    Alcotest.test_case "codec: the live writer equals the frozen snapshot"
+      `Quick test_live_writer ]
