@@ -27,12 +27,14 @@ let fail t e =
 let linger t serve =
   if Atomic.fetch_and_add t.settled 1 = Array.length t.gone - 1 then halt t;
   while not (halted t) do
-    serve ()
+    serve ();
+    Wait.nap ()
   done
 
 (* However a member leaves, [gone] goes up; a raise also fails the run,
-   so every other party leaves its waits. *)
-let run t ?(poll = ignore) ~nap ~feed member =
+   so every other party leaves its waits.  The caller's wait for the
+   members is for the end of the run, so it naps without a bound. *)
+let run t ?(poll = ignore) ~feed member =
   let spawn i =
     Domain.spawn (fun () ->
         Fun.protect
@@ -44,7 +46,7 @@ let run t ?(poll = ignore) ~nap ~feed member =
   let rec wait_gone () =
     (try poll () with e -> fail t e);
     if not (Array.for_all Atomic.get t.gone) then begin
-      Unix.sleepf nap;
+      Wait.nap ();
       wait_gone ()
     end
   in

@@ -4,7 +4,11 @@
     the caller's [feed] or in its [poll] fails the run: the first
     exception is kept, the crew halts, waits that check
     {!leave_if_failed} leave, and once every member has exited the
-    exception is re-raised to the caller instead of the run hanging. *)
+    exception is re-raised to the caller instead of the run hanging.
+
+    A member's {!Wait.until} that outlasts its budget raises
+    {!Wait.Stalled}, which fails the run like any raise: the run ends
+    with that [Stalled] instead of hanging. *)
 
 exception Peer_failed
 (** Raised by {!leave_if_failed}; the run re-raises the failing
@@ -16,11 +20,11 @@ val create : int -> t
 (** A crew of [n] members, numbered [0 .. n-1]. *)
 
 val run :
-  t -> ?poll:(unit -> unit) -> nap:float -> feed:(unit -> unit) ->
-  (int -> 'a) -> 'a array
+  t -> ?poll:(unit -> unit) -> feed:(unit -> unit) -> (int -> 'a) ->
+  'a array
 (** Spawn a domain per member [i] running [member i], run [feed] here,
-    then [poll] [nap] seconds apart until every member has exited; join
-    them and return their results in order, or re-raise. *)
+    then [poll] one {!Wait.nap} apart until every member has exited;
+    join them and return their results in order, or re-raise. *)
 
 val failed : t -> bool
 
@@ -36,5 +40,6 @@ val gone : t -> int -> bool
 (** Member [i] has exited, returned or raised. *)
 
 val linger : t -> (unit -> unit) -> unit
-(** For a member done with its own work: call [serve] until the crew
-    halts; the last member to get here halts it. *)
+(** For a member done with its own work: call [serve], one {!Wait.nap}
+    apart, until the crew halts; the last member to get here halts
+    it. *)

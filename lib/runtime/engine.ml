@@ -116,6 +116,7 @@ let owner sh class_id = Array.unsafe_get (Atomic.get sh.owner_map) class_id
 type wctx = {
   sh : shared;
   me : int;
+  name : string;  (* the waiter a stalled wait names *)
   registry : Registry.t;
   mutable own_classes : int array;  (* refreshed at repartition barriers *)
   mutable my_gen : int;  (* last barrier generation observed *)
@@ -202,11 +203,6 @@ let observe_gen w =
     Atomic.set w.sh.acked.(w.me) g
   end
 
-(* The [n]th turn of a wait loop: spin 64 turns, then sleep.  Once the
-   awaited domain is clearly descheduled (oversubscribed cores),
-   spinning hot starves the very domain being waited for. *)
-let backoff n = if n < 64 then Domain.cpu_relax () else Unix.sleepf 20e-6
-
 (* The repartition barrier, worker side.  Called between transactions
    only: a parked worker is quiescent with everything published.  While
    parked it keeps serving republication requests (a waiter mid-cross-
@@ -220,18 +216,19 @@ let backoff n = if n < 64 then Domain.cpu_relax () else Unix.sleepf 20e-6
    failed run ends the wait: the worker leaves still flagged parked,
    and the coordinator counts it gone. *)
 let check_park w =
-  if Atomic.get w.sh.park then begin
+  let sh = w.sh in
+  if Atomic.get sh.park then begin
     publish_pub w;
-    Atomic.set w.sh.parked.(w.me) true;
-    let n = ref 0 in
-    while Atomic.get w.sh.park do
-      Crew.leave_if_failed w.sh.crew;
-      observe_gen w;
-      service_repub w;
-      backoff !n;
-      incr n
-    done;
-    Atomic.set w.sh.parked.(w.me) false
+    Atomic.set sh.parked.(w.me) true;
+    Wait.until ~waiter:w.name
+      ~awaited:(fun () -> "the end of the park barrier")
+      ~step:(fun n ->
+        Crew.leave_if_failed sh.crew;
+        observe_gen w;
+        service_repub w;
+        Wait.backoff n)
+      (fun () -> not (Atomic.get sh.park));
+    Atomic.set sh.parked.(w.me) false
   end;
   observe_gen w
 
@@ -242,22 +239,29 @@ let check_park w =
    valid at any instant — the current transaction simply shows as
    active).  An owner that raised never publishes again, so the wait
    leaves once the run has failed. *)
-let rec await_owner w ow m n =
-  let pub = Atomic.get w.sh.pubs.(ow) in
+let await_owner w ow m =
+  let slot = w.sh.pubs.(ow) in
+  let pub = Atomic.get slot in
   if pub.p_upto >= m then pub
   else begin
-    Crew.leave_if_failed w.sh.crew;
-    Atomic.set w.sh.repub.(ow) true;
-    service_repub w;
-    backoff n;
-    await_owner w ow m (n + 1)
+    Wait.until ~waiter:w.name
+      ~awaited:(fun () ->
+        Printf.sprintf "a publication of engine worker %d covering %d" ow m)
+      ~step:(fun n ->
+        Crew.leave_if_failed w.sh.crew;
+        Atomic.set w.sh.repub.(ow) true;
+        service_repub w;
+        Wait.backoff n)
+      (fun () -> (Atomic.get slot).p_upto >= m);
+    (* an owner's upto only grows *)
+    Atomic.get slot
   end
 
 (* Snapshot path for one I_old step: wait until the owner's published
    upto covers the argument — exact because I_old(a) is fixed once the
    clock passes [a]. *)
 let slow_i_old w cls at =
-  let pub = await_owner w (owner w.sh cls) at 0 in
+  let pub = await_owner w (owner w.sh cls) at in
   Registry.snap_i_old pub.p_snap ~class_id:cls ~at
 
 (* Board path for one I_old step: read the class's activity record and
@@ -289,7 +293,7 @@ let a_i_old w ~class_id ~at =
    (class transactions are sequential: anything still running when the
    threshold was fixed capped it at its init), so when the ring has
    wrapped, a publication with upto >= th is complete by itself. *)
-let rec read_remote_a w seg key th n =
+let rec read_remote_a w seg key th =
   let pub = Atomic.get w.sh.pubs.(owner w.sh seg) in
   let v = Atomic.get w.sh.stores.(seg) in
   let r = Vring.latest_below w.sh.rings.(seg) ~key ~ts:th ~floor:pub.p_upto in
@@ -297,8 +301,8 @@ let rec read_remote_a w seg key th n =
   else if r = 0 || pub.p_upto >= th then
     Pstore.view_latest_before v ~key ~ts:th
   else begin
-    ignore (await_owner w (owner w.sh seg) th n);
-    read_remote_a w seg key th (n + 16)
+    ignore (await_owner w (owner w.sh seg) th);
+    read_remote_a w seg key th
   end
 
 (* The engine as the executor's substrate: the shared clock, the
@@ -336,7 +340,7 @@ module Substrate = struct
     e
 
   let a_i_old = a_i_old
-  let read_remote w ~seg ~key ~th = read_remote_a w seg key th 0
+  let read_remote w ~seg ~key ~th = read_remote_a w seg key th
   let wall w = Epochwall.read w.sh.wall
 
   let read_walled w ~seg ~key ~th =
@@ -410,25 +414,27 @@ let wall_c_late by_class ~class_id ~at =
 let run_barrier sh ~swap trace =
   Atomic.set sh.park true;
   let gone i = Crew.gone sh.crew i in
-  let quiet i = Atomic.get sh.parked.(i) || gone i in
-  let rec wait p =
-    if not (p ()) then begin
-      Unix.sleepf 5e-6;
-      wait p
-    end
+  (* wait until [p] holds of every worker; a stall names the first
+     worker it does not hold of *)
+  let every what p =
+    let rec first i =
+      if i >= sh.workers || not (p i) then i else first (i + 1)
+    in
+    Wait.until ~waiter:"the wall coordinator"
+      ~awaited:(fun () -> Printf.sprintf "engine worker %d %s" (first 0) what)
+      ~step:(fun _ -> Wait.nap ())
+      (fun () -> first 0 >= sh.workers)
   in
-  let all p =
-    let rec go i = i >= sh.workers || (p i && go (i + 1)) in
-    fun () -> go 0
-  in
-  wait (all quiet);
+  every "to park" (fun i -> Atomic.get sh.parked.(i) || gone i);
   let ev = swap () in
   let g = 1 + Atomic.fetch_and_add sh.gen 1 in
-  wait (all (fun i -> gone i || Atomic.get sh.acked.(i) >= g));
+  every "to acknowledge the swap" (fun i ->
+      gone i || Atomic.get sh.acked.(i) >= g);
   let at = Gclock.tick sh.clock in
   (match trace with Some tr -> T.emit tr ~at ev | None -> ());
   Atomic.set sh.park false;
-  wait (all (fun i -> gone i || not (Atomic.get sh.parked.(i))))
+  every "to leave the barrier" (fun i ->
+      gone i || not (Atomic.get sh.parked.(i)))
 
 (* Owner-map swap, run inside the barrier's quiesced window. *)
 let repartition_swap sh ~target ~kind () =
@@ -479,10 +485,6 @@ let check_vector sh what ~bound v =
    every class idle, so the first wall and a plan's first step land
    on every run.  Once the run has failed, [poll] does nothing. *)
 let poll_period = 1e-4
-
-(* How long the caller naps while a full mailbox or a running worker
-   holds it up in [run_script]. *)
-let retry_period = 20e-6
 
 let coordinator sh (walls : TW.coordinator) ?(plan = []) ?(mode_plan = [])
     ?control ?(rotate_every_s = 0.) trace =
@@ -647,6 +649,7 @@ let setup ~partition ~init ~workers ~traced ~publish_every =
 let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
   { sh;
     me;
+    name = Printf.sprintf "engine worker %d" me;
     registry;
     own_classes = own_classes_of_map (Atomic.get sh.owner_map) me;
     my_gen = Atomic.get sh.gen;
@@ -739,7 +742,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
            raised never drains, so a failed run ends the wait. *)
         Crew.leave_if_failed sh.crew;
         publish_pub ctx;
-        Unix.sleepf 10e-6;
+        Wait.nap ();
         loop ()
       end
     in
@@ -760,15 +763,21 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   let rec feed i =
     if i < Array.length script && not (Crew.failed sh.crew) then begin
       poll ();
-      if Mailbox.push (box_of script.(i)) script.(i) then feed (i + 1)
-      else begin
-        Unix.sleepf retry_period;
-        feed i
-      end
+      let d = script.(i) in
+      let box = box_of d in
+      if not (Mailbox.push box d) then
+        Wait.until ~waiter:"the engine's caller"
+          ~awaited:(fun () ->
+            Printf.sprintf "room in the mailbox of descriptor %d" d.d_id)
+          ~step:(fun _ ->
+            Wait.nap ();
+            poll ())
+          (fun () -> Crew.failed sh.crew || Mailbox.push box d);
+      feed (i + 1)
     end
   in
   let results =
-    Crew.run sh.crew ~poll ~nap:retry_period worker ~feed:(fun () ->
+    Crew.run sh.crew ~poll worker ~feed:(fun () ->
         feed 0;
         Array.iter Mailbox.close cboxes;
         Array.iter Mailbox.close roboxes)
@@ -881,11 +890,11 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
   let poll = coordinator sh s.s_walls ?control ~rotate_every_s None in
   let t0 = Unix.gettimeofday () in
   let results =
-    Crew.run sh.crew ~poll ~nap:poll_period worker ~feed:(fun () ->
+    Crew.run sh.crew ~poll worker ~feed:(fun () ->
         let deadline = t0 +. seconds in
         while Unix.gettimeofday () < deadline && not (Crew.failed sh.crew) do
           poll ();
-          Unix.sleepf poll_period
+          Wait.nap ()
         done;
         Crew.halt sh.crew)
   in

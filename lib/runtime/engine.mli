@@ -47,6 +47,13 @@
     transactions load the wall before ticking their initiation, so
     [released_at < init].
 
+    Every wait goes through {!Wait}.  A wait on another domain (an
+    owner's publication, each phase of a park barrier, room in a full
+    mailbox) is a {!Wait.until}; one that outlasts the budget raises
+    {!Wait.Stalled}, the shard node's exception too, and the run
+    re-raises it.  Waiting workers serve republication requests, so a
+    stall is a bug.  The waits for work or the end of the run nap.
+
     Correctness is checked differentially ({!Differential}): merged
     per-domain traces are certified by the MVSG certifier, replayed
     through the invariant {!Hdd_obs.Monitor}, and compared against the
@@ -130,13 +137,14 @@ val run_script :
 (** Execute the script: update descriptors are pushed in order into a
     bounded per-class mailbox drained by the class's current owner,
     read-only ones round-robin by id into per-worker mailboxes
-    (backpressure when full: the caller retries every 20 µs, polling
-    the coordinator between retries).  Returns when every descriptor
-    has finished and every worker has exited.
+    (backpressure when full: the caller retries one {!Wait.nap} apart,
+    polling the coordinator between retries).  Returns when every
+    descriptor has finished and every worker has exited.
 
     A worker that raises ends the run: its peers and the caller leave
     their waits, and once every worker has exited the first exception
-    raised is re-raised here.
+    raised is re-raised here — {!Wait.Stalled} if a wait ran out of
+    budget.
 
     [plan] is a list of live repartitions: each entry [(target, kind)]
     is a class-to-worker owner map (length = segment count, entries in
@@ -194,8 +202,9 @@ val run_timed :
   timed
 (** Untraced closed-loop run: each worker generates and executes its own
     transactions until the deadline, while the caller polls the
-    coordinator every 100 µs; it returns once every worker has exited,
-    re-raising the first exception a worker raised.  Used by
+    coordinator one {!Wait.nap} apart (a poll acts every 100 µs); it
+    returns once every worker has exited, re-raising the first
+    exception a worker raised, {!Wait.Stalled} included.  Used by
     [hdd_cli bench parallel] for the scaling curves.  [publish_every]
     defaults to 8.
 

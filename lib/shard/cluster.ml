@@ -1,6 +1,7 @@
 module T = Hdd_obs.Trace
 module E = Hdd_runtime.Engine
 module Crew = Hdd_runtime.Crew
+module Wait = Hdd_runtime.Wait
 
 type script = E.desc array
 
@@ -93,7 +94,7 @@ let run_script_domains ?(config = Node.default_config) ~partition ~init
     let node = Node.create ~config ~partition ~init ~net:nets.(i) () in
     Node.set_on_wait node (fun () ->
         Crew.leave_if_failed crew;
-        Unix.sleepf 2e-6);
+        Wait.nap ());
     let q = work.(i) in
     let rec go () =
       Node.pump node;
@@ -108,12 +109,11 @@ let run_script_domains ?(config = Node.default_config) ~partition ~init
     (* keep serving publications and 2PC traffic until everyone is done *)
     Crew.linger crew (fun () ->
         Node.pump node;
-        Node.publish_final node;
-        Unix.sleepf 10e-6);
+        Node.publish_final node);
     Node.pump node;
     node
   in
-  collect (Crew.run crew ~nap:50e-6 ~feed:ignore run)
+  collect (Crew.run crew ~feed:ignore run)
 
 (* --- one process per shard --- *)
 
@@ -121,7 +121,7 @@ exception Shard_died of { shard : int; reason : string }
 
 let child_main ~config ~partition ~init ~net i =
   let node = Node.create ~config ~partition ~init ~net () in
-  Node.set_on_wait node (fun () -> Unix.sleepf 20e-6);
+  Node.set_on_wait node Wait.nap;
   let rec go () =
     Node.pump node;
     match Node.take_work node with
@@ -132,7 +132,7 @@ let child_main ~config ~partition ~init ~net i =
       if Node.drained node then ()
       else begin
         Node.publish node;
-        Unix.sleepf 20e-6;
+        Wait.nap ();
         go ()
       end
   in
@@ -151,7 +151,7 @@ let child_main ~config ~partition ~init ~net i =
   while not (Node.bye_seen node) do
     Node.pump node;
     Node.publish_final node;
-    Unix.sleepf 200e-6
+    Wait.nap ()
   done;
   home
     (Wire.Outcome
@@ -224,19 +224,13 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     Array.iter (fun (r, _) -> Unix.close r) up;
     ignore (Sys.signal Sys.sigpipe sigpipe)
   in
-  (* a dead child ends the run: stop and reap every child, then name it *)
-  let died shard reason =
-    Array.iter
-      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      pids;
-    teardown ();
-    raise (Shard_died { shard; reason })
-  in
+  let died shard reason = raise (Shard_died { shard; reason }) in
   (* one routing round: forward child->child frames undecoded, decode
      the frames addressed to us.  Draining while dispatching keeps the
      pipes from filling up and deadlocking on large scripts.  A child
      closes its pipe only by exiting, so an end of file before its
-     Outcome is its death. *)
+     Outcome is its death; so is a frame that fails its checks, since
+     nothing after it on that pipe can be framed. *)
   let eof = Array.make shards false in
   let service timeout =
     let live =
@@ -277,21 +271,12 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
               | _ -> ());
               route ()
           in
-          route ())
+          try route () with Hdd_util.Binc.Error e ->
+            died !i ("sent a corrupt frame: " ^ e))
       ready;
     any
     end
   in
-  Array.iter
-    (fun d ->
-      let i = assign ~shards d in
-      send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Exec d };
-      ignore (service 0.))
-    script;
-  Array.iteri
-    (fun i _ ->
-      send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Drain })
-    pids;
   (* wait until no shard owes [what]; 30 s without traffic names the
      first shard that still owes it *)
   let wait_for what owed =
@@ -311,15 +296,40 @@ let run_script_processes ?(config = Node.default_config) ~partition ~init
     in
     go ()
   in
-  wait_for "its drain acknowledgement" (fun i -> not bye.(i));
-  (* goodbyes; only now do the children ship outcomes and traces, so a
-     wall the coordinator released while serving stragglers is on
-     record before the trace crosses the pipe *)
-  Array.iteri
-    (fun i _ ->
-      send_down i
-        { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Bye { shard = -1 } })
-    pids;
-  wait_for "its trace and outcome" (fun i -> not (sliced.(i) && reported.(i)));
-  teardown ();
-  run_of !outcomes !slices (List.map of_wire !counters)
+  let route_run () =
+    Array.iter
+      (fun d ->
+        let i = assign ~shards d in
+        send_down i
+          { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Exec d };
+        ignore (service 0.))
+      script;
+    Array.iteri
+      (fun i _ ->
+        send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Drain })
+      pids;
+    wait_for "its drain acknowledgement" (fun i -> not bye.(i));
+    (* goodbyes; only now do the children ship outcomes and traces, so a
+       wall the coordinator released while serving stragglers is on
+       record before the trace crosses the pipe *)
+    Array.iteri
+      (fun i _ ->
+        send_down i
+          { Wire.src = parent; dst = i; stamp = 0;
+            msg = Wire.Bye { shard = -1 } })
+      pids;
+    wait_for "its trace and outcome" (fun i -> not (sliced.(i) && reported.(i)))
+  in
+  (* whatever ends the routing early, a dead shard's [Shard_died]
+     included, stops and reaps every child before it propagates *)
+  match route_run () with
+  | () ->
+    teardown ();
+    run_of !outcomes !slices (List.map of_wire !counters)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Array.iter
+      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      pids;
+    teardown ();
+    Printexc.raise_with_backtrace e bt

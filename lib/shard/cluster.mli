@@ -47,10 +47,12 @@ val run_script_domains :
 exception Shard_died of { shard : int; reason : string }
 (** A shard process of {!run_script_processes} died: it closed its pipe
     before reporting its outcome (a child that raises prints
-    ["shard i died: ..."] and exits with status 2), or the router heard
-    nothing from any child for 30 s while [shard] still owed a
-    message.  The other children are killed and every child is reaped
-    before this is raised. *)
+    ["shard i died: ..."] and exits with status 2), it sent a frame
+    that fails its checks ([reason] carries the decoder's error), or
+    the router heard nothing from any child for 30 s while [shard]
+    still owed a message.  The other children are killed and every
+    child is reaped before this is raised, as before any other
+    exception that leaves the router. *)
 
 val run_script_processes :
   ?config:Node.config ->

@@ -4,13 +4,11 @@ module TW = Hdd_core.Timewall
 module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
 module X = Hdd_runtime.Executor
+module Wait = Hdd_runtime.Wait
 
 type config = { traced : bool; publish_every : int }
 
 let default_config = { traced = true; publish_every = 1 }
-
-(* wait iterations before a wait is declared a stall *)
-let stall_limit = 2_000_000
 
 (* The latest accepted publication of a remote shard. *)
 type rpub = {
@@ -38,7 +36,8 @@ type t = {
   mutable wall : TW.wall;
   walls : TW.coordinator;  (** released from on shard 0 only *)
   mutable last_seen : Time.t;  (** clock value at the last wall attempt *)
-  mutable on_wait : unit -> unit;
+  name : string;  (** the waiter a stalled wait names *)
+  mutable wait_step : int -> unit;  (** publish, the [on_wait] hook, pump *)
   (* process-mode work dispatch *)
   work : E.desc Queue.t;
   mutable drain_seen : bool;
@@ -53,7 +52,6 @@ type t = {
 }
 
 let now t = Sclock.now t.clock
-let set_on_wait t f = t.on_wait <- f
 let owner t class_id = class_id mod t.shards
 let outcomes t = List.rev t.x.outcomes
 let records t = match t.x.trace with None -> [] | Some tr -> T.records tr
@@ -232,26 +230,25 @@ let pump t =
 
 (* --- waiting --- *)
 
-exception Stalled of { shard : int; waiting_for : string }
-
-(* Republish-then-pump until [check] holds.  Republishing our own
+(* A wait's step: republish, run the hook, pump.  Republishing our own
    activity is what unblocks a peer that is itself waiting for our
    coverage; the hook lets the cluster pump other nodes (deterministic
-   mode) or yield the core (domain/process mode).  [why] names the wait
-   and runs only if it stalls. *)
-let await t ~why check =
-  if not (check ()) then begin
-    t.x.c.stale_waits <- t.x.c.stale_waits + 1;
-    let n = ref 0 in
-    while not (check ()) do
-      incr n;
-      if !n > stall_limit then
-        raise (Stalled { shard = t.me; waiting_for = why () });
+   mode) or yield the core (domain/process mode).  The first step of a
+   wait counts it as stale.  Built once per hook, so a wait allocates
+   no step. *)
+let set_on_wait t on_wait =
+  t.wait_step <-
+    (fun n ->
+      if n = 0 then t.x.c.stale_waits <- t.x.c.stale_waits + 1;
       publish t;
-      t.on_wait ();
-      pump t
-    done
-  end
+      on_wait ();
+      pump t)
+
+(* Step until [check] holds, bounded by {!Hdd_runtime.Wait.until}'s
+   budget.  [why] names what is awaited and runs only if the wait
+   stalls. *)
+let await t ~why check =
+  Wait.until ~waiter:t.name ~awaited:why ~step:t.wait_step check
 
 (* The owner's publication covering argument [m] — the step of the
    threshold composition that crosses a shard boundary. *)
@@ -435,31 +432,36 @@ let create ?(config = default_config) ~partition ~init ~net () =
      but a C-read at threshold 0 would have to serve version 0, which
      the monitors rightly reject as not-below-threshold.) *)
   let wall0 = TW.initial walls ~m:1 ~released_at:Time.zero in
-  { nseg;
-    shards;
-    me;
-    init_fn = init;
-    net;
-    clock;
-    registry = Registry.create ?trace ~classes:nseg ();
-    x =
-      X.state ~partition ~stores:(Array.init nseg (fun _ -> Pstore.create ()))
-        ~trace ~keep_outcomes:true
-        ~publish_every:(Int.max 1 config.publish_every)
-        ~timed:false;
-    applied = Array.make nseg 0;
-    sent_marks = Array.make nseg 0;
-    pub_seq = 0;
-    rpubs = Array.make shards None;
-    wall = wall0;
-    walls;
-    last_seen = -1;
-    on_wait = (fun () -> ());
-    work = Queue.create ();
-    drain_seen = false;
-    bye = false;
-    locked = Array.make nseg false;
-    lock_waiters = Array.init nseg (fun _ -> Queue.create ());
-    next_req = 0;
-    lock_replies = Hashtbl.create 16;
-    read_replies = Hashtbl.create 16 }
+  let t =
+    { nseg;
+      shards;
+      me;
+      init_fn = init;
+      net;
+      clock;
+      registry = Registry.create ?trace ~classes:nseg ();
+      x =
+        X.state ~partition ~stores:(Array.init nseg (fun _ -> Pstore.create ()))
+          ~trace ~keep_outcomes:true
+          ~publish_every:(Int.max 1 config.publish_every)
+          ~timed:false;
+      applied = Array.make nseg 0;
+      sent_marks = Array.make nseg 0;
+      pub_seq = 0;
+      rpubs = Array.make shards None;
+      wall = wall0;
+      walls;
+      last_seen = -1;
+      name = Printf.sprintf "shard %d" me;
+      wait_step = ignore;
+      work = Queue.create ();
+      drain_seen = false;
+      bye = false;
+      locked = Array.make nseg false;
+      lock_waiters = Array.init nseg (fun _ -> Queue.create ());
+      next_req = 0;
+      lock_replies = Hashtbl.create 16;
+      read_replies = Hashtbl.create 16 }
+  in
+  set_on_wait t ignore;
+  t

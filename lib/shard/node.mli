@@ -21,11 +21,13 @@
     release whenever its clock has moved since the last attempt and
     broadcasts each released wall.
 
-    A node never blocks the OS thread: every wait is a [check]-loop
-    that republishes its own activity (so mutually waiting shards
-    unblock each other), runs the caller-installed [on_wait] hook (the
-    deterministic cluster pumps the other nodes there; the domain and
-    process clusters sleep), and pumps its own transport. *)
+    A node never blocks the OS thread: every wait is a
+    {!Hdd_runtime.Wait.until} whose step republishes its own activity
+    (so mutually waiting shards unblock each other), runs the
+    caller-installed [on_wait] hook (the deterministic cluster pumps the
+    other nodes there; the domain and process clusters nap), and pumps
+    its own transport.  A wait that outlasts the budget raises the
+    engine's {!Hdd_runtime.Wait.Stalled}, with [waiter = "shard N"]. *)
 
 type config = {
   traced : bool;
@@ -40,15 +42,6 @@ type config = {
 }
 
 val default_config : config
-
-exception Stalled of { shard : int; waiting_for : string }
-(** A wait ran 2,000,000 iterations without its condition coming true
-    (a bug — the protocol is deadlock-free).  Each iteration republishes,
-    runs the [on_wait] hook and pumps, so the bound takes about a second
-    or more.  [shard] is the waiting node; [waiting_for] names what it
-    waited for, e.g. ["a publication of shard 1 covering 3"].  The
-    reason is built only when the wait trips, so a wait that never
-    stalls formats nothing. *)
 
 type t
 
@@ -65,7 +58,10 @@ val create :
     under-serves). *)
 
 val now : t -> Time.t
+
 val set_on_wait : t -> (unit -> unit) -> unit
+(** The hook each turn of a wait runs between republishing and pumping
+    (default: nothing). *)
 
 val pump : t -> unit
 (** Drain the transport: apply publications, deltas and walls, answer
@@ -82,7 +78,8 @@ val publish_final : t -> unit
     once this node will never register another transaction. *)
 
 val exec : t -> Hdd_runtime.Engine.desc -> unit
-(** Run one transaction to completion (may wait inside). *)
+(** Run one transaction to completion (may wait inside).
+    @raise Hdd_runtime.Wait.Stalled if a wait outlasts the budget. *)
 
 val read_2pc : t -> segment:int -> key:int -> Time.t * int
 (** The 2PC-read baseline: lock, read, unlock at the owner — three

@@ -1,6 +1,7 @@
 module D = Hdd_runtime.Differential
 module E = Hdd_runtime.Engine
 module Crew = Hdd_runtime.Crew
+module Wait = Hdd_runtime.Wait
 module J = Hdd_benchkit.Jsonlite
 
 type side = {
@@ -58,7 +59,7 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
     in
     Node.set_on_wait node (fun () ->
         Crew.leave_if_failed crew;
-        Unix.sleepf 1e-6);
+        Wait.nap ());
     let lat = Array.make max_samples 0. in
     let nlat = ref 0 in
     let deadline = Unix.gettimeofday () +. seconds in
@@ -101,12 +102,11 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
        every loop is past its deadline *)
     Crew.linger crew (fun () ->
         Node.pump node;
-        Node.publish_final node;
-        Unix.sleepf 2e-6);
+        Node.publish_final node);
     Node.pump node;
     (node, Array.sub lat 0 !nlat)
   in
-  let joined = Crew.run crew ~nap:100e-6 ~feed:ignore run in
+  let joined = Crew.run crew ~feed:ignore run in
   let nodes = Array.map fst joined in
   let lats = Array.concat (Array.to_list (Array.map snd joined)) in
   let sum f = Array.fold_left (fun a n -> a + f (Node.counters n)) 0 nodes in

@@ -1025,6 +1025,71 @@ let test_engine_growth_forces_nothing () =
     Alcotest.failf "10 runs: %d minor collections against %d for 10 empty runs"
       full empty
 
+(* --- the one wait --- *)
+
+(* [Wait.until] checks its condition first and runs its step between
+   checks, with turns 0, 1, 2, ...; a condition that never holds raises
+   the one [Stalled] once the budget has passed, naming the waiter and
+   what it awaited. *)
+let test_wait_until () =
+  let module W = R.Wait in
+  let unnamed () = Alcotest.fail "a wait that did not stall named itself" in
+  let turns = ref [] in
+  let step n = turns := n :: !turns in
+  W.until ~waiter:"the test" ~awaited:unnamed ~step (fun () -> true);
+  check Alcotest.(list int) "a condition that holds: no step" [] !turns;
+  let checks = ref 0 in
+  W.until ~waiter:"the test" ~awaited:unnamed ~step (fun () ->
+      incr checks;
+      !checks = 5);
+  check Alcotest.(list int) "one step between checks" [ 0; 1; 2; 3 ]
+    (List.rev !turns);
+  let t0 = Unix.gettimeofday () in
+  match
+    Fixtures.within ~seconds:20. (fun () ->
+        W.until ~waiter:"the test"
+          ~awaited:(fun () -> "a condition that never holds")
+          ~step:W.backoff (fun () -> false))
+  with
+  | () -> Alcotest.fail "the wait never stalled"
+  | exception W.Stalled { waiter; awaited; waited_s } ->
+    let elapsed = Unix.gettimeofday () -. t0 in
+    check Alcotest.string "the waiter" "the test" waiter;
+    check Alcotest.string "what it awaited" "a condition that never holds"
+      awaited;
+    checkb
+      (Printf.sprintf "waited %.2f s (%.2f s reported), budget %.1f s" elapsed
+         waited_s W.budget_s)
+      true
+      (waited_s >= W.budget_s && elapsed >= waited_s)
+
+(* A crew member stuck in a wait that nobody satisfies ends the run
+   with that wait's [Stalled]: the stall fails the run like any raise,
+   the member lingering for its peers leaves, and the caller re-raises
+   the stall, not [Peer_failed] and not after a hang. *)
+let test_crew_stall_ends_run () =
+  let crew = R.Crew.create 2 in
+  let member i =
+    if i = 0 then
+      R.Wait.until ~waiter:"member 0"
+        ~awaited:(fun () -> "a signal nobody sends")
+        ~step:(fun n ->
+          R.Crew.leave_if_failed crew;
+          R.Wait.backoff n)
+        (fun () -> false)
+    else R.Crew.linger crew ignore
+  in
+  match
+    Fixtures.within ~seconds:20. (fun () ->
+        R.Crew.run crew ~feed:ignore member)
+  with
+  | _ -> Alcotest.fail "the run ended without a stall"
+  | exception R.Crew.Peer_failed ->
+    Alcotest.fail "the run ended with Peer_failed"
+  | exception R.Wait.Stalled { waiter; awaited; _ } ->
+    check Alcotest.string "the stalled member" "member 0" waiter;
+    check Alcotest.string "what it awaited" "a signal nobody sends" awaited
+
 let suite =
   [ Alcotest.test_case "gclock: ticks unique across domains" `Quick
       test_gclock_unique;
@@ -1085,4 +1150,8 @@ let suite =
     Alcotest.test_case "pstore: growing the key range forces no collection"
       `Quick test_pstore_growth_forces_nothing;
     Alcotest.test_case "engine: growing stores force no collection" `Quick
-      test_engine_growth_forces_nothing ]
+      test_engine_growth_forces_nothing;
+    Alcotest.test_case "wait: steps between checks, stalls at the budget"
+      `Quick test_wait_until;
+    Alcotest.test_case "crew: a stalled member ends the run" `Quick
+      test_crew_stall_ends_run ]

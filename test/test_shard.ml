@@ -1083,11 +1083,11 @@ let test_codec_pinned () =
       | Error e -> Alcotest.failf "%s: %s" name e)
     (pinned_packets ()) pinned_hex
 
-(* A wait that trips the node's stall bound raises the typed [Stalled],
-   naming the waiting shard and what it waited for: here a publication
-   of a peer that never pumps, so never publishes.  The wait hook drops
-   what the waiting node republishes to that peer on every iteration,
-   so the peer's inbox stays empty. *)
+(* A wait that trips the wait budget raises the runtimes' one
+   [Stalled], naming the waiting shard and what it waited for: here a
+   publication of a peer that never pumps, so never publishes.  The
+   wait hook drops what the waiting node republishes to that peer on
+   every iteration, so the peer's inbox stays empty. *)
 let test_stall_typed () =
   let partition = D.chain_partition 2 in
   let nets = Sh.Transport.Loopback.create ~nodes:2 () in
@@ -1106,13 +1106,13 @@ let test_stall_typed () =
   in
   match Fixtures.within ~seconds:20. (fun () -> Sh.Node.exec nodes.(0) d) with
   | () -> Alcotest.fail "the wait never stalled"
-  | exception Sh.Node.Stalled { shard; waiting_for } ->
-    checki "the waiting shard" 0 shard;
+  | exception Hdd_runtime.Wait.Stalled { waiter; awaited; _ } ->
+    checks "the waiting shard" "shard 0" waiter;
     checkb
-      (Printf.sprintf "names the awaited publication (%S)" waiting_for)
+      (Printf.sprintf "names the awaited publication (%S)" awaited)
       true
       (String.starts_with ~prefix:"a publication of shard 1 covering"
-         waiting_for)
+         awaited)
 
 (* A shard that raises ends the domain-mode run: the script's first
    descriptor raises on shard 0 while 50 writes alternate between the
