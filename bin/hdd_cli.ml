@@ -693,7 +693,7 @@ let trace_cmd =
   let module Obs_export = Hdd_benchkit.Obs_export in
   let module J = Hdd_benchkit.Jsonlite in
   let module Trace = Hdd_obs.Trace in
-  let module Monitor = Hdd_obs.Monitor in
+  let module Oracle = Hdd_core.Oracle in
   let workload, commits, mpl, seed = sim_args in
   let protocol =
     Arg.(value & opt protocol Harness.Hdd & info [ "p"; "protocol" ]
@@ -713,7 +713,7 @@ let trace_cmd =
   in
   let run wl commits mpl seed spec out capacity =
     let config = config_of ~commits ~mpl ~seed in
-    let result, trace, metrics, monitor =
+    let result, trace, metrics, report =
       Harness.traced_run ~config ~capacity spec wl
     in
     print_results [ result ];
@@ -729,10 +729,9 @@ let trace_cmd =
         | Hdd_obs.Metrics.Histogram { count; sum; _ } ->
           Printf.printf "  %-28s count %d sum %g\n" name count sum)
       (Hdd_obs.Metrics.snapshot metrics);
-    match Monitor.violations monitor with
+    match Oracle.witnesses report Oracle.Monitor_replay with
     | [] ->
-      Printf.printf "monitors: ok (%d events checked)\n"
-        (Monitor.events_seen monitor)
+      Printf.printf "monitors: ok (%d events checked)\n" report.Oracle.events
     | vs ->
       List.iter (fun v -> Printf.printf "MONITOR VIOLATION: %s\n" v) vs;
       exit 1
@@ -810,7 +809,7 @@ let adapt_cmd =
   let module Drift = Hdd_adapt.Drift in
   let module Advise = Hdd_adapt.Advise in
   let module Scenario = Hdd_adapt.Scenario in
-  let module Monitor = Hdd_obs.Monitor in
+  let module Oracle = Hdd_core.Oracle in
   let module Trace = Hdd_obs.Trace in
   let seed =
     Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED"
@@ -857,14 +856,16 @@ let adapt_cmd =
               Format.printf "  %a@." Trace.pp_event r.Trace.ev
             | _ -> ())
           records;
-        let m =
-          Monitor.create ~raise_on_violation:false ~wall_rule:`Any_released ()
+        let report =
+          Oracle.check
+            (Oracle.create ~raise_on_violation:false ~wall_rule:`Any_released
+               ())
+            ~records ~outcomes:[]
         in
-        List.iter (Monitor.feed m) records;
-        (match Monitor.violations m with
+        (match Oracle.witnesses report Oracle.Monitor_replay with
         | [] ->
           Printf.printf "  monitors: ok (%d records, epoch %d)\n"
-            (List.length records) (Monitor.last_epoch m)
+            report.Oracle.events report.Oracle.epoch
         | vs ->
           failed := true;
           List.iter (fun v -> Printf.printf "  MONITOR VIOLATION: %s\n" v) vs))

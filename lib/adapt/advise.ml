@@ -92,16 +92,6 @@ let least_loaded ~owner_map ~workers ~excluding =
   done;
   !best
 
-let target_map ~owner_map = function
-  | Migrate { class_id; to_worker } ->
-    if class_id < 0 || class_id >= Array.length owner_map then None
-    else begin
-      let m = Array.copy owner_map in
-      m.(class_id) <- to_worker;
-      Some m
-    end
-  | Split _ | Merge _ -> None
-
 let propose ?(workers = 2) ?owner_map ?(keys_per_segment = 16) drift =
   let spec = Drift.observed_spec drift in
   let nseg = Spec.segment_count spec in

@@ -84,7 +84,3 @@ val propose :
     [workers], default 2) tells the advisor who owns what; [Migrate]
     proposals are omitted when only one worker exists. *)
 
-val target_map :
-  owner_map:int array -> move -> int array option
-(** The engine owner map after a [Migrate] — [None] for spec-level
-    moves, which the engine cannot apply live. *)

@@ -61,15 +61,14 @@ let hdd_traced ?(wall_every_commits = 2) trace =
 
 (* The observability-invisibility property's subject: identical knobs to
    {!hdd}, plus a fresh full observability stack — enabled trace, metrics
-   bridge, raising monitor — per controller build, so replays never see a
-   stale shadow. *)
+   bridge, the oracle's raising monitor — per controller build, so
+   replays never see a stale shadow. *)
 let hdd_observed () =
   { sys_name = "HDD-observed";
     build =
       (fun ~log wl ->
         let trace = Hdd_obs.Trace.create () in
-        let monitor = Hdd_obs.Monitor.create () in
-        Hdd_obs.Monitor.attach monitor trace;
+        Hdd_core.Oracle.attach (Hdd_core.Oracle.create ()) trace;
         let metrics = Hdd_obs.Metrics.create () in
         Hdd_obs.Metrics.attach metrics trace;
         Hdd_sim.Adapters.hdd ~log ~trace ~partition:wl.partition
@@ -231,24 +230,22 @@ let finish e =
     t_deadlock = !deadlock;
     t_verdict = Certifier.certify e.log }
 
-let run_schedule ?(quiesce = true) sys wl schedule =
+let run_schedule sys wl schedule =
   let e = start sys wl in
   let n = Array.length e.states in
   List.iter
     (fun t -> if t >= 0 && t < n && enabled e t then step e t)
     schedule;
-  if quiesce then begin
-    let budget = ref (8 * (total_steps wl + 1)) in
-    let rec go () =
-      match enabled_progs e with
-      | t :: _ when !budget > 0 ->
-        decr budget;
-        step e t;
-        go ()
-      | _ -> ()
-    in
-    go ()
-  end;
+  let budget = ref (8 * (total_steps wl + 1)) in
+  let rec go () =
+    match enabled_progs e with
+    | t :: _ when !budget > 0 ->
+      decr budget;
+      step e t;
+      go ()
+    | _ -> ()
+  in
+  go ();
   finish e
 
 (* --- exhaustive walk with sleep sets --- *)
@@ -289,8 +286,10 @@ type summary = {
   capped : bool;
 }
 
-let explore ?(prune = true) ?(max_schedules = 500_000) ?(max_examples = 3)
-    ?on_trial sys wl =
+(* Anomalous trials a summary keeps. *)
+let max_examples = 3
+
+let explore ?(prune = true) ?(max_schedules = 500_000) ?on_trial sys wl =
   let schedules = ref 0 and pruned = ref 0 and serializable = ref 0 in
   let anomalies = ref 0 and deadlocks = ref 0 and rejections = ref 0 in
   let examples = ref [] and capped = ref false in

@@ -103,13 +103,12 @@ type trial = {
   t_verdict : Certifier.verdict;
 }
 
-val run_schedule : ?quiesce:bool -> system -> workload -> int list -> trial
+val run_schedule : system -> workload -> int list -> trial
 (** Replay one fixed choice sequence against a fresh controller.  The
     replay is tolerant: out-of-range or currently-unrunnable choices are
     skipped, so any int list is a valid schedule — the property harness
-    and the shrinker rely on this.  With [quiesce] (default true) the
-    remaining programs are driven to completion lowest-index-first after
-    the explicit choices run out. *)
+    and the shrinker rely on this.  Once the explicit choices run out,
+    the remaining programs are driven to completion lowest-index-first. *)
 
 type summary = {
   sum_system : string;
@@ -127,15 +126,14 @@ type summary = {
 val explore :
   ?prune:bool ->
   ?max_schedules:int ->
-  ?max_examples:int ->
   ?on_trial:(trial -> unit) ->
   system ->
   workload ->
   summary
-(** Walk the whole schedule space ([max_schedules] default 500_000,
-    [max_examples] default 3).  [on_trial] sees every completed trial —
-    the cross-check tests use it to compare pruned and exhaustive
-    behaviour sets. *)
+(** Walk the whole schedule space ([max_schedules] default 500_000),
+    keeping the first three anomalous trials.  [on_trial] sees every
+    completed trial — the cross-check tests use it to compare pruned and
+    exhaustive behaviour sets. *)
 
 val pp_event : workload -> Format.formatter -> event -> unit
 val pp_trial : workload -> Format.formatter -> trial -> unit

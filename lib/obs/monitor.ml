@@ -55,7 +55,6 @@ let create ?(raise_on_violation = true) ?(wall_rule = `Latest)
 
 let violations t = List.rev t.violations
 let events_seen t = t.events_seen
-let active_count t = Hashtbl.length t.active
 let last_epoch t = t.last_epoch
 let last_esc_seq t = t.last_esc_seq
 

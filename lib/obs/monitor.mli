@@ -100,9 +100,6 @@ val violations : t -> string list
 val events_seen : t -> int
 (** Events checked — a vacuity guard for tests. *)
 
-val active_count : t -> int
-(** Transactions the shadow currently considers active. *)
-
 val last_epoch : t -> int
 (** Newest partition epoch a {!Trace.event.Repartition} entered; 0 when
     none has been seen. *)

@@ -1,28 +1,8 @@
-(** The differential correctness harness for the parallel engine.
-
-    A parallel run is accepted only if, simultaneously:
-
-    + the merged per-domain trace, restricted to committed transactions,
-      replays into a schedule the MVSG {!Hdd_core.Certifier} certifies
-      one-copy serializable;
-    + the merged trace passes every online invariant of
-      {!Hdd_obs.Monitor} (wall rule [`Any_released] — a parallel reader
-      may legally hold any wall released before its initiation);
-    + executing the {e same} descriptor script through the serial
-      {!Hdd_core.Scheduler}, one transaction at a time in the parallel
-      run's initiation order, yields the same per-transaction
-      commit/abort verdict for every descriptor; and
-    + for every committed update transaction, the sequence of writers it
-      read from in its {e own root segment} (Protocol B) is identical in
-      both runs — within a class both runs serialize identically, so
-      root-segment reads must resolve to the same writers (version
-      timestamps differ across runs; writer identity is the invariant).
-
-    Protocol A/C read {e values} may legitimately differ from the serial
-    replay: activity intervals differ when earlier-initiated
-    transactions are still running in the parallel run, so thresholds
-    differ.  Their correctness is what the certifier and monitor
-    establish. *)
+(** The multicore engine's adapter to the one oracle
+    ({!Hdd_core.Oracle}), under the parallel wall rule ([`Any_released]:
+    a reader may hold any wall released before its initiation), and the
+    seeded scripts every engine stress, the shard cluster's included,
+    draws from. *)
 
 type script = Engine.desc array
 
@@ -33,8 +13,6 @@ val gen_script :
   ?keys_per_segment:int ->
   ?ro_frac:float ->
   ?abort_frac:float ->
-  ?cross_frac:float ->
-  ?ops_per_txn:int ->
   unit ->
   script
 (** Random descriptor script legal for the partition: updates write only
@@ -46,28 +24,20 @@ val default_init : Granule.t -> int
 (** The store initializer both runs share. *)
 
 type report = {
-  r_serializable : bool;
-  r_cycle : int list option;
-  r_monitor_violations : string list;
-  r_verdicts_agree : bool;
-  r_b_reads_agree : bool;
-  r_mismatches : string list;  (** human-readable disagreement details *)
+  r_oracle : Hdd_core.Oracle.report;
   r_stats : Engine.stats;
       (** the run's counts, live repartitions and CC mode swaps
           included *)
-  r_events : int;
 }
 
 val failures : report -> string list
-(** The names of the checks that failed, in the order listed above:
-    ["mvsg-certification"], ["monitor-replay"],
-    ["serial-oracle-agreement"], ["read-from-equality"].  Empty iff
-    {!ok}. *)
+(** {!Hdd_core.Oracle.failures}: empty iff {!ok}. *)
 
 val ok : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
-(** Leads with [FAILED checks: <names>] when any check failed. *)
+(** Leads with [FAILED checks: <names>] when any check failed, and
+    ends with each failed family's witnesses. *)
 
 val check_run :
   partition:Hdd_core.Partition.t ->
@@ -75,7 +45,7 @@ val check_run :
   script:script ->
   Engine.run ->
   report
-(** Apply all four checks to an already-executed run of [script] —
+(** Ask the oracle about an already-executed run of [script] —
     whatever produced it (the multicore engine, or a sharded cluster
     whose merged trace has the same shape). *)
 
@@ -88,12 +58,9 @@ val check :
   script ->
   report
 (** Run the script on the parallel engine, then {!check_run} it.
-    [plan] is forwarded to {!Engine.run_script}: live repartitions the
-    coordinator applies mid-run, which the four checks must not be able
-    to distinguish from a plan-free run (the repartition-equivalence
-    property in the test suite).  [mode_plan] likewise forwards live
-    per-class CC escalations (DESIGN.md §18); the escalation-equivalence
-    property asserts the report is identical to the plan-free run's. *)
+    [plan] and [mode_plan] go to {!Engine.run_script}: live
+    repartitions and CC escalations the oracle must not be able to tell
+    from a plan-free run (DESIGN.md §17.3, §18.2). *)
 
 val rotation_plan :
   segments:int -> workers:int -> int -> (int array * string) list
@@ -133,12 +100,7 @@ val stress_one :
   ?repartitions:int ->
   ?escalations:int ->
   seed:int -> workers:int -> txns:int -> profile:profile -> unit -> report
-(** One randomized stress run of {!stress_case} on the engine.
-    [publish_every] is the engine's publication batch K
-    (default 8): outcomes must be identical at every value, which is
-    exactly what the batching property in the test suite asserts.
-    [repartitions] (default 0) injects that many live whole-map
-    ownership rotations ({!rotation_plan}) while the run is in flight;
-    the report must stay identical to the plan-free run.  [escalations]
-    (default 0) likewise injects that many live CC mode flips
-    ({!escalation_plan}). *)
+(** One randomized stress run of {!stress_case} on the engine, at
+    publication batch [publish_every] (default 8), with [repartitions]
+    live rotations ({!rotation_plan}) and [escalations] live mode flips
+    ({!escalation_plan}) injected (default 0 each). *)

@@ -105,10 +105,6 @@ type shared = {
      Swapped only behind the same park barrier as the owner map, so a
      transaction always runs start to finish under one mode. *)
   esc_seq : int Atomic.t;  (* escalation sequence, bumped per mode swap *)
-  class_commits : int array;
-  (* cumulative commits per class, written by the class's owner between
-     its own transactions and read racily by the coordinator's adaptive
-     controller — a monotone heuristic signal, not a synchronized one *)
 }
 
 let owner sh class_id = Array.unsafe_get (Atomic.get sh.owner_map) class_id
@@ -356,8 +352,7 @@ module Substrate = struct
       Vring.stage ring (h0 + i) ~ts ~key:(Array.unsafe_get x.wb_keys i)
         ~value:(Array.unsafe_get x.wb_vals i)
     done;
-    Vring.advance ring (h0 + x.wb_len);
-    sh.class_commits.(class_id) <- sh.class_commits.(class_id) + 1
+    Vring.advance ring (h0 + x.wb_len)
 
   let publish = publish_pub
   let between = service_repub
@@ -487,7 +482,7 @@ let check_vector sh what ~bound v =
 let poll_period = 1e-4
 
 let coordinator sh (walls : TW.coordinator) ?(plan = []) ?(mode_plan = [])
-    ?control ?(rotate_every_s = 0.) trace =
+    ?(rotate_every_s = 0.) trace =
   let c = walls.c in
   let repartition ~swap =
     run_barrier sh ~swap trace;
@@ -522,17 +517,6 @@ let coordinator sh (walls : TW.coordinator) ?(plan = []) ?(mode_plan = [])
       run_barrier sh ~swap:(escalation_swap sh ~target) trace;
       c.escalations <- c.escalations + 1
     | [] -> ());
-    (* the closed-loop controller: fed a racy snapshot of cumulative
-       per-class commits, it may ask for a live repartition; rate
-       limiting and hysteresis live inside the controller *)
-    (match control with
-    | Some f -> (
-      match f (Array.copy sh.class_commits) with
-      | Some target ->
-        check_vector sh "a controller's owner map" ~bound:sh.workers target;
-        repartition ~swap:(repartition_swap sh ~target ~kind:"auto")
-      | None -> ())
-    | None -> ());
     (* one release attempt over a single fetch of every publication.
        Below q(i), class i is quiescent — every member with a smaller
        initiation has finished and its versions published.  The fold
@@ -641,8 +625,7 @@ let setup ~partition ~init ~workers ~traced ~publish_every =
       acked = Array.init workers (fun _ -> Atomic.make 0);
       crew = Crew.create workers;
       modes = Atomic.make (Array.make nseg 0);
-      esc_seq = Atomic.make 0;
-      class_commits = Array.make nseg 0 }
+      esc_seq = Atomic.make 0 }
   in
   { s_sh = sh; s_regs = regs; s_walls = walls; s_coord_trace = coord_trace }
 
@@ -851,7 +834,7 @@ let gen_desc sh mix prng ~id ~classes_mine ~readable =
   end
 
 let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
-    ?(rotate_every_s = 0.) ?control ~mix ~seed () =
+    ?(rotate_every_s = 0.) ~mix ~seed () =
   let s = setup ~partition ~init ~workers ~traced:false ~publish_every in
   let sh = s.s_sh in
   let nseg = sh.nseg in
@@ -887,7 +870,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(publish_every = 8)
     publish_final ctx;
     ctx.x
   in
-  let poll = coordinator sh s.s_walls ?control ~rotate_every_s None in
+  let poll = coordinator sh s.s_walls ~rotate_every_s None in
   let t0 = Unix.gettimeofday () in
   let results =
     Crew.run sh.crew ~poll worker ~feed:(fun () ->

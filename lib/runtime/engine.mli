@@ -54,10 +54,8 @@
     re-raises it.  Waiting workers serve republication requests, so a
     stall is a bug.  The waits for work or the end of the run nap.
 
-    Correctness is checked differentially ({!Differential}): merged
-    per-domain traces are certified by the MVSG certifier, replayed
-    through the invariant {!Hdd_obs.Monitor}, and compared against the
-    serial {!Hdd_core.Scheduler} oracle. *)
+    The one oracle judges a run's merged per-domain trace
+    ({!Differential}, {!Hdd_core.Oracle}). *)
 
 type op = Executor.op =
   | Read of Granule.t
@@ -195,7 +193,6 @@ val run_timed :
   seconds:float ->
   ?publish_every:int ->
   ?rotate_every_s:float ->
-  ?control:(int array -> int array option) ->
   mix:mix ->
   seed:int ->
   unit ->
@@ -211,18 +208,7 @@ val run_timed :
     [rotate_every_s] > 0 makes the coordinator apply a live whole-map
     ownership rotation ({!rotated_map}) behind a park barrier every
     that many seconds — the [bench adapt] live-repartition load.
-    0 (the default) disables it.
-
-    [control] is the closed-loop placement controller
-    ({!Hdd_adapt.Control}): once per coordinator poll it is fed a racy
-    snapshot of cumulative per-class commit counts and may return a
-    target owner map, which the coordinator installs behind a park
-    barrier (kind ["auto"], counted in [stats.repartitions]).  Rate
-    limiting and hysteresis are the controller's responsibility — the
-    engine applies whatever it returns, except that a map without one
-    in-range entry per class fails the run with [Invalid_argument].  A
-    controller that raises fails the run the same way: the exception
-    is re-raised once every worker has exited. *)
+    0 (the default) disables it. *)
 
 val alloc_probe : ?commits:int -> unit -> float
 (** Marginal heap bytes allocated per committed transaction on the

@@ -3,9 +3,9 @@ module Pstore = Hdd_mvstore.Pstore
 module P = Hdd_core.Partition
 module TW = Hdd_core.Timewall
 
-type op = Read of Granule.t | Write of Granule.t * int
+type op = Hdd_core.Oracle.op = Read of Granule.t | Write of Granule.t * int
 
-type desc = {
+type desc = Hdd_core.Oracle.desc = {
   d_id : Txn.id;
   d_kind : [ `Update of int | `Read_only ];
   d_ops : op list;

@@ -11,9 +11,9 @@
     {!state.stores} cannot answer, so the engine's Protocol B commit
     path allocates nothing ([Engine.alloc_probe]). *)
 
-type op = Read of Granule.t | Write of Granule.t * int
+type op = Hdd_core.Oracle.op = Read of Granule.t | Write of Granule.t * int
 
-type desc = {
+type desc = Hdd_core.Oracle.desc = {
   d_id : Txn.id;
   d_kind : [ `Update of int | `Read_only ];
   d_ops : op list;

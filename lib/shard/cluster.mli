@@ -1,7 +1,8 @@
 (** Drive a fleet of {!Node}s over a script and hand back an
     {!Hdd_runtime.Engine.run} — the same shape the multicore engine
-    returns, so {!Hdd_runtime.Differential.check_run} certifies a
-    sharded history with the identical four-check oracle.
+    returns, so the one oracle ({!Hdd_core.Oracle}, asked through
+    {!Hdd_runtime.Differential.check_run}) judges a sharded history
+    exactly as it judges the engine's.
 
     Three ways to run the same node code:
 

@@ -53,12 +53,13 @@ let certified_run ?(config = Runner.default_config) spec wl =
   (result, Hdd_core.Certifier.serializable log)
 
 let traced_run ?(config = Runner.default_config) ?capacity spec wl =
+  let module Oracle = Hdd_core.Oracle in
   let trace = Hdd_obs.Trace.create ?capacity () in
   Hdd_obs.Trace.enable trace;
-  let monitor = Hdd_obs.Monitor.create ~raise_on_violation:false () in
-  Hdd_obs.Monitor.attach monitor trace;
+  let oracle = Oracle.create ~raise_on_violation:false () in
+  Oracle.attach oracle trace;
   let metrics = Hdd_obs.Metrics.create () in
   Hdd_obs.Metrics.attach metrics trace;
   let controller = make ~trace spec wl in
   let result = Runner.run ~trace config wl controller in
-  (result, trace, metrics, monitor)
+  (result, trace, metrics, Oracle.check oracle ~records:[] ~outcomes:[])

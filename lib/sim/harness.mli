@@ -52,9 +52,11 @@ val traced_run :
   ?capacity:int ->
   spec ->
   Workload.t ->
-  Runner.result * Hdd_obs.Trace.t * Hdd_obs.Metrics.t * Hdd_obs.Monitor.t
+  Runner.result * Hdd_obs.Trace.t * Hdd_obs.Metrics.t * Hdd_core.Oracle.report
 (** Run with the full observability stack on: a fresh enabled trace of
     [capacity] records (default 65536), the standard {!Hdd_obs.Metrics}
-    bridge and a non-raising {!Hdd_obs.Monitor}.  The caller inspects
-    [Hdd_obs.Monitor.violations] for the verdict; for the baselines the
-    trace only carries driver-level [Sim] records. *)
+    bridge and a non-raising {!Hdd_core.Oracle} subscribed to the trace
+    while the run executes, so its monitor sees every record, those the
+    ring evicts included.  The report's [monitor-replay] family is the
+    verdict; for the baselines the trace only carries driver-level
+    [Sim] records. *)

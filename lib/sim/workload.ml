@@ -109,8 +109,11 @@ let inventory ?(base_keys = 256) ?(items = 64) ?(orders = 64)
 
 (* --- parametric chain for the sweeps --- *)
 
-let chain ~depth ?(keys_per_segment = 128) ?(reads_up = 4)
-    ?(cross_read_fraction = 0.75) ?(ro_weight = 0.1) ?(zipf_alpha = 0.6) () =
+(* Reads per transaction, before an update's one write. *)
+let reads_up = 4
+
+let chain ~depth ?(keys_per_segment = 128) ?(cross_read_fraction = 0.75)
+    ?(ro_weight = 0.1) ?(zipf_alpha = 0.6) () =
   if depth < 1 then invalid_arg "Workload.chain: depth must be >= 1";
   let segments = List.init depth (fun i -> Printf.sprintf "level%d" i) in
   (* class i writes D_i and reads everything above (D_{i+1} .. D_{depth-1}) *)

@@ -50,14 +50,14 @@ val inventory :
 val chain :
   depth:int ->
   ?keys_per_segment:int ->
-  ?reads_up:int ->
   ?cross_read_fraction:float ->
   ?ro_weight:float ->
   ?zipf_alpha:float ->
   unit ->
   t
 (** A [depth]-segment chain [D_{depth-1} <- … <- D0]: class [i] writes
-    [D_i] and reads upward.  [cross_read_fraction] sets the share of a
+    [D_i] and reads upward.  Every transaction makes four reads, and an
+    update then one write.  [cross_read_fraction] sets the share of a
     transaction's reads that go to higher segments rather than its own —
     the knob of experiment E11. *)
 

@@ -1,6 +1,6 @@
 module Partition = Hdd_core.Partition
 module Scheduler = Hdd_core.Scheduler
-module Certifier = Hdd_core.Certifier
+module Oracle = Hdd_core.Oracle
 module Outcome = Hdd_core.Outcome
 module Store = Hdd_mvstore.Store
 module Chain = Hdd_mvstore.Chain
@@ -518,40 +518,36 @@ let check_replica add replica (oracle : Durable.recovered)
       w
   end
 
-(* A fresh per-phase observability stack: the monitor must not raise
-   (violations join the cycle's list) and must not outlive its phase
-   (txn ids recur across sessions, which would confuse its shadow). *)
-let watch monitors =
-  if not monitors then (None, fun _add ~label:_ -> ())
-  else begin
-    let trace = Hdd_obs.Trace.create () in
-    let monitor = Hdd_obs.Monitor.create ~raise_on_violation:false () in
-    Hdd_obs.Monitor.attach monitor trace;
-    ( Some trace,
-      fun add ~label ->
-        List.iter
-          (fun v -> add (Printf.sprintf "monitor %s: %s" label v))
-          (Hdd_obs.Monitor.violations monitor) )
-  end
+(* An oracle asked once: per phase (its monitor must not outlive the
+   phase, as txn ids recur across sessions) or, with [durability_only],
+   across phases, fed only on flip-free cycles (silent corruption may
+   destroy acked frames).  Its monitor watches a trace of its own when
+   [monitors] is on and never raises: violations join the list. *)
+let watch ?durability_only monitors =
+  let oracle = Oracle.create ?durability_only ~raise_on_violation:false () in
+  let trace =
+    if not monitors then None
+    else begin
+      let trace = Hdd_obs.Trace.create () in
+      Oracle.attach oracle trace;
+      Some trace
+    end
+  in
+  (trace, fun ?log () -> Oracle.check ?log oracle ~records:[] ~outcomes:[])
 
-(* The cross-phase durability monitor: acknowledged (txn, at) commits
-   must reappear at every Recovery_complete.  Fed only on flip-free
-   cycles — silent log corruption may legitimately destroy acked
-   frames. *)
-let watch_durability monitors =
-  if not monitors then (None, fun _add -> ())
-  else begin
-    let trace = Hdd_obs.Trace.create () in
-    let monitor =
-      Hdd_obs.Monitor.create ~durability_only:true ~raise_on_violation:false ()
-    in
-    Hdd_obs.Monitor.attach monitor trace;
-    ( Some trace,
-      fun add ->
-        List.iter
-          (fun v -> add (Printf.sprintf "durability monitor: %s" v))
-          (Hdd_obs.Monitor.violations monitor) )
-  end
+let judge add ~label r =
+  if Oracle.witnesses r Oracle.Mvsg_certification <> [] then
+    add (label ^ ": live schedule not serializable");
+  List.iter
+    (fun v -> add (Printf.sprintf "monitor %s: %s" label v))
+    (Oracle.witnesses r Oracle.Monitor_replay)
+
+(* The committed schedule a recovery replays from the log certifies. *)
+let recovered_serializable path =
+  Oracle.ok
+    (Oracle.check
+       ~log:(committed_write_log (Wal.read_all ~path).Wal.records)
+       (Oracle.create ()) ~records:[] ~outcomes:[])
 
 let emit_acks dtrace acked =
   match dtrace with
@@ -584,11 +580,11 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
   let add v = violations := v :: !violations in
   let group = group_grid.(Prng.int rng (Array.length group_grid)) in
   let replica = Replica.create ~segments ~init:(fun _ -> 0) () in
-  let dtrace, ddrain = watch_durability monitors in
+  let dtrace, durability = watch ~durability_only:true monitors in
   (* phase 1: run into the fault *)
   let plan1 = gen_plan rng config in
   let log1 = Sched_log.create () in
-  let trace1, drain1 = watch monitors in
+  let trace1, phase1 = watch monitors in
   let shipper1 = Replica.shipper ~faults:plan1 ~log:path replica in
   let db1 =
     Durable.create ~sync_on_commit:(group = None)
@@ -596,9 +592,7 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
       ?group ~faults:plan1 ~log:log1 ?trace:trace1 ~path ~partition ()
   in
   let p1 = run_phase db1 rng config ~partition ~shipper:shipper1 in
-  if not (Certifier.serializable log1) then
-    add "phase 1: live schedule not serializable";
-  drain1 add ~label:"phase 1";
+  judge add ~label:"phase 1" (phase1 ~log:log1 ());
   (* first recovery: the production path (checkpoint + tail) continues
      the database; the full-replay oracle checks the invariants *)
   let flipped1 = flipped plan1 in
@@ -625,11 +619,8 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
   check_recovery add ~label:"recovery 1" r1_full ~visible:visible1
     ~allowed:(allowed_table visible1 p1.pendings);
   if not flipped1 then check_equivalence add ~label:"recovery 1" r1 r1_full;
-  if
-    not
-      (Certifier.serializable
-         (committed_write_log (Wal.read_all ~path).Wal.records))
-  then add "recovery 1: recovered committed schedule not serializable";
+  if not (recovered_serializable path) then
+    add "recovery 1: recovered committed schedule not serializable";
   (* phase 2: continue on the recovered database, maybe into a new fault *)
   let plan2 =
     if Prng.float rng 1.0 < config.second_fault_probability then
@@ -637,7 +628,7 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
     else Fault.plan []
   in
   let log2 = Sched_log.create () in
-  let trace2, drain2 = watch monitors in
+  let trace2, phase2 = watch monitors in
   let shipper2 =
     Replica.shipper ~faults:plan2 ~from:(Replica.shipped shipper1) ~log:path
       replica
@@ -648,9 +639,7 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
       ?group ~faults:plan2 ~log:log2 ?trace:trace2 ~path ~partition r1
   in
   let p2 = run_phase db2 rng config ~partition ~shipper:shipper2 in
-  if not (Certifier.serializable log2) then
-    add "phase 2: live schedule not serializable";
-  drain2 add ~label:"phase 2";
+  judge add ~label:"phase 2" (phase2 ~log:log2 ());
   (* final recovery over the full log *)
   let flipped2 = flipped plan2 in
   let clean = (not flipped1) && not flipped2 in
@@ -687,12 +676,12 @@ let run_cycle ?(config = default_config) ?(monitors = false) ~partition ~path
   if clean then
     check_replica add replica r2_full
       ~keys_per_segment:config.keys_per_segment;
-  if clean then ddrain add;
-  if
-    not
-      (Certifier.serializable
-         (committed_write_log (Wal.read_all ~path).Wal.records))
-  then add "recovery 2: recovered committed schedule not serializable";
+  if clean then
+    List.iter
+      (fun v -> add ("durability monitor: " ^ v))
+      (Oracle.witnesses (durability ()) Oracle.Monitor_replay);
+  if not (recovered_serializable path) then
+    add "recovery 2: recovered committed schedule not serializable";
   { seed;
     crashed = p1.phase_crashed || p2.phase_crashed;
     fired = Fault.fired plan2 @ Fault.fired plan1;

@@ -33,6 +33,128 @@ let stress_profile seed =
      Hdd_runtime.Differential.Adhoc_read;
      Hdd_runtime.Differential.Mixed |].(seed / 3 mod 3)
 
+(* --- the shard cluster under the oracle ---
+
+   The cluster's three modes run the same node code; a test picks one
+   ([`Det] by default, where [seed] shapes the interleaving and a
+   [fault] plan scripts the publication traffic) and asks the engine's
+   adapter to the oracle about the merged run. *)
+
+let cluster_run ?(mode = `Det) ?fault ~partition ~init ~shards ~seed script =
+  let module C = Hdd_shard.Cluster in
+  match mode with
+  | `Det -> C.run_script_det ?fault ~partition ~init ~shards ~seed ~script ()
+  | `Domains -> C.run_script_domains ~partition ~init ~shards ~script ()
+  | `Processes -> C.run_script_processes ~partition ~init ~shards ~script ()
+
+let shard_check ?mode ?fault ~partition ~init ~shards ~seed script =
+  Hdd_runtime.Differential.check_run ~partition ~init ~script
+    (cluster_run ?mode ?fault ~partition ~init ~shards ~seed script)
+
+(* The sharded twin of [Differential.stress_one]: the same stress case,
+   executed on [shards] nodes instead of worker domains. *)
+let shard_stress ?mode ~seed ~shards ~txns ~profile () =
+  let module D = Hdd_runtime.Differential in
+  let partition, script = D.stress_case ~seed ~txns ~profile in
+  shard_check ?mode ~partition ~init:D.default_init ~shards ~seed script
+
+(* The explorer's Figure 1 / Figures 3-4 / wall scenarios as descriptor
+   scripts, classes ordered so each class's root segment is its own
+   index.  At two shards each scenario crosses the wire: Protocol A
+   reads compose thresholds from remote snapshots and Protocol C reads
+   wait out remote walls.  [records] (2 shards, seed 7) is what the
+   golden files under [golden/shard_*.trace] freeze. *)
+module Shard_golden = struct
+  module E = Hdd_runtime.Engine
+
+  type t = {
+    g_name : string;
+    g_partition : Partition.t;
+    g_init : Granule.t -> int;
+    g_script : E.desc array;
+  }
+
+  let g ~segment ~key = Granule.make ~segment ~key
+
+  let u id cls ops =
+    { E.d_id = id; d_kind = `Update cls; d_ops = ops; d_abort = false }
+
+  let ro id ops =
+    { E.d_id = id; d_kind = `Read_only; d_ops = ops; d_abort = false }
+
+  (* Figure 1: two tellers read-modify-write one account; an auditor on
+     the other shard reads it through the wall. *)
+  let fig1 =
+    let acct = g ~segment:0 ~key:0 in
+    { g_name = "fig1";
+      g_partition =
+        Partition.build_exn
+          (Spec.make ~segments:[ "accounts" ]
+             ~types:
+               [ Spec.txn_type ~name:"teller" ~writes:[ 0 ] ~reads:[ 0 ] ]);
+      g_init = (fun _ -> 100);
+      g_script =
+        [| u 1 0 [ E.Read acct; E.Write (acct, 110) ];
+           u 2 0 [ E.Read acct; E.Write (acct, 120) ];
+           ro 3 [ E.Read acct ] |] }
+
+  (* Figures 3/4 inventory pipeline: type "reorder" writes D0 reading
+     the whole chain, "post" writes D1 reading D1-D2, "insert" writes
+     D2.  At two shards the post class lands on shard 1 and its D2 read
+     crosses the wire (Protocol A), while the audit walks all three
+     segments off the walls (Protocol C). *)
+  let fig34 =
+    let reorder = g ~segment:0 ~key:0
+    and level = g ~segment:1 ~key:0
+    and event = g ~segment:2 ~key:0 in
+    { g_name = "fig34";
+      g_partition =
+        Partition.build_exn
+          (Spec.make
+             ~segments:[ "reorders"; "inventory"; "events" ]
+             ~types:
+               [ Spec.txn_type ~name:"reorder" ~writes:[ 0 ]
+                   ~reads:[ 0; 1; 2 ];
+                 Spec.txn_type ~name:"post" ~writes:[ 1 ] ~reads:[ 1; 2 ];
+                 Spec.txn_type ~name:"insert" ~writes:[ 2 ] ~reads:[ 2 ] ]);
+      g_init = (fun _ -> 0);
+      g_script =
+        [| u 1 2 [ E.Write (event, 1) ];
+           u 2 1 [ E.Read event; E.Read level; E.Write (level, 1) ];
+           u 3 0 [ E.Read event; E.Read level; E.Write (reorder, 1) ];
+           ro 4 [ E.Read reorder; E.Read level; E.Read event ] |] }
+
+  (* The two-segment chain with a spanning read-only transaction.  Class
+     1 lives on shard 1, so the low class's up-chain read and the
+     audit's walled reads both compose thresholds from a remote
+     snapshot. *)
+  let wall =
+    let a = g ~segment:1 ~key:0 and b = g ~segment:0 ~key:0 in
+    { g_name = "wall";
+      g_partition =
+        Partition.build_exn
+          (Spec.make ~segments:[ "lower"; "upper" ]
+             ~types:
+               [ Spec.txn_type ~name:"low" ~writes:[ 0 ] ~reads:[ 0; 1 ];
+                 Spec.txn_type ~name:"high" ~writes:[ 1 ] ~reads:[ 1 ] ]);
+      g_init = (fun _ -> 0);
+      g_script =
+        [| u 1 1 [ E.Write (a, 7) ];
+           u 2 0 [ E.Read a; E.Write (b, 8) ];
+           ro 3 [ E.Read a; E.Read b ] |] }
+
+  let all = [ fig1; fig34; wall ]
+
+  let records ?(shards = 2) ?(seed = 7) gl =
+    (cluster_run ~partition:gl.g_partition ~init:gl.g_init ~shards ~seed
+       gl.g_script)
+      .E.records
+
+  let check ?(shards = 2) ?(seed = 7) gl =
+    shard_check ~partition:gl.g_partition ~init:gl.g_init ~shards ~seed
+      gl.g_script
+end
+
 (* --- runs that must not hang --- *)
 
 (* Run [f] in a domain of its own and wait at most [seconds] for it, so

@@ -22,7 +22,6 @@ module Certifier = Hdd_core.Certifier
 module Hy = Hdd_hybrid.Hybrid_sched
 module Contention = Hdd_hybrid.Contention
 module Policy = Hdd_hybrid.Policy
-module Control = Hdd_adapt.Control
 module Prudent = Hdd_baselines.Prudent
 module Explore = Hdd_check.Explore
 module Scenarios = Hdd_check.Scenarios
@@ -526,79 +525,6 @@ let test_prudent_commit_wait () =
   | Granted 5 -> ()
   | _ -> Alcotest.fail "committed value visible"
 
-(* --- the closed-loop placement controller --- *)
-
-let test_control_migrates_hot_class () =
-  let cfg =
-    { Control.default_config with
-      Control.window_min = 10;
-      hold = 2;
-      cooldown_s = 0. }
-  in
-  let owner_map = E.default_owner_map ~segments:4 ~workers:2 in
-  let ctl = Control.create ~config:cfg ~workers:2 ~owner_map () in
-  let counts = Array.make 4 0 in
-  checkb "first observation only cuts" true (Control.decide ctl counts = None);
-  counts.(0) <- 20;
-  checkb "first hot window starts the streak" true
-    (Control.decide ctl counts = None);
-  counts.(0) <- 40;
-  (match Control.decide ctl counts with
-  | Some target ->
-    checkb "hot class moved off its owner" true
-      (target.(0) <> owner_map.(0));
-    checki "other classes stay" target.(1) owner_map.(1)
-  | None -> Alcotest.fail "second hot window must move");
-  checki "one move" 1 (Control.moves ctl)
-
-let test_control_hysteresis () =
-  let cfg =
-    { Control.default_config with
-      Control.window_min = 10;
-      hold = 2;
-      cooldown_s = 3600.;
-      max_moves = 1 }
-  in
-  let owner_map = E.default_owner_map ~segments:4 ~workers:2 in
-  let ctl = Control.create ~config:cfg ~workers:2 ~owner_map () in
-  let counts = Array.make 4 0 in
-  ignore (Control.decide ctl counts);
-  (* balanced windows never build a streak *)
-  for _ = 1 to 5 do
-    Array.iteri (fun i v -> counts.(i) <- v + 5) counts;
-    checkb "balanced window does not move" true
-      (Control.decide ctl counts = None)
-  done;
-  checki "no moves" 0 (Control.moves ctl)
-
-(* run_timed's control hook applies the controller's repairs behind
-   park barriers and counts them *)
-let test_control_drives_engine () =
-  let partition = D.chain_partition 6 in
-  let cfg =
-    { Control.default_config with
-      Control.window_min = 16;
-      hot_share = 0.0;
-      hold = 1;
-      cooldown_s = 0. }
-  in
-  let workers = 2 in
-  let owner_map =
-    E.default_owner_map ~segments:(P.segment_count partition) ~workers
-  in
-  let ctl = Control.create ~config:cfg ~workers ~owner_map () in
-  let mix =
-    { E.ro_frac = 0.2; abort_frac = 0.1; cross_reads = 1; own_ops = 3;
-      keys_per_segment = 16 }
-  in
-  let t =
-    E.run_timed ~partition ~init:D.default_init ~workers ~seconds:0.2
-      ~control:(Control.hook ctl) ~mix ~seed:11 ()
-  in
-  checkb "committed work" true (t.E.t_stats.E.committed > 0);
-  checki "engine counted exactly the controller's moves"
-    (Control.moves ctl) t.E.t_stats.E.repartitions
-
 (* --- the escalated mode under the schedule-space explorer --- *)
 
 (* Every eligible class escalated before the first transaction begins,
@@ -677,11 +603,5 @@ let suite =
       test_policy_respects_eligibility_and_cooldown;
     Alcotest.test_case "prudent: commit-wait discipline" `Quick
       test_prudent_commit_wait;
-    Alcotest.test_case "control: migrates the hot class" `Quick
-      test_control_migrates_hot_class;
-    Alcotest.test_case "control: hysteresis holds still" `Quick
-      test_control_hysteresis;
-    Alcotest.test_case "control: drives the engine" `Quick
-      test_control_drives_engine;
     Alcotest.test_case "hybrid: escalated classes explored" `Quick
       test_explore_escalated ]

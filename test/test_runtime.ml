@@ -552,7 +552,8 @@ let test_engine_single_worker () =
   ok_or_fail "single worker" r;
   checki "every descriptor got a verdict" 60
     (r.R.Differential.r_stats.committed + r.R.Differential.r_stats.aborted);
-  checkb "traced events present" true (r.R.Differential.r_events > 0);
+  checkb "traced events present" true
+    (r.R.Differential.r_oracle.Hdd_core.Oracle.events > 0);
   checkb "walls released" true (r.R.Differential.r_stats.wall_releases >= 1)
 
 let cross_class_check ~publish_every =
@@ -885,8 +886,10 @@ let test_engine_negative_key () =
    worker 1's: class 0's queue never drains, so the peer's idle wait
    and the caller's pushes into the full box would wait forever without
    the failure flag.  The worker's own exception comes back.  A raise on
-   the caller's side — a controller raising at its third poll of a 30 s
-   timed run — ends the run the same way, well inside the watchdog. *)
+   the caller's side ends a run the same way: a [Crew.run] whose feed
+   raises once both members wait for the crew to halt, one lingering
+   (it never halts the crew itself, as its peer never settles) and one
+   napping, re-raises the feed's exception well inside the watchdog. *)
 let test_engine_worker_raise_ends_run () =
   let partition = R.Differential.chain_partition 2 in
   let config = R.Engine.default_config ~workers:2 in
@@ -899,22 +902,21 @@ let test_engine_worker_raise_ends_run () =
   | _ -> Alcotest.fail "no exception"
   | exception Invalid_argument msg ->
     check Alcotest.string "the worker's exception" "Pstore: negative key" msg);
-  let polls = ref 0 in
-  let control _ =
-    incr polls;
-    if !polls = 3 then failwith "controller" else None
+  let crew = R.Crew.create 2 in
+  let waiting = Atomic.make 0 in
+  let member i =
+    Atomic.incr waiting;
+    if i = 0 then R.Crew.linger crew ignore
+    else while not (R.Crew.halted crew) do R.Wait.nap () done
   in
-  match
-    Fixtures.within ~seconds:20. (fun () ->
-        R.Engine.run_timed ~partition ~init ~workers:2 ~seconds:30. ~control
-          ~mix:
-            { R.Engine.ro_frac = 0.1; abort_frac = 0.05; cross_reads = 2;
-              own_ops = 2; keys_per_segment = 4 }
-          ~seed:5 ())
-  with
-  | _ -> Alcotest.fail "a raising controller: no exception"
+  let feed () =
+    while Atomic.get waiting < 2 do R.Wait.nap () done;
+    failwith "feed"
+  in
+  match Fixtures.within ~seconds:20. (fun () -> R.Crew.run crew ~feed member) with
+  | _ -> Alcotest.fail "a raising feed: no exception"
   | exception Failure msg ->
-    check Alcotest.string "the controller's exception" "controller" msg
+    check Alcotest.string "the feed's exception" "feed" msg
 
 (* The coordinator polls on the caller's domain before the first push,
    when every class is idle: a one-step plan or mode plan always lands
@@ -1090,6 +1092,50 @@ let test_crew_stall_ends_run () =
     check Alcotest.string "the stalled member" "member 0" waiter;
     check Alcotest.string "what it awaited" "a signal nobody sends" awaited
 
+(* A trace ring keeps only its newest records.  Dropping the records
+   of a traced run's first three transactions, as eviction would, fails
+   trace-complete and nothing else: the families that read the records
+   are skipped instead of judged on the truncated history. *)
+let test_oracle_incomplete_trace () =
+  let module O = Hdd_core.Oracle in
+  let partition = R.Differential.chain_partition 4 in
+  let init = R.Differential.default_init in
+  let script = R.Differential.gen_script ~partition ~seed:7 ~txns:40 () in
+  let run =
+    R.Engine.run_script ~partition ~init (R.Engine.default_config ~workers:2)
+      ~script
+  in
+  ok_or_fail "the whole trace"
+    (R.Differential.check_run ~partition ~init ~script run);
+  let kept (r : T.record) =
+    match r.ev with
+    | T.Begin { txn; _ }
+    | T.Read { txn; _ }
+    | T.Write { txn; _ }
+    | T.Commit { txn; _ }
+    | T.Abort { txn; _ } ->
+      txn > 3
+    | _ -> true
+  in
+  let r =
+    R.Differential.check_run ~partition ~init ~script
+      { run with records = List.filter kept run.records }
+  in
+  check
+    Alcotest.(list string)
+    "only trace-complete fails" [ "trace-complete" ] (R.Differential.failures r);
+  check
+    Alcotest.(list string)
+    "the witness counts the missing"
+    [ "3 of 40 outcomes have no Begin record (first: txn 1): the trace lost \
+       records" ]
+    (O.witnesses r.r_oracle O.Trace_complete);
+  List.iter
+    (fun f ->
+      checkb (O.name f ^ " skipped") true (O.verdict r.r_oracle f = O.Skipped))
+    [ O.Mvsg_certification; O.Monitor_replay; O.Serial_oracle_agreement;
+      O.Read_from_equality ]
+
 let suite =
   [ Alcotest.test_case "gclock: ticks unique across domains" `Quick
       test_gclock_unique;
@@ -1154,4 +1200,6 @@ let suite =
     Alcotest.test_case "wait: steps between checks, stalls at the budget"
       `Quick test_wait_until;
     Alcotest.test_case "crew: a stalled member ends the run" `Quick
-      test_crew_stall_ends_run ]
+      test_crew_stall_ends_run;
+    Alcotest.test_case "oracle: an evicted trace fails trace-complete"
+      `Quick test_oracle_incomplete_trace ]

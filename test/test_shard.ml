@@ -528,14 +528,14 @@ let ok_or_fail what (r : D.report) =
 
 let test_goldens_pass_oracle () =
   List.iter
-    (fun (gl : Sh.Shard_diff.golden) ->
+    (fun (gl : Fixtures.Shard_golden.t) ->
       List.iter
         (fun shards ->
           ok_or_fail
-            (Printf.sprintf "%s @ %d shards" gl.Sh.Shard_diff.g_name shards)
-            (Sh.Shard_diff.golden_check ~shards gl))
+            (Printf.sprintf "%s @ %d shards" gl.Fixtures.Shard_golden.g_name shards)
+            (Fixtures.Shard_golden.check ~shards gl))
         [ 1; 2; 3 ])
-    Sh.Shard_diff.goldens
+    Fixtures.Shard_golden.all
 
 let shard_seeds () = Fixtures.seeds_from_env "HDD_SHARD_SEEDS"
 let profile_of = Fixtures.stress_profile
@@ -546,7 +546,7 @@ let test_shard_stress () =
   for seed = 1 to seeds do
     let shards = Fixtures.scaled_workers seed
     and profile = profile_of seed in
-    let r = Sh.Shard_diff.stress_one ~seed ~shards ~txns:30 ~profile () in
+    let r = Fixtures.shard_stress ~seed ~shards ~txns:30 ~profile () in
     if not (D.ok r) then
       failures :=
         Format.asprintf "seed %d shards %d: %a" seed shards D.pp_report r
@@ -563,7 +563,7 @@ let test_shard_stress_domains () =
   for seed = 1 to Fixtures.seeds_from_env ~default:4 "HDD_SHARD_SEEDS" do
     let shards = 2 + (2 * (seed mod 2)) in
     let r =
-      Sh.Shard_diff.stress_one ~mode:`Domains ~seed ~shards ~txns:25
+      Fixtures.shard_stress ~mode:`Domains ~seed ~shards ~txns:25
         ~profile:(profile_of seed) ()
     in
     ok_or_fail (Printf.sprintf "domains seed %d shards %d" seed shards) r
@@ -736,7 +736,7 @@ let test_cluster_counts_publications () =
 (* --- scripted publication faults --- *)
 
 let stress_script seed =
-  (* same derivation as Shard_diff.stress_one, reduced for fault runs *)
+  (* same derivation as Fixtures.shard_stress, reduced for fault runs *)
   let prng = Prng.create ((seed * 2) + 1) in
   let partition =
     if seed land 1 = 0 then D.chain_partition (4 + Prng.int prng 5)
@@ -761,8 +761,8 @@ let test_netfault_all_kinds () =
             Sh.Netfault.Drop 8; Sh.Netfault.Dup 10 ]
       in
       let r =
-        Sh.Shard_diff.check_det ~fault ~partition ~init:D.default_init
-          ~shards:2 ~seed ~script ()
+        Fixtures.shard_check ~fault ~partition ~init:D.default_init ~shards:2
+          ~seed script
       in
       ok_or_fail (Printf.sprintf "faulted seed %d" seed) r;
       fired_kinds :=
@@ -782,8 +782,8 @@ let test_netfault_drop_storm () =
     Sh.Netfault.plan (List.init 30 (fun n -> Sh.Netfault.Drop n))
   in
   let r =
-    Sh.Shard_diff.check_det ~fault ~partition ~init:D.default_init ~shards:4
-      ~seed:6 ~script ()
+    Fixtures.shard_check ~fault ~partition ~init:D.default_init ~shards:4
+      ~seed:6 script
   in
   ok_or_fail "drop storm" r;
   checkb "drops actually fired" true (Sh.Netfault.fired fault <> [])
@@ -795,25 +795,25 @@ let golden_file name = Filename.concat "golden" ("shard_" ^ name ^ ".trace")
 let read_file = Fixtures.read_file
 
 let golden_text gl =
-  T.text_of_records (Sh.Shard_diff.golden_records gl)
+  T.text_of_records (Fixtures.Shard_golden.records gl)
 
 let test_golden_traces () =
   match Fixtures.golden_update_dir () with
   | Some dir ->
     List.iter
-      (fun (gl : Sh.Shard_diff.golden) ->
+      (fun (gl : Fixtures.Shard_golden.t) ->
         let path =
-          Filename.concat dir ("shard_" ^ gl.Sh.Shard_diff.g_name ^ ".trace")
+          Filename.concat dir ("shard_" ^ gl.Fixtures.Shard_golden.g_name ^ ".trace")
         in
         let oc = open_out_bin path in
         output_string oc (golden_text gl);
         close_out oc;
         Printf.printf "wrote %s\n" path)
-      Sh.Shard_diff.goldens
+      Fixtures.Shard_golden.all
   | _ ->
     List.iter
-      (fun (gl : Sh.Shard_diff.golden) ->
-        let name = gl.Sh.Shard_diff.g_name in
+      (fun (gl : Fixtures.Shard_golden.t) ->
+        let name = gl.Fixtures.Shard_golden.g_name in
         let current = golden_text gl in
         checks
           (Printf.sprintf "shard %s: run-to-run stable" name)
@@ -825,7 +825,7 @@ let test_golden_traces () =
         checks
           (Printf.sprintf "shard %s: matches golden" name)
           (read_file path) current)
-      Sh.Shard_diff.goldens
+      Fixtures.Shard_golden.all
 
 (* --- forged traces: the oracle names the failed check --- *)
 
@@ -858,12 +858,12 @@ let test_forged_lost_update () =
     { E.records; outcomes = [ (1, true); (2, true) ];
       stats = { stats_zero with E.committed = 2; writes = 2; reads_b = 2 } }
   in
-  let gl = Sh.Shard_diff.fig1 in
+  let gl = Fixtures.Shard_golden.fig1 in
   let r =
-    D.check_run ~partition:gl.Sh.Shard_diff.g_partition
-      ~init:gl.Sh.Shard_diff.g_init
+    D.check_run ~partition:gl.Fixtures.Shard_golden.g_partition
+      ~init:gl.Fixtures.Shard_golden.g_init
       ~script:
-        [| gl.Sh.Shard_diff.g_script.(0); gl.Sh.Shard_diff.g_script.(1) |]
+        [| gl.Fixtures.Shard_golden.g_script.(0); gl.Fixtures.Shard_golden.g_script.(1) |]
       run
   in
   checkb "forged lost update rejected" false (D.ok r);
@@ -900,12 +900,12 @@ let test_forged_verdict_flip () =
     { E.records; outcomes = [ (1, true); (2, false) ];
       stats = { stats_zero with E.committed = 1; aborted = 1 } }
   in
-  let gl = Sh.Shard_diff.fig1 in
+  let gl = Fixtures.Shard_golden.fig1 in
   let r =
-    D.check_run ~partition:gl.Sh.Shard_diff.g_partition
-      ~init:gl.Sh.Shard_diff.g_init
+    D.check_run ~partition:gl.Fixtures.Shard_golden.g_partition
+      ~init:gl.Fixtures.Shard_golden.g_init
       ~script:
-        [| gl.Sh.Shard_diff.g_script.(0); gl.Sh.Shard_diff.g_script.(1) |]
+        [| gl.Fixtures.Shard_golden.g_script.(0); gl.Fixtures.Shard_golden.g_script.(1) |]
       run
   in
   Alcotest.(check (list string))
@@ -915,11 +915,11 @@ let test_forged_verdict_flip () =
 (* a legitimate run with a backwards wall spliced onto the tail: only
    the monitor replay can see it, and it must be the one to shout *)
 let test_forged_backwards_wall () =
-  let gl = Sh.Shard_diff.fig34 in
+  let gl = Fixtures.Shard_golden.fig34 in
   let run =
-    Sh.Cluster.run_script_det ~partition:gl.Sh.Shard_diff.g_partition
-      ~init:gl.Sh.Shard_diff.g_init ~shards:2 ~seed:7
-      ~script:gl.Sh.Shard_diff.g_script ()
+    Sh.Cluster.run_script_det ~partition:gl.Fixtures.Shard_golden.g_partition
+      ~init:gl.Fixtures.Shard_golden.g_init ~shards:2 ~seed:7
+      ~script:gl.Fixtures.Shard_golden.g_script ()
   in
   let big = 1_000_000 in
   let forged =
@@ -933,8 +933,8 @@ let test_forged_backwards_wall () =
                components = [| big - 1; big; big |] }) ]
   in
   let r =
-    D.check_run ~partition:gl.Sh.Shard_diff.g_partition
-      ~init:gl.Sh.Shard_diff.g_init ~script:gl.Sh.Shard_diff.g_script
+    D.check_run ~partition:gl.Fixtures.Shard_golden.g_partition
+      ~init:gl.Fixtures.Shard_golden.g_init ~script:gl.Fixtures.Shard_golden.g_script
       { run with E.records = forged }
   in
   Alcotest.(check (list string))

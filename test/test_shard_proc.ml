@@ -12,7 +12,7 @@ let ok_or_fail what (r : D.report) =
 
 let test_processes_smoke () =
   let r =
-    Sh.Shard_diff.stress_one ~mode:`Processes ~seed:5 ~shards:2 ~txns:20
+    Fixtures.shard_stress ~mode:`Processes ~seed:5 ~shards:2 ~txns:20
       ~profile:D.Mixed ()
   in
   ok_or_fail "process mode seed 5" r;
@@ -20,7 +20,7 @@ let test_processes_smoke () =
 
 let test_processes_four_shards () =
   let r =
-    Sh.Shard_diff.stress_one ~mode:`Processes ~seed:8 ~shards:4 ~txns:24
+    Fixtures.shard_stress ~mode:`Processes ~seed:8 ~shards:4 ~txns:24
       ~profile:D.Adhoc_read ()
   in
   ok_or_fail "process mode seed 8 @ 4 shards" r
